@@ -4,7 +4,6 @@ from .catalog import (
     Catalog,
     CatalogError,
     ModularSwitchFamily,
-    MonolithicSwitchModel,
     PerPortMetrics,
     SwitchConfig,
     bundled_catalog_path,
@@ -24,7 +23,7 @@ from .designer import (
     EdgeSplit,
     FatTreeDesign,
     InsufficientRadixError,
-    RackMountedFormFactor,
+    NodeSpec,
     cable_count,
     check_constraints,
     cluster_cost,
@@ -50,7 +49,6 @@ from .placement import (
     BuildingBlock,
     ExpansionAudit,
     ExpansionPlan,
-    NodeSpec,
     PlacementError,
     RackLayout,
     RoomSpec,

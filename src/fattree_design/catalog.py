@@ -9,6 +9,7 @@ own terms during the design search.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -99,20 +100,6 @@ class CatalogError(ValueError):
 
 
 @dataclass(frozen=True)
-class MonolithicSwitchModel:
-    """A fixed-configuration switch as purchased."""
-
-    id: str
-    name: str
-    ports: int
-    cost: Money
-    power: float
-    rack_units: int
-    weight: float
-    roles: frozenset[str]
-
-
-@dataclass(frozen=True)
 class ModularSwitchFamily:
     """A chassis-based switch populated with line cards and fabric boards.
 
@@ -192,7 +179,7 @@ class Catalog:
 
     def to_document(self) -> dict[str, Any]:
         """Normalized source document; reloading it reproduces this catalog."""
-        return json.loads(json.dumps(self.document, sort_keys=True))
+        return copy.deepcopy(self.document)
 
 
 def expand_modular(family: ModularSwitchFamily) -> list[SwitchConfig]:
@@ -228,19 +215,6 @@ def per_port_metrics(config: SwitchConfig) -> PerPortMetrics:
     )
 
 
-def _monolithic_config(model: MonolithicSwitchModel) -> SwitchConfig:
-    return SwitchConfig(
-        source_id=model.id,
-        ports=model.ports,
-        cost=model.cost,
-        power=model.power,
-        rack_units=model.rack_units,
-        weight=model.weight,
-        roles=model.roles,
-        name=model.name,
-    )
-
-
 def parse_catalog(document: Mapping[str, Any], *, require_both_roles: bool = True) -> Catalog:
     """Validate a parsed catalog document and expand it into candidate sets."""
     try:
@@ -257,20 +231,19 @@ def parse_catalog(document: Mapping[str, Any], *, require_both_roles: bool = Tru
         if entry["id"] in seen_ids:
             raise CatalogError(f"duplicate switch id {entry['id']!r}")
         seen_ids.add(entry["id"])
-        model = MonolithicSwitchModel(
-            id=entry["id"],
-            name=entry.get("name", ""),
+        config = SwitchConfig(
+            source_id=entry["id"],
             ports=entry["ports"],
             cost=entry["cost"],
             power=entry["power"],
             rack_units=entry["rack_units"],
             weight=entry["weight"],
             roles=frozenset(entry["roles"]),
+            name=entry.get("name", ""),
         )
-        config = _monolithic_config(model)
-        if "edge" in model.roles:
+        if "edge" in config.roles:
             edge_set.append(config)
-        if "core" in model.roles:
+        if "core" in config.roles:
             core_set.append(config)
 
     for entry in document["modular"]:

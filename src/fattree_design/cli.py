@@ -12,13 +12,14 @@ import json
 import sys
 from pathlib import Path
 
-from .catalog import Catalog, CatalogError, load_catalog_file
+from .catalog import CatalogError, load_catalog_file
 from .designer import (
     BladeFormFactor,
     ConstraintSet,
     DesignError,
     DesignRequest,
-    RackMountedFormFactor,
+    FormFactor,
+    NodeSpec,
     design,
     request_from_document,
 )
@@ -26,7 +27,6 @@ from .estimator import lower_bound_estimate, sweep_lower_bound
 from .money import parse_money, parse_ratio
 from .placement import (
     CORE_PLACEMENTS,
-    NodeSpec,
     PlacementError,
     RoomSpec,
     expansion_audit,
@@ -123,10 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_catalog(path: str) -> Catalog:
-    return load_catalog_file(Path(path))
-
-
 def _design_request(args: argparse.Namespace) -> DesignRequest:
     if args.request:
         document = json.loads(Path(args.request).read_text(encoding="utf-8"))
@@ -136,14 +132,14 @@ def _design_request(args: argparse.Namespace) -> DesignRequest:
     if args.blade is not None:
         if not args.embedded_switch:
             raise ValueError("--blade requires --embedded-switch")
-        form: BladeFormFactor | RackMountedFormFactor = BladeFormFactor(
+        form: FormFactor = BladeFormFactor(
             enclosure_capacity=args.blade,
             enclosure_cost=parse_money(args.enclosure_cost),
             embedded_edge_switch_id=args.embedded_switch,
             pass_through_cost=parse_money(args.pass_through_cost) if args.pass_through_cost else None,
         )
     else:
-        form = RackMountedFormFactor()
+        form = NodeSpec()
     constraints = ConstraintSet(
         max_network_rack_units=args.max_ru,
         min_spare_core_ports=args.min_spare_ports,
@@ -161,7 +157,9 @@ def _design_request(args: argparse.Namespace) -> DesignRequest:
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
-    catalog = _load_catalog(args.catalog)
+    if args.top < 1:
+        raise ValueError(f"--top must be at least 1, got {args.top}")
+    catalog = load_catalog_file(args.catalog)
     request = _design_request(args)
     result = design(request, catalog)
     if args.format == "json":
@@ -175,7 +173,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    catalog = _load_catalog(args.catalog)
+    catalog = load_catalog_file(args.catalog)
     config = catalog.find(args.switch)
     estimate = lower_bound_estimate(
         args.nodes, config, parse_money(args.cable_cost), blade=args.blade
@@ -188,7 +186,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    catalog = _load_catalog(args.catalog)
+    catalog = load_catalog_file(args.catalog)
     config = catalog.find(args.switch)
     points = sweep_lower_bound(config, args.first, args.last, parse_money(args.cable_cost))
     if args.format == "json":
@@ -199,17 +197,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_place(args: argparse.Namespace) -> int:
-    catalog = _load_catalog(args.catalog)
+    catalog = load_catalog_file(args.catalog)
     node_spec = NodeSpec(rack_units=args.node_ru, weight=args.node_weight, power=args.node_power)
-    request = DesignRequest(
-        node_count=args.nodes,
-        blocking_factor=parse_ratio(args.blocking),
-        form_factor=RackMountedFormFactor(
-            node_rack_units=args.node_ru, node_power=args.node_power, node_weight=args.node_weight
-        ),
-        avg_cable_cost=parse_money(args.cable_cost),
-    )
-    winner = design(request, catalog).winner
     room = RoomSpec(
         rows=args.rows,
         racks_per_row=args.racks_per_row,
@@ -217,6 +206,13 @@ def _cmd_place(args: argparse.Namespace) -> int:
         rack_weight_budget=args.rack_weight_budget,
         rack_power_budget=args.rack_power_budget,
     )
+    request = DesignRequest(
+        node_count=args.nodes,
+        blocking_factor=parse_ratio(args.blocking),
+        form_factor=node_spec,
+        avg_cable_cost=parse_money(args.cable_cost),
+    )
+    winner = design(request, catalog).winner
     layout = plan_racks(
         winner,
         room,
@@ -235,7 +231,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    catalog = _load_catalog(args.catalog)
+    catalog = load_catalog_file(args.catalog)
     blocking = parse_ratio(args.blocking)
     node_spec = NodeSpec(rack_units=args.node_ru)
     plan = expansion_plan(

@@ -68,15 +68,22 @@ class BladeFormFactor:
 
 
 @dataclass(frozen=True)
-class RackMountedFormFactor:
-    """Ordinary rack-mounted servers, cabled to standalone edge switches."""
+class NodeSpec:
+    """Footprint of one rack-mounted node, cabled to a standalone edge switch."""
 
-    node_rack_units: int = 1
-    node_power: float = 0.0
-    node_weight: float = 0.0
+    rack_units: int = 1
+    weight: float = 0.0
+    power: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.rack_units < 1:
+            raise ValueError(f"node rack_units must be at least 1, got {self.rack_units}")
+        for name in ("weight", "power"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"node {name} must not be negative, got {getattr(self, name):g}")
 
 
-FormFactor = BladeFormFactor | RackMountedFormFactor
+FormFactor = BladeFormFactor | NodeSpec
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,7 @@ class DesignRequest:
 
     node_count: int
     blocking_factor: Fraction = Fraction(1)
-    form_factor: FormFactor = RackMountedFormFactor()
+    form_factor: FormFactor = NodeSpec()
     avg_cable_cost: Money = DEFAULT_CABLE_COST
     constraints: ConstraintSet = ConstraintSet()
     prefer_expandability: bool = False
@@ -429,7 +436,7 @@ def trivial_direct_connect(
         switches = 1 if use_pass_through else 2
         extra = blades.pass_through_cost if use_pass_through else 0
         metrics = _network_metrics(
-            request, edge_config, switches, None, 0, cross_cables, extra_cost=extra or 0
+            request, edge_config, switches, None, 0, cross_cables, extra_cost=extra
         )
         split = EdgeSplit(
             ports_to_nodes=blades.enclosure_capacity,
@@ -626,10 +633,10 @@ def request_from_document(document: Mapping) -> DesignRequest:
             ),
         )
     elif kind == "rack_mounted":
-        form_factor = RackMountedFormFactor(
-            node_rack_units=int(form_doc.get("node_rack_units", 1)),
-            node_power=float(form_doc.get("node_power", 0.0)),
-            node_weight=float(form_doc.get("node_weight", 0.0)),
+        form_factor = NodeSpec(
+            rack_units=int(form_doc.get("node_rack_units", 1)),
+            weight=float(form_doc.get("node_weight", 0.0)),
+            power=float(form_doc.get("node_power", 0.0)),
         )
     else:
         raise ValueError(f"unknown form factor kind: {kind!r}")

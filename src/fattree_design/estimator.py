@@ -14,7 +14,7 @@ per port, hundredths of a watt per port).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .catalog import SwitchConfig, per_port_metrics
@@ -130,18 +130,7 @@ class SweepPoint:
 
 def single_model_catalog(config: SwitchConfig, currency: str = "USD") -> Catalog:
     """Catalog exposing one configuration as both the edge and core candidate."""
-    both = SwitchConfig(
-        source_id=config.source_id,
-        ports=config.ports,
-        cost=config.cost,
-        power=config.power,
-        rack_units=config.rack_units,
-        weight=config.weight,
-        roles=frozenset({"edge", "core"}),
-        configured_line_cards=config.configured_line_cards,
-        expandable_ports=config.expandable_ports,
-        name=config.name,
-    )
+    both = replace(config, roles=frozenset({"edge", "core"}))
     return Catalog(edge_set=(both,), core_set=(both,), currency=currency)
 
 

@@ -24,7 +24,7 @@ from .designer import (
     DesignError,
     DesignRequest,
     FatTreeDesign,
-    RackMountedFormFactor,
+    NodeSpec,
     design,
     node_distribution,
 )
@@ -38,15 +38,6 @@ class PlacementError(Exception):
 
 
 @dataclass(frozen=True)
-class NodeSpec:
-    """Physical footprint of one compute node."""
-
-    rack_units: int = 1
-    weight: float = 0.0
-    power: float = 0.0
-
-
-@dataclass(frozen=True)
 class RoomSpec:
     """Machine-room geometry and per-rack budgets (None means unlimited)."""
 
@@ -55,6 +46,11 @@ class RoomSpec:
     rack_units_per_rack: int = 42
     rack_weight_budget: float | None = None
     rack_power_budget: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("rows", "racks_per_row", "rack_units_per_rack"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"room {name} must be at least 1, got {getattr(self, name)}")
 
     @property
     def rack_count(self) -> int:
@@ -131,17 +127,6 @@ class RackLayout:
     @property
     def racks_used(self) -> int:
         return sum(1 for rack in self.racks if rack.items)
-
-    def placed_nodes(self) -> int:
-        return sum(item.node_count for rack in self.racks for item in rack.items)
-
-    def placed_switches(self) -> int:
-        return sum(
-            1
-            for rack in self.racks
-            for item in rack.items
-            if item.kind in ("core_switch", "edge_switch")
-        )
 
 
 def _serpentine_racks(room: RoomSpec) -> list[Rack]:
@@ -231,18 +216,43 @@ def _place_core_switches(
             raise PlacementError(f"no rack can hold core switch {i + 1} ({config.rack_units}U)")
 
 
-def _place_indivisible(
-    racks: list[Rack], room: RoomSpec, units: int, label: str, kind: str, weight: float = 0.0, power: float = 0.0
-) -> None:
+def _larger_than_rack(label: str, units: int, room: RoomSpec) -> PlacementError:
+    return PlacementError(f"{label} ({units}U) is larger than a {room.rack_units_per_rack}U rack")
+
+
+def _place_reserved(racks: list[Rack], room: RoomSpec, units: int, label: str) -> None:
     if units > room.rack_units_per_rack:
-        raise PlacementError(f"{label} ({units}U) is larger than a {room.rack_units_per_rack}U rack")
+        raise _larger_than_rack(label, units, room)
     for rack in racks:
-        if _fits(rack, room, units, weight, power):
-            rack.items.append(
-                PlacedItem(kind=kind, rack_units=units, label=label, weight=weight, power=power)
-            )
+        if _fits(rack, room, units, 0.0, 0.0):
+            rack.items.append(PlacedItem(kind="reserved", rack_units=units, label=label))
             return
     raise PlacementError(f"no rack can hold {label} ({units}U)")
+
+
+def _switch_item(block: BuildingBlock) -> PlacedItem:
+    switch = block.edge_switch
+    return PlacedItem(
+        kind="edge_switch",
+        rack_units=switch.rack_units,
+        label=f"{block.block_id} switch ({switch.config_id})",
+        block_id=block.block_id,
+        weight=switch.weight,
+        power=switch.power,
+    )
+
+
+def _node_item(block: BuildingBlock, count: int) -> PlacedItem:
+    spec = block.node_spec
+    return PlacedItem(
+        kind="node_block",
+        rack_units=count * spec.rack_units,
+        label=f"{block.block_id} nodes x{count}",
+        block_id=block.block_id,
+        node_count=count,
+        weight=count * spec.weight,
+        power=count * spec.power,
+    )
 
 
 def _try_spread(
@@ -288,17 +298,7 @@ def _try_spread(
             and weight_left >= switch.weight
             and power_left >= switch.power
         ):
-            reserve(
-                rack,
-                PlacedItem(
-                    kind="edge_switch",
-                    rack_units=switch.rack_units,
-                    label=f"{block.block_id} switch ({switch.config_id})",
-                    block_id=block.block_id,
-                    weight=switch.weight,
-                    power=switch.power,
-                ),
-            )
+            reserve(rack, _switch_item(block))
             switch_done = True
         if remaining > 0:
             free, weight_left, power_left = headroom(rack)
@@ -309,75 +309,33 @@ def _try_spread(
                 chunk = min(chunk, int(power_left / spec.power))
             chunk = min(remaining, max(0, chunk))
             if chunk > 0:
-                reserve(
-                    rack,
-                    PlacedItem(
-                        kind="node_block",
-                        rack_units=chunk * block.node_spec.rack_units,
-                        label=f"{block.block_id} nodes x{chunk}",
-                        block_id=block.block_id,
-                        node_count=chunk,
-                        weight=chunk * block.node_spec.weight,
-                        power=chunk * block.node_spec.power,
-                    ),
-                )
+                reserve(rack, _node_item(block, chunk))
                 remaining -= chunk
         if switch_done and remaining == 0:
             return placements
     return None
 
 
-def _whole_block_items(block: BuildingBlock) -> list[PlacedItem]:
-    switch = block.edge_switch
-    items = [
-        PlacedItem(
-            kind="edge_switch",
-            rack_units=switch.rack_units,
-            label=f"{block.block_id} switch ({switch.config_id})",
-            block_id=block.block_id,
-            weight=switch.weight,
-            power=switch.power,
-        )
-    ]
-    if block.node_count:
-        items.append(
-            PlacedItem(
-                kind="node_block",
-                rack_units=block.node_count * block.node_spec.rack_units,
-                label=f"{block.block_id} nodes x{block.node_count}",
-                block_id=block.block_id,
-                node_count=block.node_count,
-                weight=block.node_count * block.node_spec.weight,
-                power=block.node_count * block.node_spec.power,
-            )
-        )
-    return items
-
-
 def _check_room_capacity(
     design_: FatTreeDesign, room: RoomSpec, blocks: list[BuildingBlock], reserve: Sequence[int]
 ) -> None:
-    need_units = sum(block.rack_units for block in blocks) + sum(reserve)
-    if design_.core_config is not None:
-        need_units += design_.core_count * design_.core_config.rack_units
-    have_units = room.rack_count * room.rack_units_per_rack
     deficits = []
-    if need_units > have_units:
-        deficits.append(f"{need_units - have_units}U")
-    if room.rack_weight_budget is not None:
-        need_weight = sum(block.weight for block in blocks)
+    for unit, attribute, per_rack in (
+        ("U", "rack_units", room.rack_units_per_rack),
+        ("kg", "weight", room.rack_weight_budget),
+        ("W", "power", room.rack_power_budget),
+    ):
+        if per_rack is None:
+            continue
+        need = sum(getattr(block, attribute) for block in blocks)
+        if unit == "U":
+            need += sum(reserve)  # reserved space has no weight or power
         if design_.core_config is not None:
-            need_weight += design_.core_count * design_.core_config.weight
-        have_weight = room.rack_count * room.rack_weight_budget
-        if need_weight > have_weight:
-            deficits.append(f"{need_weight - have_weight:g}kg")
-    if room.rack_power_budget is not None:
-        need_power = sum(block.power for block in blocks)
-        if design_.core_config is not None:
-            need_power += design_.core_count * design_.core_config.power
-        have_power = room.rack_count * room.rack_power_budget
-        if need_power > have_power:
-            deficits.append(f"{need_power - have_power:g}W")
+            need += design_.core_count * getattr(design_.core_config, attribute)
+        have = room.rack_count * per_rack
+        if need > have:
+            # whole units print as integers; :g would turn 1000000 into 1e+06
+            deficits.append(f"{need - have}U" if unit == "U" else f"{need - have:g}{unit}")
     if deficits:
         raise PlacementError(f"equipment exceeds room capacity by {', '.join(deficits)}")
 
@@ -405,17 +363,21 @@ def plan_racks(
     racks = _serpentine_racks(room)
 
     for i, units in enumerate(reserve):
-        _place_indivisible(racks, room, units, f"reserved-{i + 1:02d}", "reserved")
+        _place_reserved(racks, room, units, f"reserved-{i + 1:02d}")
     _place_core_switches(design_, room, racks, core_placement)
 
     spread_ids: list[str] = []
     cursor = 0
     for block in blocks:
+        if not dense and block.rack_units > room.rack_units_per_rack:
+            raise _larger_than_rack(block.block_id, block.rack_units, room)
         placed = False
         while not placed:
             rack = racks[cursor]
             if _fits(rack, room, block.rack_units, block.weight, block.power):
-                rack.items.extend(_whole_block_items(block))
+                rack.items.append(_switch_item(block))
+                if block.node_count:
+                    rack.items.append(_node_item(block, block.node_count))
                 placed = True
             elif dense:
                 plan = _try_spread(block, racks[: cursor + 1], room)
@@ -509,7 +471,7 @@ def fit_max_nodes(
         request = DesignRequest(
             node_count=nodes,
             blocking_factor=blocking,
-            form_factor=RackMountedFormFactor(node_rack_units=node_spec.rack_units),
+            form_factor=node_spec,
             avg_cable_cost=avg_cable_cost,
         )
         try:

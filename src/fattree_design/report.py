@@ -83,7 +83,7 @@ def design_report_document(report: DesignReport, currency: str, top: int | None 
             "embedded_edge_switch_id": request.form_factor.embedded_edge_switch_id,
         }
     else:
-        form = {"kind": "rack_mounted", "node_rack_units": request.form_factor.node_rack_units}
+        form = {"kind": "rack_mounted", "node_rack_units": request.form_factor.rack_units}
     return {
         "request": {
             "nodes": request.node_count,

@@ -1,9 +1,11 @@
 import json
 import re
 
+import pytest
+
 from fattree_design.catalog import bundled_catalog_path
 from fattree_design.cli import run
-from fattree_design.designer import DesignRequest, design
+from fattree_design.designer import DesignRequest, NodeSpec, design, request_from_document
 from fattree_design.report import emit_wiring
 
 DEMO = str(bundled_catalog_path("demo_catalog"))
@@ -218,3 +220,54 @@ def test_expand_subcommand(capsys):
     assert plan["edge_switches"] == 7 and plan["core_switches"] == 4
     initials = {v["name"]: v["phases"][0]["nodes"] for v in plan["variants"]}
     assert initials == {"all_switches_upfront": 73, "core_first": 75}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--current-units", "84", "--target-units", "126", "--node-ru", "0"],
+        ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--node-ru", "0"],
+        ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--node-weight", "-1"],
+        ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--node-power", "-1"],
+        ["place", "--nodes", "60", "--rows", "0", "--racks-per-row", "4"],
+        ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "0"],
+        ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--rack-units", "0"],
+        ["design", "--nodes", "60", "--top", "0"],
+        ["design", "--nodes", "60", "--top", "-2"],
+    ],
+)
+def test_out_of_range_flags_exit_1(capsys, argv):
+    code, out, err = run_capture(capsys, argv + ["--catalog", DEMO])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_top_limits_alternatives(capsys):
+    code, out, _ = run_capture(capsys, ["design", "--nodes", "60", "--top", "1", "--catalog", DEMO])
+    assert code == 0
+    assert "winner: fat tree" in out and "#2:" not in out
+    assert "... 8 more feasible candidate(s) not shown" in out
+    code, out, _ = run_capture(
+        capsys, ["design", "--nodes", "60", "--top", "1", "--catalog", DEMO, "--format", "json"]
+    )
+    assert len(json.loads(out)["candidates"]) == 1
+
+
+def test_request_node_footprint_matches_flags(capsys, tmp_path):
+    form = {"kind": "rack_mounted", "node_rack_units": 2, "node_power": 350.0, "node_weight": 12.5}
+    document = {"nodes": 396, "form_factor": form}
+    assert request_from_document(document).form_factor == NodeSpec(rack_units=2, weight=12.5, power=350.0)
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps(document))
+    _, from_document, _ = run_capture(
+        capsys, ["design", "--request", str(request), "--catalog", DEMO, "--format", "json"]
+    )
+    _, from_flags, _ = run_capture(
+        capsys, ["design", "--nodes", "396", "--catalog", DEMO, "--format", "json"]
+    )
+    from_document, from_flags = json.loads(from_document), json.loads(from_flags)
+    assert from_document["request"]["form_factor"] == {"kind": "rack_mounted", "node_rack_units": 2}
+    for key in ("winner", "candidates", "feasible_candidates"):
+        assert from_document[key] == from_flags[key]

@@ -159,6 +159,53 @@ def test_room_capacity_error_reports_deficit(ft36_catalog):
         plan_racks(target, room, NodeSpec())
 
 
+def test_room_capacity_error_reports_every_deficit(ft36):
+    # 4 blocks (18, 18, 18, 6 nodes) plus 2 cores; the 4U reserve counts
+    # toward units only
+    target = winner_for(60, single_model_catalog(ft36))
+    room = RoomSpec(rows=1, racks_per_row=1, rack_weight_budget=500.0, rack_power_budget=10_000.0)
+    node_spec = NodeSpec(weight=10.0, power=200.0)
+    with pytest.raises(PlacementError) as info:
+        plan_racks(target, room, node_spec, reserve=(4,))
+    assert str(info.value) == "equipment exceeds room capacity by 28U, 149.2kg, 2912W"
+
+
+def test_oversized_block_rejected_when_not_dense(ft36_catalog):
+    target = winner_for(60, ft36_catalog)
+    room = RoomSpec(rows=1, racks_per_row=8)
+    tall = NodeSpec(rack_units=3)  # 18 nodes x 3U + 1U switch = 55U blocks
+    with pytest.raises(PlacementError) as info:
+        plan_racks(target, room, tall)
+    assert str(info.value) == "block-01 (55U) is larger than a 42U rack"
+    assert layout_nodes(plan_racks(target, room, tall, dense=True)) == 60
+    with pytest.raises(PlacementError, match="exceeds room capacity"):
+        plan_racks(target, RoomSpec(rows=1, racks_per_row=2), tall)
+
+
+def test_node_spec_is_the_designer_form_factor():
+    import fattree_design
+    from fattree_design import designer, placement
+
+    assert placement.NodeSpec is designer.NodeSpec is fattree_design.NodeSpec
+    assert designer.DesignRequest(node_count=2).form_factor == placement.NodeSpec(rack_units=1, weight=0.0, power=0.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: NodeSpec(rack_units=0),
+        lambda: NodeSpec(weight=-1.0),
+        lambda: NodeSpec(power=-0.5),
+        lambda: RoomSpec(rows=0, racks_per_row=4),
+        lambda: RoomSpec(rows=1, racks_per_row=0),
+        lambda: RoomSpec(rows=1, racks_per_row=4, rack_units_per_rack=0),
+    ],
+)
+def test_footprint_and_room_reject_out_of_range_values(build):
+    with pytest.raises(ValueError, match="must"):
+        build()
+
+
 def test_oversized_indivisible_item_rejected(ft36_catalog):
     target = winner_for(60, ft36_catalog)
     room = RoomSpec(rows=1, racks_per_row=10)
