@@ -4,7 +4,10 @@ Given a node count, a blocking factor, and an expanded switch catalog, the
 search covers two trivial topologies (direct enclosure interconnect and a
 single-switch star) plus the full edge-model x core-model grid. Every
 candidate that survives the constraint filter is kept and ranked, so callers
-can present alternatives instead of just the winner.
+can present alternatives instead of just the winner. A SearchPlan holds the
+per-catalog state (edge splits, core list) once; design() and the
+winner-only scan behind fit_max_nodes and sweep_lower_bound walk the same
+edge x core pairs from it.
 
 All port arithmetic is exact integer/Fraction math; all money is integer
 minor units.
@@ -12,7 +15,7 @@ minor units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -55,6 +58,17 @@ class ConstraintSet:
     min_spare_core_ports: int | None = None
     max_network_power: float | None = None
     max_network_cost: Money | None = None
+
+    def __post_init__(self) -> None:
+        for name, kinds, kind_text in (
+            ("max_network_rack_units", int, "an integer"),
+            ("min_spare_core_ports", int, "an integer"),
+            ("max_network_power", (int, float), "a number"),
+            ("max_network_cost", int, "an integer (minor units)"),
+        ):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
+                raise ValueError(f"constraint {name} must be {kind_text}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -296,19 +310,26 @@ def uniform_distribution_variant(
     baseline = core_stage(edge_switches, ports_to_core, core_ports)
     if baseline is None:
         return None
+    split = _even_split(node_count, edge_switches, blocking)
+    variant = _uniform_stage(split, core_ports, baseline)
+    return None if variant is None else (split, variant)
+
+
+def _even_split(node_count: int, edge_switches: int, blocking: Fraction) -> EdgeSplit:
+    """Nodes spread evenly over the edge switches, each with the fewest uplinks the blocking allows."""
     nodes_per_switch = -(-node_count // edge_switches)
     uplinks = -(-nodes_per_switch * blocking.denominator // blocking.numerator)
-    assert Fraction(nodes_per_switch, uplinks) <= blocking
-    variant = core_stage(edge_switches, uplinks, core_ports)
+    resulting = Fraction(nodes_per_switch, uplinks)
+    assert resulting <= blocking
+    return EdgeSplit(nodes_per_switch, uplinks, resulting, edge_switches)
+
+
+def _uniform_stage(split: EdgeSplit, core_ports: int, baseline: CoreStage) -> CoreStage | None:
+    """Core layer for an even split, kept only when it needs fewer core switches than the baseline."""
+    variant = core_stage(split.edge_count, split.ports_to_core, core_ports)
     if variant is None or variant.core_count >= baseline.core_count:
         return None
-    split = EdgeSplit(
-        ports_to_nodes=nodes_per_switch,
-        ports_to_core=uplinks,
-        resulting_blocking=Fraction(nodes_per_switch, uplinks),
-        edge_count=edge_switches,
-    )
-    return split, variant
+    return variant
 
 
 def check_constraints(candidate: FatTreeDesign, constraints: ConstraintSet) -> list[ConstraintViolation]:
@@ -357,6 +378,29 @@ def spare_core_ports(candidate: FatTreeDesign) -> int:
     return max(0, switch_ports - used)
 
 
+def _cost_and_units(
+    request: DesignRequest,
+    edge_config: SwitchConfig,
+    edge_switches: int,
+    core_config: SwitchConfig | None,
+    core_switches: int,
+    cables: int,
+    extra_cost: Money = 0,
+) -> tuple[Money, int]:
+    """Network cost and rack units of a switch mix; the one home of both formulas."""
+    core_cost = core_switches * core_config.cost if core_config else 0
+    core_units = core_switches * core_config.rack_units if core_config else 0
+    # Blade edge switches live inside the enclosure and occupy no rack space
+    # of their own; their cost, power, and weight still count.
+    embedded = (
+        isinstance(request.form_factor, BladeFormFactor)
+        and edge_config.source_id == request.form_factor.embedded_edge_switch_id
+    )
+    edge_units = 0 if embedded else edge_switches * edge_config.rack_units
+    cost = edge_switches * edge_config.cost + core_cost + extra_cost + cables * request.avg_cable_cost
+    return cost, edge_units + core_units
+
+
 def _network_metrics(
     request: DesignRequest,
     edge_config: SwitchConfig,
@@ -366,21 +410,15 @@ def _network_metrics(
     cables: int,
     extra_cost: Money = 0,
 ) -> DesignMetrics:
-    core_cost = core_switches * core_config.cost if core_config else 0
-    core_power = core_switches * core_config.power if core_config else 0.0
-    core_units = core_switches * core_config.rack_units if core_config else 0
-    core_weight = core_switches * core_config.weight if core_config else 0.0
-    # Blade edge switches live inside the enclosure and occupy no rack space
-    # of their own; their cost, power, and weight still count.
-    embedded = (
-        isinstance(request.form_factor, BladeFormFactor)
-        and edge_config.source_id == request.form_factor.embedded_edge_switch_id
+    cost, rack_units = _cost_and_units(
+        request, edge_config, edge_switches, core_config, core_switches, cables, extra_cost
     )
-    edge_units = 0 if embedded else edge_switches * edge_config.rack_units
+    core_power = core_switches * core_config.power if core_config else 0.0
+    core_weight = core_switches * core_config.weight if core_config else 0.0
     return DesignMetrics(
-        cost=edge_switches * edge_config.cost + core_cost + extra_cost + cables * request.avg_cable_cost,
+        cost=cost,
         power=edge_switches * edge_config.power + core_power,
-        rack_units=edge_units + core_units,
+        rack_units=rack_units,
         weight=edge_switches * edge_config.weight + core_weight,
     )
 
@@ -526,6 +564,145 @@ def _candidate_sort_key(candidate: FatTreeDesign):
     )
 
 
+@dataclass(frozen=True)
+class _EdgePlan:
+    """One edge configuration's port split, fixed for a (catalog, blocking, form factor)."""
+
+    config: SwitchConfig
+    config_id: str
+    ports_to_nodes: int
+    ports_to_core: int
+    resulting_blocking: Fraction
+
+
+class SearchPlan:
+    """Search state shared by every node count of one request shape.
+
+    Built once per call of design(), fit_max_nodes() or sweep_lower_bound()
+    from a request whose node count it ignores; nothing outlives that call.
+    It holds each edge configuration's split (with the blade-bay cap
+    applied), the core list and the config union, each computed once, plus
+    the largest node count any pairing reaches. walk() yields the edge x
+    core pairs for one node count; design() turns them into candidates and
+    winner_key() ranks them without building any.
+    """
+
+    def __init__(self, request: DesignRequest, catalog: Catalog) -> None:
+        self.request = request
+        self.catalog = catalog
+        configs = catalog.configs()
+        self.cores = tuple((config, config.config_id) for config in catalog.core_set)
+        # the star is the cheapest switch with enough ports (ties: fewer ports, then id)
+        self.stars = sorted(
+            ((config, config.config_id) for config in configs),
+            key=lambda entry: (entry[0].cost, entry[0].ports, entry[1]),
+        )
+        reach = max((config.ports for config in configs), default=0)
+        widest_core = max((config.ports for config in catalog.core_set), default=0)
+        blades = request.form_factor if isinstance(request.form_factor, BladeFormFactor) else None
+        if blades is not None:
+            reach = max(reach, 2 * blades.enclosure_capacity)
+        edges = []
+        for config in _edge_candidates(request, catalog):
+            split_parts = edge_port_split(config.ports, request.blocking_factor)
+            if split_parts is None:
+                continue
+            ports_to_nodes, ports_to_core, resulting = split_parts
+            if blades is not None and blades.enclosure_capacity < ports_to_nodes:
+                # an enclosure cannot hold more blades than it has bays
+                ports_to_nodes = blades.enclosure_capacity
+                resulting = Fraction(ports_to_nodes, ports_to_core)
+            edges.append(_EdgePlan(config, config.config_id, ports_to_nodes, ports_to_core, resulting))
+            reach = max(reach, widest_core * ports_to_nodes)
+        self.edges = tuple(edges)
+        self.max_reachable = reach
+        # Every pairing has at least one core switch, so when no price is
+        # negative an edge group costs at least its edges, its fewest cables
+        # and one cheapest core switch; winner_key() stops at groups above that.
+        self.cheapest_core = min((core for core, _ in self.cores), key=lambda core: core.cost, default=None)
+        self.prunable = request.avg_cable_cost >= 0 and (
+            self.cheapest_core is None or self.cheapest_core.cost >= 0
+        )
+
+    def walk(self, node_count: int):
+        """Yield (edge plan, edge switch count, even split or None, pairs) per edge configuration.
+
+        The even split is the uniform-distribution candidate's split; it is
+        None when the request prefers expandability or when spreading frees
+        no uplink. ``pairs`` lazily yields (core config, core id, baseline
+        core stage, uniform core stage or None) for every core that can
+        reach all the edge switches, so a caller may skip a group unsized.
+        """
+        blocking = self.request.blocking_factor
+        spread_allowed = not self.request.prefer_expandability
+        for edge in self.edges:
+            edges = edge_count(node_count, edge.ports_to_nodes)
+            spread = _even_split(node_count, edges, blocking) if spread_allowed else None
+            if spread is not None and spread.ports_to_core >= edge.ports_to_core:
+                spread = None  # the same uplinks give the same core layer
+            yield edge, edges, spread, self._pairs(edge, edges, spread)
+
+    def _pairs(self, edge: _EdgePlan, edges: int, spread: EdgeSplit | None):
+        for core, core_id in self.cores:
+            stage = core_stage(edges, edge.ports_to_core, core.ports)
+            if stage is None:
+                continue
+            uniform = _uniform_stage(spread, core.ports, stage) if spread is not None else None
+            yield core, core_id, stage, uniform
+
+    def winner_key(self, node_count: int) -> tuple:
+        """design()'s winner as its ranking key, found without building any candidate.
+
+        Returns ``(cost, switch_count, rack_units, edge id, core id)``, the
+        key ``design()`` ranks by, for an unconstrained request under the
+        default objective, and raises what ``design()`` raises when no
+        design exists.
+        """
+        request = self.request
+        if request.constraints != ConstraintSet():
+            raise ValueError("the winner scan serves unconstrained requests only")
+        if node_count < 2:
+            raise ValueError("node_count must be at least 2")
+        blade = request.blade
+        best = None
+        if blade:
+            direct = trivial_direct_connect(replace(request, node_count=node_count), self.catalog)
+            if direct is not None:
+                best = _candidate_sort_key(direct)
+        for config, config_id in self.stars:
+            if config.ports >= node_count:
+                cost, units = _cost_and_units(request, config, 1, None, 0, 0 if blade else node_count)
+                star = (cost, 1, units, config_id, "")
+                best = star if best is None else min(best, star)
+                break
+
+        groups = []
+        for edge, edges, spread, pairs in self.walk(node_count):
+            cables = cable_count(node_count, edges, edge.ports_to_core, blade)
+            spread_cables = cable_count(node_count, edges, spread.ports_to_core, blade) if spread else cables
+            floor, _ = _cost_and_units(request, edge.config, edges, self.cheapest_core, 1, spread_cables)
+            groups.append((floor, edge, edges, cables, spread_cables, pairs))
+        groups.sort(key=lambda group: group[0])
+        for floor, edge, edges, cables, spread_cables, pairs in groups:
+            if self.prunable and best is not None and floor > best[0]:
+                break
+            for core, core_id, stage, uniform in pairs:
+                cost, units = _cost_and_units(request, edge.config, edges, core, stage.core_count, cables)
+                key = (cost, edges + stage.core_count, units, edge.config_id, core_id)
+                if best is None or key < best:
+                    best = key
+                if uniform is not None:
+                    cost, units = _cost_and_units(
+                        request, edge.config, edges, core, uniform.core_count, spread_cables
+                    )
+                    key = (cost, edges + uniform.core_count, units, edge.config_id, core_id)
+                    if key < best:
+                        best = key
+        if best is None:
+            raise InsufficientRadixError(node_count, self.max_reachable)
+        return best
+
+
 def design(request: DesignRequest, catalog: Catalog, objective: ObjectiveFn | None = None) -> DesignReport:
     """Full design search: trivial cases, the edge x core grid, and selection.
 
@@ -538,10 +715,10 @@ def design(request: DesignRequest, catalog: Catalog, objective: ObjectiveFn | No
         raise ValueError("node_count must be at least 2")
     if request.blocking_factor <= 0:
         raise ValueError("blocking factor must be positive")
+    plan = SearchPlan(request, catalog)
 
     candidates: list[FatTreeDesign] = []
     rejected: list[RejectedCandidate] = []
-    max_reachable = 0
 
     direct = trivial_direct_connect(request, catalog, objective)
     if direct is not None:
@@ -549,53 +726,19 @@ def design(request: DesignRequest, catalog: Catalog, objective: ObjectiveFn | No
     star = trivial_star(request, catalog, objective)
     if star is not None:
         candidates.append(star)
-    for config in catalog.configs():
-        max_reachable = max(max_reachable, config.ports)
-    if isinstance(request.form_factor, BladeFormFactor):
-        max_reachable = max(max_reachable, 2 * request.form_factor.enclosure_capacity)
 
-    blades = request.form_factor if request.blade else None
-    for edge_config in _edge_candidates(request, catalog):
-        split_parts = edge_port_split(edge_config.ports, request.blocking_factor)
-        if split_parts is None:
-            continue
-        ports_to_nodes, ports_to_core, resulting = split_parts
-        if blades is not None and blades.enclosure_capacity < ports_to_nodes:
-            # an enclosure cannot hold more blades than it has bays
-            ports_to_nodes = blades.enclosure_capacity
-            resulting = Fraction(ports_to_nodes, ports_to_core)
-        edges = edge_count(request.node_count, ports_to_nodes)
-        for core_config in catalog.core_set:
-            max_reachable = max(max_reachable, core_config.ports * ports_to_nodes)
-            stage = core_stage(edges, ports_to_core, core_config.ports)
-            if stage is None:
-                continue
-            split = EdgeSplit(ports_to_nodes, ports_to_core, resulting, edges)
-            baseline = _fat_tree_candidate(request, edge_config, core_config, split, stage, objective)
-            group = [baseline]
-            variant = uniform_distribution_variant(
-                request.node_count,
-                edges,
-                request.blocking_factor,
-                edge_config.ports,
-                core_config.ports,
-                prefer_expandability=request.prefer_expandability,
-            )
-            if variant is not None:
-                uniform_split, uniform_stage = variant
+    for edge, edges, spread, pairs in plan.walk(request.node_count):
+        split = EdgeSplit(edge.ports_to_nodes, edge.ports_to_core, edge.resulting_blocking, edges)
+        for core, core_id, stage, uniform in pairs:
+            group = [_fat_tree_candidate(request, edge.config, core, split, stage, objective)]
+            if uniform is not None:
                 group.append(
-                    _fat_tree_candidate(
-                        request, edge_config, core_config, uniform_split, uniform_stage, objective, uniform=True
-                    )
+                    _fat_tree_candidate(request, edge.config, core, spread, uniform, objective, uniform=True)
                 )
             for candidate in group:
                 violations = check_constraints(candidate, request.constraints)
                 if violations:
-                    rejected.append(
-                        RejectedCandidate(
-                            edge_config.config_id, core_config.config_id, tuple(violations)
-                        )
-                    )
+                    rejected.append(RejectedCandidate(edge.config_id, core_id, tuple(violations)))
                 else:
                     candidates.append(candidate)
 
@@ -603,7 +746,7 @@ def design(request: DesignRequest, catalog: Catalog, objective: ObjectiveFn | No
         if rejected:
             binding = sorted({v.constraint for r in rejected for v in r.violations})
             raise DesignInfeasibleError(binding)
-        raise InsufficientRadixError(request.node_count, max_reachable)
+        raise InsufficientRadixError(request.node_count, plan.max_reachable)
 
     ranked = tuple(sorted(candidates, key=_candidate_sort_key))
     return DesignReport(request=request, winner=ranked[0], candidates=ranked, rejected=tuple(rejected))
@@ -619,28 +762,30 @@ def cluster_cost(design_: FatTreeDesign, request: DesignRequest, server_unit_cos
 
 
 def request_from_document(document: Mapping) -> DesignRequest:
-    """Build a DesignRequest from a parsed JSON document (money in minor units)."""
-    form_doc = document.get("form_factor", {"kind": "rack_mounted"})
+    """Build a DesignRequest from a parsed JSON document (money in minor units).
+
+    A malformed document raises ValueError naming the field at fault.
+    """
+    document = _json_object(document, "request document")
+    form_doc = _json_object(document.get("form_factor", {"kind": "rack_mounted"}), "form_factor")
     kind = form_doc.get("kind", "rack_mounted")
     form_factor: FormFactor
     if kind == "blade":
         form_factor = BladeFormFactor(
-            enclosure_capacity=int(form_doc["enclosure_capacity"]),
-            enclosure_cost=int(form_doc.get("enclosure_cost", 0)),
-            embedded_edge_switch_id=str(form_doc["embedded_edge_switch_id"]),
-            pass_through_cost=(
-                int(form_doc["pass_through_cost"]) if "pass_through_cost" in form_doc else None
-            ),
+            enclosure_capacity=_read(form_doc, "enclosure_capacity", int),
+            enclosure_cost=_read(form_doc, "enclosure_cost", int, 0),
+            embedded_edge_switch_id=_read(form_doc, "embedded_edge_switch_id", str),
+            pass_through_cost=_read(form_doc, "pass_through_cost", int, None),
         )
     elif kind == "rack_mounted":
         form_factor = NodeSpec(
-            rack_units=int(form_doc.get("node_rack_units", 1)),
-            weight=float(form_doc.get("node_weight", 0.0)),
-            power=float(form_doc.get("node_power", 0.0)),
+            rack_units=_read(form_doc, "node_rack_units", int, 1),
+            weight=_read(form_doc, "node_weight", float, 0.0),
+            power=_read(form_doc, "node_power", float, 0.0),
         )
     else:
         raise ValueError(f"unknown form factor kind: {kind!r}")
-    constraints_doc = document.get("constraints", {})
+    constraints_doc = _json_object(document.get("constraints", {}), "constraints")
     constraints = ConstraintSet(
         max_network_rack_units=constraints_doc.get("max_network_rack_units"),
         min_spare_core_ports=constraints_doc.get("min_spare_core_ports"),
@@ -649,10 +794,31 @@ def request_from_document(document: Mapping) -> DesignRequest:
     )
     blocking = document.get("blocking", "1")
     return DesignRequest(
-        node_count=int(document["nodes"]),
+        node_count=_read(document, "nodes", int),
         blocking_factor=parse_ratio(str(blocking)),
         form_factor=form_factor,
-        avg_cable_cost=int(document.get("avg_cable_cost", DEFAULT_CABLE_COST)),
+        avg_cable_cost=_read(document, "avg_cable_cost", int, DEFAULT_CABLE_COST),
         constraints=constraints,
         prefer_expandability=bool(document.get("prefer_expandability", False)),
     )
+
+
+def _json_object(value: object, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+_REQUIRED = object()
+
+
+def _read(document: Mapping, key: str, convert: Callable, default: object = _REQUIRED):
+    """``convert(document[key])``, or ``default`` when absent; ValueError when required or mistyped."""
+    if key not in document:
+        if default is _REQUIRED:
+            raise ValueError(f"request document lacks {key!r}")
+        return default
+    try:
+        return convert(document[key])
+    except TypeError:
+        raise ValueError(f"request field {key!r} has the wrong type: {document[key]!r}") from None

@@ -21,7 +21,7 @@ from .catalog import SwitchConfig, per_port_metrics
 from .designer import (
     DesignRequest,
     InsufficientRadixError,
-    design,
+    SearchPlan,
 )
 from .catalog import Catalog
 from .money import Money, round_half_up
@@ -141,14 +141,18 @@ def sweep_lower_bound(
     avg_cable_cost: Money,
     blade: bool = False,
 ) -> list[SweepPoint]:
-    """Estimate vs. designed cost for every node count in [first, last]."""
+    """Estimate vs. designed cost for every node count in [first, last].
+
+    The designed cost is design()'s winning cost, read from one search
+    plan's winner-only scan instead of a full search per node count.
+    """
     if first < 2 or last < first:
         raise ValueError("sweep range must satisfy 2 <= first <= last")
-    catalog = single_model_catalog(config)
+    request = DesignRequest(node_count=first, avg_cable_cost=avg_cable_cost)
+    plan = SearchPlan(request, single_model_catalog(config))
     points = []
     for nodes in range(first, last + 1):
-        request = DesignRequest(node_count=nodes, avg_cable_cost=avg_cable_cost)
-        actual = design(request, catalog).winner.metrics.cost
+        actual, *_ = plan.winner_key(nodes)
         estimate = lower_bound_estimate(nodes, config, avg_cable_cost, blade=blade)
         points.append(
             SweepPoint(

@@ -14,7 +14,7 @@ quantifies how far a network built without that foresight can grow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,6 +25,7 @@ from .designer import (
     DesignRequest,
     FatTreeDesign,
     NodeSpec,
+    SearchPlan,
     design,
     node_distribution,
 )
@@ -51,6 +52,10 @@ class RoomSpec:
         for name in ("rows", "racks_per_row", "rack_units_per_rack"):
             if getattr(self, name) < 1:
                 raise ValueError(f"room {name} must be at least 1, got {getattr(self, name)}")
+        for name in ("rack_weight_budget", "rack_power_budget"):
+            budget = getattr(self, name)
+            if budget is not None and budget < 0:
+                raise ValueError(f"room {name} must not be negative, got {budget:g}")
 
     @property
     def rack_count(self) -> int:
@@ -356,6 +361,9 @@ def plan_racks(
     block that no longer fits the current rack is spread across the slack of
     the racks visited so far whenever that slack can absorb it whole.
     """
+    for units in reserve:
+        if units < 1:
+            raise ValueError(f"reserved space must be at least 1U, got {units}")
     if design_.kind == "direct_connect":
         raise PlacementError("direct-connect blade designs have no rack-mounted equipment to place")
     blocks = building_blocks(design_, node_spec)
@@ -465,19 +473,28 @@ def fit_max_nodes(
     node_spec: NodeSpec = NodeSpec(),
     avg_cable_cost: Money = DEFAULT_CABLE_COST,
 ) -> CapacityFit:
-    """Largest N such that N nodes plus their network fit in capacity_units."""
-    upper = capacity_units // node_spec.rack_units
-    for nodes in range(upper, 1, -1):
-        request = DesignRequest(
-            node_count=nodes,
-            blocking_factor=blocking,
-            form_factor=node_spec,
-            avg_cable_cost=avg_cable_cost,
-        )
+    """Largest N such that N nodes plus their network fit in capacity_units.
+
+    N walks down from the capacity. A winner-only scan of one search plan
+    ranks each N's pairings without building candidates and skips every N
+    whose winner does not fit; one full design() then runs at the first N
+    that does.
+    """
+    template = DesignRequest(
+        node_count=capacity_units // node_spec.rack_units,
+        blocking_factor=blocking,
+        form_factor=node_spec,
+        avg_cable_cost=avg_cable_cost,
+    )
+    plan = SearchPlan(template, catalog)
+    for nodes in range(template.node_count, 1, -1):
         try:
-            winner = design(request, catalog).winner
+            _cost, _switches, network_units, _edge, _core = plan.winner_key(nodes)
         except DesignError:
             continue
+        if nodes * node_spec.rack_units + network_units > capacity_units:
+            continue
+        winner = design(replace(template, node_count=nodes), catalog).winner
         total = nodes * node_spec.rack_units + winner.metrics.rack_units
         if total <= capacity_units:
             return CapacityFit(capacity_units=capacity_units, node_count=nodes, design=winner)

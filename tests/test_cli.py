@@ -234,6 +234,9 @@ def test_expand_subcommand(capsys):
         ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--rack-units", "0"],
         ["design", "--nodes", "60", "--top", "0"],
         ["design", "--nodes", "60", "--top", "-2"],
+        ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--rack-weight-budget", "-5"],
+        ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--rack-power-budget", "-5"],
+        ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--reserve", "-3"],
     ],
 )
 def test_out_of_range_flags_exit_1(capsys, argv):
@@ -242,6 +245,28 @@ def test_out_of_range_flags_exit_1(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        [],
+        {"nodes": 60, "constraints": {"max_network_rack_units": "ten"}},
+        {"nodes": 60, "constraints": {"min_spare_core_ports": True}},
+        {"nodes": 60, "constraints": []},
+        {"nodes": 60, "form_factor": "blade"},
+        {"nodes": 60, "form_factor": {"kind": "blade", "embedded_edge_switch_id": "ft36"}},
+        {"blocking": "1"},
+        {"nodes": None},
+    ],
+)
+def test_bad_request_documents_exit_1(capsys, tmp_path, document):
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps(document))
+    code, out, err = run_capture(capsys, ["design", "--request", str(request), "--catalog", DEMO])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_top_limits_alternatives(capsys):

@@ -406,3 +406,26 @@ def test_request_document_round_trip():
     assert not plain.blade and plain.blocking_factor == Fraction(1)
     with pytest.raises(ValueError, match="form factor"):
         request_from_document({"nodes": 3, "form_factor": {"kind": "mainframe"}})
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [
+        {"max_network_rack_units": "ten"},
+        {"max_network_rack_units": 9.5},
+        {"min_spare_core_ports": True},
+        {"max_network_power": False},
+        {"max_network_power": "100"},
+        {"max_network_cost": 100.0},
+    ],
+)
+def test_constraint_set_rejects_non_numeric_limits(limits):
+    with pytest.raises(ValueError, match="constraint"):
+        ConstraintSet(**limits)
+
+
+def test_constraint_set_accepts_numeric_limits():
+    limits = ConstraintSet(max_network_rack_units=9, min_spare_core_ports=0,
+                           max_network_power=1500.5, max_network_cost=10**9)
+    assert limits.max_network_power == 1500.5
+    assert ConstraintSet(max_network_power=1500).max_network_power == 1500

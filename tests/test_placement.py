@@ -199,6 +199,8 @@ def test_node_spec_is_the_designer_form_factor():
         lambda: RoomSpec(rows=0, racks_per_row=4),
         lambda: RoomSpec(rows=1, racks_per_row=0),
         lambda: RoomSpec(rows=1, racks_per_row=4, rack_units_per_rack=0),
+        lambda: RoomSpec(rows=1, racks_per_row=4, rack_weight_budget=-5.0),
+        lambda: RoomSpec(rows=1, racks_per_row=4, rack_power_budget=-0.5),
     ],
 )
 def test_footprint_and_room_reject_out_of_range_values(build):
@@ -211,6 +213,13 @@ def test_oversized_indivisible_item_rejected(ft36_catalog):
     room = RoomSpec(rows=1, racks_per_row=10)
     with pytest.raises(PlacementError, match="larger than a 42U rack"):
         plan_racks(target, room, NodeSpec(), reserve=(45,))
+
+
+@pytest.mark.parametrize("reserve", [(-3,), (0,), (4, -1)])
+def test_reserves_below_one_unit_rejected(ft36_catalog, reserve):
+    target = winner_for(60, ft36_catalog)
+    with pytest.raises(ValueError, match="at least 1U"):
+        plan_racks(target, RoomSpec(rows=1, racks_per_row=4), NodeSpec(), reserve=reserve)
 
 
 def test_direct_connect_designs_are_not_placeable(ft36_catalog):

@@ -1,0 +1,197 @@
+"""The winner-only scan against design(), and fit_max_nodes against a full-search oracle."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fattree_design.catalog import (
+    Catalog,
+    SwitchConfig,
+    bundled_catalog_path,
+    load_catalog,
+    load_catalog_file,
+)
+from fattree_design.designer import (
+    DEFAULT_CABLE_COST,
+    BladeFormFactor,
+    ConstraintSet,
+    DesignError,
+    DesignRequest,
+    NodeSpec,
+    SearchPlan,
+    design,
+)
+from fattree_design.placement import CapacityFit, PlacementError, fit_max_nodes
+
+DEMO = load_catalog_file(bundled_catalog_path("demo_catalog"))
+
+# Two edge-only or dual-role monoliths, a cheap 4-port core and a dual-role
+# modular family (4, 8 and 12 ports): stars win up to 12 nodes, uniform
+# variants win at several node counts, and the family's 12-port chassis
+# wins as core past 60 nodes at blocking 1.
+SMALL = load_catalog(json.dumps({
+    "currency": "USD",
+    "monolithic": [
+        {"id": "e12", "name": "", "ports": 12, "cost": 500000, "power": 60, "rack_units": 1,
+         "weight": 4.0, "roles": ["edge"]},
+        {"id": "c4", "name": "", "ports": 4, "cost": 100000, "power": 20, "rack_units": 1,
+         "weight": 1.0, "roles": ["core"]},
+        {"id": "s10", "name": "", "ports": 10, "cost": 300000, "power": 40, "rack_units": 1,
+         "weight": 3.0, "roles": ["edge", "core"]},
+    ],
+    "modular": [
+        {"id": "m", "chassis_cost": 900000, "chassis_rack_units": 3, "chassis_power": 100,
+         "chassis_weight": 20.0, "fabric_board_cost": 50000, "fabric_boards_required": 2,
+         "line_card_cost": 150000, "ports_per_line_card": 4, "max_line_cards": 3,
+         "roles": ["edge", "core"]},
+    ],
+}))
+CATALOGS = {"demo": (DEMO, ("ft36",)), "small": (SMALL, ("e12", "s10"))}
+BLOCKINGS = (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(3))
+
+
+def winner_key(report):
+    winner = report.winner
+    core_id = winner.core_config.config_id if winner.core_config else ""
+    return (winner.objective, winner.switch_count, winner.metrics.rack_units,
+            winner.edge_config.config_id, core_id)
+
+
+def assert_scan_matches_design(request, catalog):
+    plan = SearchPlan(request, catalog)
+    try:
+        expected = winner_key(design(request, catalog))
+    except DesignError as error:
+        with pytest.raises(type(error)) as raised:
+            plan.winner_key(request.node_count)
+        assert str(raised.value) == str(error)
+        return
+    assert plan.winner_key(request.node_count) == expected
+
+
+@st.composite
+def requests(draw):
+    name = draw(st.sampled_from(sorted(CATALOGS)))
+    catalog, embedded_ids = CATALOGS[name]
+    form_factor = NodeSpec()
+    if draw(st.booleans()):
+        form_factor = BladeFormFactor(
+            enclosure_capacity=draw(st.integers(2, 20)),
+            enclosure_cost=0,
+            embedded_edge_switch_id=draw(st.sampled_from(embedded_ids)),
+            pass_through_cost=draw(st.sampled_from((None, 0, 250000))),
+        )
+    request = DesignRequest(
+        node_count=draw(st.integers(2, 3000 if name == "demo" else 160)),
+        blocking_factor=draw(st.sampled_from(BLOCKINGS)),
+        form_factor=form_factor,
+        avg_cable_cost=draw(st.sampled_from((0, DEFAULT_CABLE_COST, 40000))),
+        prefer_expandability=draw(st.booleans()),
+    )
+    return request, catalog
+
+
+@st.composite
+def tied_catalogs(draw):
+    """Small catalogs drawn from few prices and sizes, so that ranking ties are common.
+
+    A negative price has no meaning, but nothing rejects it in a library
+    call, and the scan's pruning must then stand aside.
+    """
+    switches = []
+    for i in range(draw(st.integers(1, 5))):
+        roles = draw(st.sampled_from((("edge",), ("core",), ("edge", "core"))))
+        switches.append(SwitchConfig(
+            source_id=f"sw{i}",
+            ports=draw(st.sampled_from((4, 6, 8, 12, 16))),
+            cost=draw(st.sampled_from((-100000, 0, 100000, 200000))),
+            power=0.0,
+            rack_units=draw(st.sampled_from((1, 2))),
+            weight=0.0,
+            roles=frozenset(roles),
+        ))
+    return Catalog(
+        edge_set=tuple(s for s in switches if "edge" in s.roles),
+        core_set=tuple(s for s in switches if "core" in s.roles),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(requests())
+def test_scan_key_equals_design_winner(case):
+    request, catalog = case
+    assert_scan_matches_design(request, catalog)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tied_catalogs(),
+    st.integers(2, 120),
+    st.sampled_from(BLOCKINGS),
+    st.sampled_from((-DEFAULT_CABLE_COST, 0, DEFAULT_CABLE_COST)),
+)
+def test_scan_key_equals_design_winner_under_ties(catalog, nodes, blocking, cable_cost):
+    request = DesignRequest(node_count=nodes, blocking_factor=blocking, avg_cable_cost=cable_cost)
+    assert_scan_matches_design(request, catalog)
+
+
+@pytest.mark.parametrize(
+    "nodes, blocking, kind, uniform",
+    [
+        (9, Fraction(1), "star", False),
+        (16, Fraction(1), "fat_tree", True),
+        (22, Fraction(3), "fat_tree", True),
+        (65, Fraction(1), "fat_tree", False),
+    ],
+)
+def test_scan_covers_star_and_uniform_winners(nodes, blocking, kind, uniform):
+    request = DesignRequest(node_count=nodes, blocking_factor=blocking)
+    winner = design(request, SMALL).winner
+    assert (winner.kind, winner.uniform_distribution) == (kind, uniform)
+    assert_scan_matches_design(request, SMALL)
+
+
+def test_scan_breaks_cost_ties_like_design():
+    # free switches and cables: every pairing costs 0, so switch count decides
+    few = SwitchConfig("few", 4, 0, 0.0, 1, 0.0, frozenset({"edge"}))
+    many = SwitchConfig("many", 16, 0, 0.0, 1, 0.0, frozenset({"edge", "core"}))
+    catalog = Catalog(edge_set=(few, many), core_set=(many,))
+    assert_scan_matches_design(DesignRequest(node_count=20, avg_cable_cost=0), catalog)
+
+
+def test_scan_rejects_constrained_requests():
+    plan = SearchPlan(DesignRequest(node_count=60, constraints=ConstraintSet(max_network_rack_units=9)), DEMO)
+    with pytest.raises(ValueError):
+        plan.winner_key(60)
+
+
+def reference_fit_max_nodes(capacity_units, catalog, blocking, node_spec=NodeSpec()):
+    """fit_max_nodes as a plain descending loop of full design() searches."""
+    for nodes in range(capacity_units // node_spec.rack_units, 1, -1):
+        request = DesignRequest(node_count=nodes, blocking_factor=blocking, form_factor=node_spec)
+        try:
+            winner = design(request, catalog).winner
+        except DesignError:
+            continue
+        if nodes * node_spec.rack_units + winner.metrics.rack_units <= capacity_units:
+            return CapacityFit(capacity_units=capacity_units, node_count=nodes, design=winner)
+    raise PlacementError(f"no node count fits in {capacity_units}U")
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGS))
+@pytest.mark.parametrize("node_units", [1, 2])
+def test_fit_max_nodes_matches_full_search(name, node_units):
+    catalog, _ = CATALOGS[name]
+    node_spec = NodeSpec(rack_units=node_units)
+    for capacity in (3, 20, 42, 84, 126, 210):
+        for blocking in (Fraction(1), Fraction(3, 2)):
+            try:
+                expected = reference_fit_max_nodes(capacity, catalog, blocking, node_spec)
+            except PlacementError:
+                with pytest.raises(PlacementError):
+                    fit_max_nodes(capacity, catalog, blocking, node_spec)
+                continue
+            assert fit_max_nodes(capacity, catalog, blocking, node_spec) == expected
