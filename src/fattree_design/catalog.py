@@ -11,88 +11,116 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
-
-import jsonschema
+from typing import Any, Iterator, Mapping
 
 from .money import Money
 
 ROLES = ("edge", "core")
 
-CATALOG_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["currency", "monolithic", "modular"],
-    "properties": {
-        "currency": {"type": "string", "minLength": 1},
-        "monolithic": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["id", "name", "ports", "cost", "power", "rack_units", "weight", "roles"],
-                "properties": {
-                    "id": {"type": "string", "minLength": 1},
-                    "name": {"type": "string"},
-                    "ports": {"type": "integer", "minimum": 2},
-                    "cost": {"type": "integer", "minimum": 0},
-                    "power": {"type": "number", "minimum": 0},
-                    "rack_units": {"type": "integer", "minimum": 1},
-                    "weight": {"type": "number", "minimum": 0},
-                    "roles": {
-                        "type": "array",
-                        "items": {"enum": list(ROLES)},
-                        "minItems": 1,
-                        "uniqueItems": True,
-                    },
-                },
-            },
-        },
-        "modular": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": [
-                    "id",
-                    "chassis_cost",
-                    "chassis_rack_units",
-                    "chassis_power",
-                    "chassis_weight",
-                    "fabric_board_cost",
-                    "fabric_boards_required",
-                    "line_card_cost",
-                    "ports_per_line_card",
-                    "max_line_cards",
-                    "roles",
-                ],
-                "properties": {
-                    "id": {"type": "string", "minLength": 1},
-                    "chassis_cost": {"type": "integer", "minimum": 0},
-                    "chassis_rack_units": {"type": "integer", "minimum": 1},
-                    "chassis_power": {"type": "number", "minimum": 0},
-                    "chassis_weight": {"type": "number", "minimum": 0},
-                    "fabric_board_cost": {"type": "integer", "minimum": 0},
-                    "fabric_boards_required": {"type": "integer", "minimum": 1},
-                    "line_card_cost": {"type": "integer", "minimum": 0},
-                    "ports_per_line_card": {"type": "integer", "minimum": 1},
-                    "max_line_cards": {"type": "integer", "minimum": 1},
-                    "per_line_card_power": {"type": "number", "minimum": 0},
-                    "per_line_card_weight": {"type": "number", "minimum": 0},
-                    "roles": {
-                        "type": "array",
-                        "items": {"enum": list(ROLES)},
-                        "minItems": 1,
-                        "uniqueItems": True,
-                    },
-                },
-            },
-        },
-    },
+# Field tables map each field of a JSON object to (type, minimum, required). A type is
+# a JSON type name, a tuple of names, None (any value), a nested table (an object) or a
+# one-element list (an array of it; a tuple in it is an enum whose members may not repeat).
+# A minimum bounds a number's value and a string's or array's length.
+_MONOLITHIC = {
+    "id": ("string", 1, True),
+    "name": ("string", None, True),
+    "ports": ("integer", 2, True),
+    "cost": ("integer", 0, True),
+    "power": ("number", 0, True),
+    "rack_units": ("integer", 1, True),
+    "weight": ("number", 0, True),
+    "roles": ([ROLES], 1, True),
 }
+_MODULAR = {
+    "id": ("string", 1, True),
+    "chassis_cost": ("integer", 0, True),
+    "chassis_rack_units": ("integer", 1, True),
+    "chassis_power": ("number", 0, True),
+    "chassis_weight": ("number", 0, True),
+    "fabric_board_cost": ("integer", 0, True),
+    "fabric_boards_required": ("integer", 1, True),
+    "line_card_cost": ("integer", 0, True),
+    "ports_per_line_card": ("integer", 1, True),
+    "max_line_cards": ("integer", 1, True),
+    "per_line_card_power": ("number", 0, False),
+    "per_line_card_weight": ("number", 0, False),
+    "roles": ([ROLES], 1, True),
+}
+_CATALOG = {
+    "currency": ("string", 1, True),
+    "monolithic": ([_MONOLITHIC], None, True),
+    "modular": ([_MODULAR], None, True),
+}
+# Exact types, so that a bool is neither an integer nor a number.
+_TYPES = {
+    "string": [str], "boolean": [bool], "integer": [int],
+    "number": [int, float], "object": [dict], "array": [list],
+}
+
+
+def _same(one: Any, two: Any) -> bool:
+    """JSON equality: true is not 1, but 1 is 1.0."""
+    if isinstance(one, list) and isinstance(two, list):
+        return len(one) == len(two) and all(map(_same, one, two))
+    if isinstance(one, dict) and isinstance(two, dict):
+        return one.keys() == two.keys() and all(_same(one[key], two[key]) for key in one)
+    return one == two and isinstance(one, bool) == isinstance(two, bool)
+
+
+def _violations(value: Any, kind: Any, minimum: Any, path: tuple) -> Iterator[tuple[tuple, str]]:
+    """(path, message) for each way ``value`` breaks its field, in JSON Schema's order and wording.
+
+    Unlike JSON Schema, an integer is never a float (36.0 would reach the
+    integer port arithmetic) and a number is finite (NaN passes every minimum).
+    """
+    if kind is None:
+        return
+    names = {dict: ("object",), list: ("array",), str: (kind,)}.get(type(kind), kind)
+    if not any(type(value) in _TYPES[name] for name in names):
+        yield path, f"{value!r} is not of type {', '.join(map(repr, names))}"
+        return
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path, f"{value!r} is not a finite number"
+        return
+    if isinstance(kind, dict):
+        extras = sorted((key for key in value if key not in kind), key=str)
+        if extras:
+            listed = ", ".join(map(repr, extras)) + (" was" if len(extras) == 1 else " were")
+            yield path, f"Additional properties are not allowed ({listed} unexpected)"
+        for key, (_, _, required) in kind.items():
+            if required and key not in value:
+                yield path, f"{key!r} is a required property"
+        for key, (field_kind, field_minimum, _) in kind.items():
+            if key in value:
+                yield from _violations(value[key], field_kind, field_minimum, path + (key,))
+    elif isinstance(kind, list) and isinstance(kind[0], tuple):
+        for index, item in enumerate(value):
+            if not any(_same(item, member) for member in kind[0]):
+                yield path + (index,), f"{item!r} is not one of {list(kind[0])!r}"
+        if any(_same(one, two) for index, one in enumerate(value) for two in value[:index]):
+            yield path, f"{value!r} has non-unique elements"
+    elif isinstance(kind, list):
+        for index, item in enumerate(value):
+            yield from _violations(item, kind[0], None, path + (index,))
+    if minimum is not None and isinstance(value, (str, list)) and len(value) < minimum:
+        yield path, f"{value!r} {'should be non-empty' if minimum == 1 else 'is too short'}"
+    elif minimum is not None and isinstance(value, (int, float)) and value < minimum:
+        yield path, f"{value!r} is less than the minimum of {minimum!r}"
+
+
+def field_violation(document: Any, table: dict[str, tuple]) -> str | None:
+    """``<path>: <message>`` of the violation that JSON Schema's best_match reports, or None.
+
+    That is the shallowest one, then the one at the larger sibling path, then the first found.
+    """
+    best = max(_violations(document, table, None, ()), key=lambda v: (-len(v[0]), v[0]), default=None)
+    if best is None:
+        return None
+    return f"{'/'.join(map(str, best[0])) or '(root)'}: {best[1]}"
 
 
 class CatalogError(ValueError):
@@ -172,9 +200,13 @@ class Catalog:
         return tuple(seen[key] for key in sorted(seen))
 
     def find(self, config_id: str) -> SwitchConfig:
+        """The configuration with this id; a modular family id is ambiguous and rejected."""
         for config in self.edge_set + self.core_set:
-            if config.config_id == config_id or config.source_id == config_id:
+            if config.config_id == config_id:
                 return config
+        family = dict.fromkeys(c.config_id for c in self.edge_set + self.core_set if c.source_id == config_id)
+        if family:
+            raise CatalogError(f"{config_id!r} is a modular family; pick one of {', '.join(family)}")
         raise CatalogError(f"no switch configuration with id {config_id!r}")
 
     def to_document(self) -> dict[str, Any]:
@@ -217,21 +249,25 @@ def per_port_metrics(config: SwitchConfig) -> PerPortMetrics:
 
 def parse_catalog(document: Mapping[str, Any], *, require_both_roles: bool = True) -> Catalog:
     """Validate a parsed catalog document and expand it into candidate sets."""
-    try:
-        jsonschema.validate(document, CATALOG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(part) for part in exc.absolute_path) or "(root)"
-        raise CatalogError(f"catalog schema violation at {path}: {exc.message}") from None
+    violation = field_violation(document, _CATALOG)
+    if violation:
+        raise CatalogError(f"catalog schema violation at {violation}")
 
     seen_ids: set[str] = set()
     edge_set: list[SwitchConfig] = []
     core_set: list[SwitchConfig] = []
 
-    for entry in document["monolithic"]:
+    def add(entry: Mapping[str, Any], configs: list[SwitchConfig]) -> None:
         if entry["id"] in seen_ids:
             raise CatalogError(f"duplicate switch id {entry['id']!r}")
         seen_ids.add(entry["id"])
-        config = SwitchConfig(
+        if "edge" in entry["roles"]:
+            edge_set.extend(configs)
+        if "core" in entry["roles"]:
+            core_set.extend(configs)
+
+    for entry in document["monolithic"]:
+        add(entry, [SwitchConfig(
             source_id=entry["id"],
             ports=entry["ports"],
             cost=entry["cost"],
@@ -239,37 +275,11 @@ def parse_catalog(document: Mapping[str, Any], *, require_both_roles: bool = Tru
             rack_units=entry["rack_units"],
             weight=entry["weight"],
             roles=frozenset(entry["roles"]),
-            name=entry.get("name", ""),
-        )
-        if "edge" in config.roles:
-            edge_set.append(config)
-        if "core" in config.roles:
-            core_set.append(config)
-
+            name=entry["name"],
+        )])
     for entry in document["modular"]:
-        if entry["id"] in seen_ids:
-            raise CatalogError(f"duplicate switch id {entry['id']!r}")
-        seen_ids.add(entry["id"])
-        family = ModularSwitchFamily(
-            id=entry["id"],
-            chassis_cost=entry["chassis_cost"],
-            chassis_rack_units=entry["chassis_rack_units"],
-            chassis_power=entry["chassis_power"],
-            chassis_weight=entry["chassis_weight"],
-            fabric_board_cost=entry["fabric_board_cost"],
-            fabric_boards_required=entry["fabric_boards_required"],
-            line_card_cost=entry["line_card_cost"],
-            ports_per_line_card=entry["ports_per_line_card"],
-            max_line_cards=entry["max_line_cards"],
-            per_line_card_power=entry.get("per_line_card_power", 0.0),
-            per_line_card_weight=entry.get("per_line_card_weight", 0.0),
-            roles=frozenset(entry["roles"]),
-        )
-        configs = expand_modular(family)
-        if "edge" in family.roles:
-            edge_set.extend(configs)
-        if "core" in family.roles:
-            core_set.extend(configs)
+        # _MODULAR holds exactly ModularSwitchFamily's fields.
+        add(entry, expand_modular(ModularSwitchFamily(**dict(entry, roles=frozenset(entry["roles"])))))
 
     if not seen_ids:
         raise CatalogError("catalog empty")
@@ -288,15 +298,12 @@ def parse_catalog(document: Mapping[str, Any], *, require_both_roles: bool = Tru
 
 def load_catalog(source: str | bytes | Mapping[str, Any], *, require_both_roles: bool = True) -> Catalog:
     """Load a catalog from JSON text or an already-parsed document."""
+    document = source
     if isinstance(source, (str, bytes)):
         try:
             document = json.loads(source)
         except json.JSONDecodeError as exc:
             raise CatalogError(f"catalog is not valid JSON: {exc}") from None
-    else:
-        document = source
-    if not isinstance(document, Mapping):
-        raise CatalogError("catalog document must be a JSON object")
     return parse_catalog(document, require_both_roles=require_both_roles)
 
 

@@ -15,11 +15,11 @@ minor units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .catalog import Catalog, CatalogError, SwitchConfig
+from .catalog import Catalog, CatalogError, SwitchConfig, field_violation
 from .money import Money, parse_ratio
 
 DEFAULT_CABLE_COST: Money = 8000  # average cable price, minor units
@@ -761,64 +761,63 @@ def cluster_cost(design_: FatTreeDesign, request: DesignRequest, server_unit_cos
     return total
 
 
-def request_from_document(document: Mapping) -> DesignRequest:
+# A request document's fields; form_factor holds the fields of its kind.
+_FORM_FACTORS = {
+    "blade": {
+        "kind": ("string", None, False),
+        "enclosure_capacity": ("integer", None, True),
+        "enclosure_cost": ("integer", None, False),
+        "embedded_edge_switch_id": ("string", None, True),
+        "pass_through_cost": ("integer", None, False),
+    },
+    "rack_mounted": {
+        "kind": ("string", None, False),
+        "node_rack_units": ("integer", None, False),
+        "node_weight": ("number", None, False),
+        "node_power": ("number", None, False),
+    },
+}
+_REQUEST = {
+    "nodes": ("integer", None, True),
+    "blocking": (("string", "integer"), None, False),
+    "avg_cable_cost": ("integer", None, False),
+    # ConstraintSet checks the limits' types itself; the table only names them.
+    "constraints": ({field_.name: (None, None, False) for field_ in fields(ConstraintSet)}, None, False),
+    "prefer_expandability": ("boolean", None, False),
+}
+
+
+def request_from_document(document: dict) -> DesignRequest:
     """Build a DesignRequest from a parsed JSON document (money in minor units).
 
-    A malformed document raises ValueError naming the field at fault.
+    Unknown keys and mistyped values raise ValueError naming the field at fault.
     """
-    document = _json_object(document, "request document")
-    form_doc = _json_object(document.get("form_factor", {"kind": "rack_mounted"}), "form_factor")
-    kind = form_doc.get("kind", "rack_mounted")
+    form_doc = document.get("form_factor", {}) if isinstance(document, dict) else {}
+    kind = form_doc.get("kind", "rack_mounted") if isinstance(form_doc, dict) else "rack_mounted"
+    if not isinstance(kind, str) or kind not in _FORM_FACTORS:
+        raise ValueError(f"unknown form factor kind: {kind!r}")
+    violation = field_violation(document, dict(_REQUEST, form_factor=(_FORM_FACTORS[kind], None, False)))
+    if violation:
+        raise ValueError(f"request document violation at {violation}")
     form_factor: FormFactor
     if kind == "blade":
         form_factor = BladeFormFactor(
-            enclosure_capacity=_read(form_doc, "enclosure_capacity", int),
-            enclosure_cost=_read(form_doc, "enclosure_cost", int, 0),
-            embedded_edge_switch_id=_read(form_doc, "embedded_edge_switch_id", str),
-            pass_through_cost=_read(form_doc, "pass_through_cost", int, None),
-        )
-    elif kind == "rack_mounted":
-        form_factor = NodeSpec(
-            rack_units=_read(form_doc, "node_rack_units", int, 1),
-            weight=_read(form_doc, "node_weight", float, 0.0),
-            power=_read(form_doc, "node_power", float, 0.0),
+            enclosure_capacity=form_doc["enclosure_capacity"],
+            enclosure_cost=form_doc.get("enclosure_cost", 0),
+            embedded_edge_switch_id=form_doc["embedded_edge_switch_id"],
+            pass_through_cost=form_doc.get("pass_through_cost"),
         )
     else:
-        raise ValueError(f"unknown form factor kind: {kind!r}")
-    constraints_doc = _json_object(document.get("constraints", {}), "constraints")
-    constraints = ConstraintSet(
-        max_network_rack_units=constraints_doc.get("max_network_rack_units"),
-        min_spare_core_ports=constraints_doc.get("min_spare_core_ports"),
-        max_network_power=constraints_doc.get("max_network_power"),
-        max_network_cost=constraints_doc.get("max_network_cost"),
-    )
-    blocking = document.get("blocking", "1")
+        form_factor = NodeSpec(
+            rack_units=form_doc.get("node_rack_units", 1),
+            weight=float(form_doc.get("node_weight", 0.0)),
+            power=float(form_doc.get("node_power", 0.0)),
+        )
     return DesignRequest(
-        node_count=_read(document, "nodes", int),
-        blocking_factor=parse_ratio(str(blocking)),
+        node_count=document["nodes"],
+        blocking_factor=parse_ratio(str(document.get("blocking", "1"))),
         form_factor=form_factor,
-        avg_cable_cost=_read(document, "avg_cable_cost", int, DEFAULT_CABLE_COST),
-        constraints=constraints,
-        prefer_expandability=bool(document.get("prefer_expandability", False)),
+        avg_cable_cost=document.get("avg_cable_cost", DEFAULT_CABLE_COST),
+        constraints=ConstraintSet(**document.get("constraints", {})),
+        prefer_expandability=document.get("prefer_expandability", False),
     )
-
-
-def _json_object(value: object, what: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-_REQUIRED = object()
-
-
-def _read(document: Mapping, key: str, convert: Callable, default: object = _REQUIRED):
-    """``convert(document[key])``, or ``default`` when absent; ValueError when required or mistyped."""
-    if key not in document:
-        if default is _REQUIRED:
-            raise ValueError(f"request document lacks {key!r}")
-        return default
-    try:
-        return convert(document[key])
-    except TypeError:
-        raise ValueError(f"request field {key!r} has the wrong type: {document[key]!r}") from None

@@ -134,13 +134,7 @@ def single_model_catalog(config: SwitchConfig, currency: str = "USD") -> Catalog
     return Catalog(edge_set=(both,), core_set=(both,), currency=currency)
 
 
-def sweep_lower_bound(
-    config: SwitchConfig,
-    first: int,
-    last: int,
-    avg_cable_cost: Money,
-    blade: bool = False,
-) -> list[SweepPoint]:
+def sweep_lower_bound(config: SwitchConfig, first: int, last: int, avg_cable_cost: Money) -> list[SweepPoint]:
     """Estimate vs. designed cost for every node count in [first, last].
 
     The designed cost is design()'s winning cost, read from one search
@@ -153,7 +147,7 @@ def sweep_lower_bound(
     points = []
     for nodes in range(first, last + 1):
         actual, *_ = plan.winner_key(nodes)
-        estimate = lower_bound_estimate(nodes, config, avg_cable_cost, blade=blade)
+        estimate = lower_bound_estimate(nodes, config, avg_cable_cost)
         points.append(
             SweepPoint(
                 node_count=nodes,

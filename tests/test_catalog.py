@@ -1,10 +1,22 @@
+import copy
 import json
+import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from typing import Any
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
+import fattree_design
 from fattree_design.catalog import (
+    ROLES,
     CatalogError,
     ModularSwitchFamily,
     bundled_catalog_path,
@@ -206,3 +218,182 @@ def test_bundled_catalogs_load():
     assert len(blade.core_set) == 7
     with pytest.raises(CatalogError):
         bundled_catalog_path("missing")
+
+
+def test_package_import_leaves_jsonschema_out():
+    src = str(Path(fattree_design.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import fattree_design; print('jsonschema' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
+
+
+# The JSON Schema the catalog checker replaced: the reference it must agree with.
+CATALOG_SCHEMA: dict[str, Any] = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["currency", "monolithic", "modular"],
+    "properties": {
+        "currency": {"type": "string", "minLength": 1},
+        "monolithic": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "additionalProperties": False,
+                "required": ["id", "name", "ports", "cost", "power", "rack_units", "weight", "roles"],
+                "properties": {
+                    "id": {"type": "string", "minLength": 1},
+                    "name": {"type": "string"},
+                    "ports": {"type": "integer", "minimum": 2},
+                    "cost": {"type": "integer", "minimum": 0},
+                    "power": {"type": "number", "minimum": 0},
+                    "rack_units": {"type": "integer", "minimum": 1},
+                    "weight": {"type": "number", "minimum": 0},
+                    "roles": {
+                        "type": "array",
+                        "items": {"enum": list(ROLES)},
+                        "minItems": 1,
+                        "uniqueItems": True,
+                    },
+                },
+            },
+        },
+        "modular": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "additionalProperties": False,
+                "required": [
+                    "id",
+                    "chassis_cost",
+                    "chassis_rack_units",
+                    "chassis_power",
+                    "chassis_weight",
+                    "fabric_board_cost",
+                    "fabric_boards_required",
+                    "line_card_cost",
+                    "ports_per_line_card",
+                    "max_line_cards",
+                    "roles",
+                ],
+                "properties": {
+                    "id": {"type": "string", "minLength": 1},
+                    "chassis_cost": {"type": "integer", "minimum": 0},
+                    "chassis_rack_units": {"type": "integer", "minimum": 1},
+                    "chassis_power": {"type": "number", "minimum": 0},
+                    "chassis_weight": {"type": "number", "minimum": 0},
+                    "fabric_board_cost": {"type": "integer", "minimum": 0},
+                    "fabric_boards_required": {"type": "integer", "minimum": 1},
+                    "line_card_cost": {"type": "integer", "minimum": 0},
+                    "ports_per_line_card": {"type": "integer", "minimum": 1},
+                    "max_line_cards": {"type": "integer", "minimum": 1},
+                    "per_line_card_power": {"type": "number", "minimum": 0},
+                    "per_line_card_weight": {"type": "number", "minimum": 0},
+                    "roles": {
+                        "type": "array",
+                        "items": {"enum": list(ROLES)},
+                        "minItems": 1,
+                        "uniqueItems": True,
+                    },
+                },
+            },
+        },
+    },
+}
+
+
+REFERENCE = Draft202012Validator(CATALOG_SCHEMA)
+FIELD_TYPES = {
+    name: spec["type"]
+    for entry in ("monolithic", "modular")
+    for name, spec in CATALOG_SCHEMA["properties"][entry]["items"]["properties"].items()
+}
+NAMES = sorted(FIELD_TYPES) + ["currency", "monolithic", "modular", "colour", ""]
+SCALARS = [None, True, False, -3, -1, 0, 1, 2, 3, 40, -0.5, 0.25, 36.0, 0.0, math.nan, math.inf, -math.inf, "", "x", "edge", "core"]
+ITEMS = ["edge", "core", "bogus", None, True, 1, 1.0, [True], [1], {"a": True}, {"a": 1}]
+WRONG_VALUES = st.one_of(
+    st.sampled_from(SCALARS),
+    st.lists(st.sampled_from(ITEMS), max_size=3).map(copy.deepcopy),
+    st.sampled_from([{}, {"id": "x"}, {"a": [1]}]).map(copy.deepcopy),
+)
+
+
+def differs_on_purpose(document) -> bool:
+    """An integral float in an integer field, or a non-finite number in a numeric field."""
+    if isinstance(document, list):
+        return any(differs_on_purpose(item) for item in document)
+    if not isinstance(document, dict):
+        return False
+    for key, value in document.items():
+        if isinstance(value, float) and FIELD_TYPES.get(key) in ("integer", "number"):
+            if not math.isfinite(value) or (FIELD_TYPES[key] == "integer" and value.is_integer()):
+                return True
+    return any(differs_on_purpose(value) for value in document.values())
+
+
+def containers(value):
+    if isinstance(value, (dict, list)):
+        yield value
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from containers(item)
+
+
+@st.composite
+def mutated_catalogs(draw):
+    """A valid catalog with one to five fields or items dropped, added or set to a wrong value."""
+    demo = json.loads(bundled_catalog_path("demo_catalog").read_text(encoding="utf-8"))
+    document = copy.deepcopy(draw(st.sampled_from([BASE_DOC, demo])))
+    for _ in range(draw(st.integers(1, 5))):
+        target = draw(st.sampled_from(list(containers(document))))
+        keys = sorted(target) if isinstance(target, dict) else list(range(len(target)))
+        action = draw(st.sampled_from(("drop", "add", "set") if keys else ("add",)))
+        if action == "add" and isinstance(target, dict):
+            for name in draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=2, unique=True)):
+                target[name] = draw(WRONG_VALUES)
+        elif action == "add":
+            target.append(draw(WRONG_VALUES))
+        elif action == "drop":
+            del target[draw(st.sampled_from(keys))]
+        else:
+            target[draw(st.sampled_from(keys))] = draw(WRONG_VALUES)
+    return document
+
+
+def reference_message(document):
+    """What loading reported while it ran jsonschema.validate, or None for a valid document."""
+    error = best_match(REFERENCE.iter_errors(document))
+    if error is None:
+        return None
+    path = "/".join(str(part) for part in error.absolute_path) or "(root)"
+    return f"catalog schema violation at {path}: {error.message}"
+
+
+def load_message(document):
+    try:
+        load_catalog(document)
+    except CatalogError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_catalogs())
+def test_checker_agrees_with_json_schema(document):
+    assume(not differs_on_purpose(document))
+    expected, message = reference_message(document), load_message(document)
+    if expected is None:
+        assert message is None or not message.startswith("catalog schema violation")
+    else:
+        assert message == expected
+
+
+@pytest.mark.parametrize(
+    "roles",
+    [
+        ["edge", "edge"], ["core", "bogus", "core"], [True, 1], [1, 1.0], [[True], [1]], [[1], [1.0]],
+        [{"a": True}, {"a": 1}], [{"a": 1}, {"a": 1}], [{"a": 1}, {"b": 1}],
+    ],
+)
+def test_role_uniqueness_agrees_with_json_schema(roles):
+    document = doc()
+    document["monolithic"][0]["roles"] = roles
+    assert load_message(document) == reference_message(document)

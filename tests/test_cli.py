@@ -258,6 +258,11 @@ def test_out_of_range_flags_exit_1(capsys, argv):
         {"nodes": 60, "form_factor": {"kind": "blade", "embedded_edge_switch_id": "ft36"}},
         {"blocking": "1"},
         {"nodes": None},
+        {"nodes": 60.7},
+        {"nodes": "60"},
+        {"nodes": 60, "prefer_expandability": "no"},
+        {"nodes": 60, "blockng": "2"},
+        {"nodes": 60, "constraints": {"max_network_units": 10}},
     ],
 )
 def test_bad_request_documents_exit_1(capsys, tmp_path, document):
@@ -267,6 +272,33 @@ def test_bad_request_documents_exit_1(capsys, tmp_path, document):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("ports", 36.0, "monolithic/0/ports: 36.0 is not of type 'integer'"),
+        ("power", float("nan"), "monolithic/0/power: nan is not a finite number"),
+        ("weight", float("-inf"), "monolithic/0/weight: -inf is not a finite number"),
+    ],
+)
+def test_float_integers_and_non_finite_numbers_exit_1(capsys, tmp_path, field, value, message):
+    document = json.loads(bundled_catalog_path("demo_catalog").read_text(encoding="utf-8"))
+    document["monolithic"][0][field] = value
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(document))
+    code, out, err = run_capture(capsys, ["design", "--nodes", "60", "--catalog", str(catalog)])
+    assert (code, out) == (1, "")
+    assert err == f"error: catalog schema violation at {message}\n"
+
+
+def test_modular_family_id_is_not_a_switch(capsys):
+    code, out, err = run_capture(capsys, ["estimate", "--nodes", "648", "--switch", "mod108", "--catalog", DEMO])
+    assert (code, out) == (1, "")
+    configs = ", ".join(f"mod108:{ports}p" for ports in (18, 36, 54, 72, 90, 108))
+    assert err == f"error: 'mod108' is a modular family; pick one of {configs}\n"
+    code, out, _ = run_capture(capsys, ["estimate", "--nodes", "648", "--switch", "mod108:36p", "--catalog", DEMO])
+    assert code == 0 and "on mod108:36p (36 ports)" in out
 
 
 def test_top_limits_alternatives(capsys):

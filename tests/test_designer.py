@@ -409,6 +409,28 @@ def test_request_document_round_trip():
 
 
 @pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"nodes": 60.7}, "nodes: 60.7 is not of type 'integer'"),
+        ({"nodes": 60, "blocking": 1.5}, "blocking: 1.5 is not of type 'string', 'integer'"),
+        ({"nodes": 60, "form_factor": {"node_power": float("nan")}}, "form_factor/node_power: nan is not a finite number"),
+        (
+            {"nodes": 60, "form_factor": {"kind": "blade", "enclosure_capacity": 16}},
+            "form_factor: 'embedded_edge_switch_id' is a required property",
+        ),
+        (
+            {"nodes": "60", "blockng": "2", "constraints": {"max_network_units": 10}},
+            "(root): Additional properties are not allowed ('blockng' was unexpected)",
+        ),
+    ],
+)
+def test_request_violation_names_its_path(document, message):
+    with pytest.raises(ValueError) as raised:
+        request_from_document(document)
+    assert str(raised.value) == f"request document violation at {message}"
+
+
+@pytest.mark.parametrize(
     "limits",
     [
         {"max_network_rack_units": "ten"},
