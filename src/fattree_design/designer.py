@@ -5,9 +5,11 @@ search covers two trivial topologies (direct enclosure interconnect and a
 single-switch star) plus the full edge-model x core-model grid. Every
 candidate that survives the constraint filter is kept and ranked, so callers
 can present alternatives instead of just the winner. A SearchPlan holds the
-per-catalog state (edge splits, core list) once; design() and the
-winner-only scan behind fit_max_nodes and sweep_lower_bound walk the same
-edge x core pairs from it.
+per-catalog state (edge splits, core list) once, and its rank() is the one
+ranking: it prices and filters each edge x core pair as plain numbers and
+sorts plain records. design() keeps the whole ranking and builds each
+candidate design only when it is read; fit_max_nodes and sweep_lower_bound
+ask the same ranking for the winner alone.
 
 All port arithmetic is exact integer/Fraction math; all money is integer
 minor units.
@@ -15,9 +17,11 @@ minor units.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from operator import itemgetter
 
 from .catalog import Catalog, CatalogError, SwitchConfig, field_violation
 from .money import Money, parse_ratio
@@ -63,11 +67,13 @@ class ConstraintSet:
         for name, kinds, kind_text in (
             ("max_network_rack_units", int, "an integer"),
             ("min_spare_core_ports", int, "an integer"),
-            ("max_network_power", (int, float), "a number"),
+            ("max_network_power", (int, float), "a finite number"),
             ("max_network_cost", int, "an integer (minor units)"),
         ):
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
+            # a NaN limit compares false with everything, so it would apply no limit
+            non_finite = isinstance(value, float) and not math.isfinite(value)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, kinds) or non_finite):
                 raise ValueError(f"constraint {name} must be {kind_text}, got {value!r}")
 
 
@@ -110,6 +116,18 @@ class DesignRequest:
     avg_cable_cost: Money = DEFAULT_CABLE_COST
     constraints: ConstraintSet = ConstraintSet()
     prefer_expandability: bool = False
+
+    def __post_init__(self) -> None:
+        if isinstance(self.node_count, bool) or not isinstance(self.node_count, int):
+            raise ValueError(f"node_count must be an integer, got {self.node_count!r}")
+        if self.node_count < 2:
+            raise ValueError("node_count must be at least 2")
+        if not isinstance(self.blocking_factor, Fraction):
+            raise ValueError(f"blocking factor must be a Fraction, got {self.blocking_factor!r}")
+        if self.blocking_factor <= 0:
+            raise ValueError("blocking factor must be positive")
+        if isinstance(self.avg_cable_cost, bool) or not isinstance(self.avg_cable_cost, int):
+            raise ValueError(f"avg_cable_cost must be an integer (minor units), got {self.avg_cable_cost!r}")
 
     @property
     def blade(self) -> bool:
@@ -198,7 +216,7 @@ class DesignReport:
 
     request: DesignRequest
     winner: FatTreeDesign
-    candidates: tuple[FatTreeDesign, ...]
+    candidates: Sequence[FatTreeDesign]
     rejected: tuple[RejectedCandidate, ...] = ()
 
 
@@ -334,39 +352,33 @@ def _uniform_stage(split: EdgeSplit, core_ports: int, baseline: CoreStage) -> Co
 
 def check_constraints(candidate: FatTreeDesign, constraints: ConstraintSet) -> list[ConstraintViolation]:
     """Evaluate every active constraint; an empty list means the candidate passes."""
+    metrics = candidate.metrics
+    return _violations(constraints, metrics.rack_units, spare_core_ports(candidate), metrics.power, metrics.cost)
+
+
+def _violations(
+    constraints: ConstraintSet, rack_units: int, spare: int, power: float, cost: Money
+) -> list[ConstraintViolation]:
+    """The active constraints that a network with these numbers breaks, in field order."""
     violations = []
-    if constraints.max_network_rack_units is not None:
-        actual = candidate.metrics.rack_units
-        if actual > constraints.max_network_rack_units:
-            violations.append(
-                ConstraintViolation("max_network_rack_units", constraints.max_network_rack_units, actual)
-            )
-    if constraints.min_spare_core_ports is not None:
-        spare = spare_core_ports(candidate)
-        if spare < constraints.min_spare_core_ports:
-            violations.append(
-                ConstraintViolation("min_spare_core_ports", constraints.min_spare_core_ports, spare)
-            )
-    if constraints.max_network_power is not None:
-        if candidate.metrics.power > constraints.max_network_power:
-            violations.append(
-                ConstraintViolation("max_network_power", constraints.max_network_power, candidate.metrics.power)
-            )
-    if constraints.max_network_cost is not None:
-        if candidate.metrics.cost > constraints.max_network_cost:
-            violations.append(
-                ConstraintViolation("max_network_cost", constraints.max_network_cost, candidate.metrics.cost)
-            )
+    for name, actual in (
+        ("max_network_rack_units", rack_units),
+        ("min_spare_core_ports", spare),
+        ("max_network_power", power),
+        ("max_network_cost", cost),
+    ):
+        limit = getattr(constraints, name)
+        if limit is not None and (actual < limit if name == "min_spare_core_ports" else actual > limit):
+            violations.append(ConstraintViolation(name, limit, actual))
     return violations
 
 
 def spare_core_ports(candidate: FatTreeDesign) -> int:
     """Ports still available for growth: unused switch ports plus line-card headroom."""
     if candidate.kind == "fat_tree":
-        assert candidate.core_config is not None and candidate.core_stage is not None
+        assert candidate.core_config is not None
         wired = candidate.edge_count * candidate.split.ports_to_core
-        total = candidate.core_stage.core_count * candidate.core_config.ports
-        return total - wired + candidate.core_stage.core_count * candidate.core_config.expandable_ports
+        return _fat_tree_spare(candidate.core_config, candidate.core_count, wired)
     if candidate.kind == "star":
         free = candidate.edge_config.ports - candidate.node_count
         return free + candidate.edge_config.expandable_ports
@@ -378,7 +390,11 @@ def spare_core_ports(candidate: FatTreeDesign) -> int:
     return max(0, switch_ports - used)
 
 
-def _cost_and_units(
+def _fat_tree_spare(core_config: SwitchConfig, core_switches: int, wired_uplinks: int) -> int:
+    return core_switches * (core_config.ports + core_config.expandable_ports) - wired_uplinks
+
+
+def _cost_units_power(
     request: DesignRequest,
     edge_config: SwitchConfig,
     edge_switches: int,
@@ -386,10 +402,11 @@ def _cost_and_units(
     core_switches: int,
     cables: int,
     extra_cost: Money = 0,
-) -> tuple[Money, int]:
-    """Network cost and rack units of a switch mix; the one home of both formulas."""
+) -> tuple[Money, int, float]:
+    """Network cost, rack units and power of a switch mix; the one home of these formulas."""
     core_cost = core_switches * core_config.cost if core_config else 0
     core_units = core_switches * core_config.rack_units if core_config else 0
+    core_power = core_switches * core_config.power if core_config else 0.0
     # Blade edge switches live inside the enclosure and occupy no rack space
     # of their own; their cost, power, and weight still count.
     embedded = (
@@ -398,7 +415,7 @@ def _cost_and_units(
     )
     edge_units = 0 if embedded else edge_switches * edge_config.rack_units
     cost = edge_switches * edge_config.cost + core_cost + extra_cost + cables * request.avg_cable_cost
-    return cost, edge_units + core_units
+    return cost, edge_units + core_units, edge_switches * edge_config.power + core_power
 
 
 def _network_metrics(
@@ -410,14 +427,13 @@ def _network_metrics(
     cables: int,
     extra_cost: Money = 0,
 ) -> DesignMetrics:
-    cost, rack_units = _cost_and_units(
+    cost, rack_units, power = _cost_units_power(
         request, edge_config, edge_switches, core_config, core_switches, cables, extra_cost
     )
-    core_power = core_switches * core_config.power if core_config else 0.0
     core_weight = core_switches * core_config.weight if core_config else 0.0
     return DesignMetrics(
         cost=cost,
-        power=edge_switches * edge_config.power + core_power,
+        power=power,
         rack_units=rack_units,
         weight=edge_switches * edge_config.weight + core_weight,
     )
@@ -425,12 +441,12 @@ def _network_metrics(
 
 def _fat_tree_candidate(
     request: DesignRequest,
+    objective: Money,
     edge_config: SwitchConfig,
     core_config: SwitchConfig,
     split: EdgeSplit,
     stage: CoreStage,
-    objective: ObjectiveFn | None,
-    uniform: bool = False,
+    uniform: bool,
 ) -> FatTreeDesign:
     cables = cable_count(request.node_count, split.edge_count, split.ports_to_core, request.blade)
     metrics = _network_metrics(
@@ -444,7 +460,7 @@ def _fat_tree_candidate(
         split=split,
         core_stage=stage,
         cable_count=cables,
-        objective=evaluate_objective(metrics, objective),
+        objective=objective,
         metrics=metrics,
         uniform_distribution=uniform,
         max_supported_nodes=core_config.ports * split.ports_to_nodes,
@@ -554,16 +570,6 @@ def _edge_candidates(request: DesignRequest, catalog: Catalog) -> tuple[SwitchCo
     return catalog.edge_set
 
 
-def _candidate_sort_key(candidate: FatTreeDesign):
-    return (
-        candidate.objective,
-        candidate.switch_count,
-        candidate.metrics.rack_units,
-        candidate.edge_config.config_id,
-        candidate.core_config.config_id if candidate.core_config else "",
-    )
-
-
 @dataclass(frozen=True)
 class _EdgePlan:
     """One edge configuration's port split, fixed for a (catalog, blocking, form factor)."""
@@ -575,6 +581,29 @@ class _EdgePlan:
     resulting_blocking: Fraction
 
 
+class RankedCandidates(Sequence):
+    """design()'s ranked designs, each built from its pair record when first read and then cached.
+
+    ``len()`` builds nothing, and ``report.winner is report.candidates[0]``.
+    """
+
+    def __init__(self, request: DesignRequest, records: list) -> None:
+        self._request = request
+        self._records = records  # (key, FatTreeDesign or pair), in rank order
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self._records))))
+        key, item = self._records[index]
+        if not isinstance(item, FatTreeDesign):
+            item = _fat_tree_candidate(self._request, key[0], *item)
+            self._records[index] = (key, item)
+        return item
+
+
 class SearchPlan:
     """Search state shared by every node count of one request shape.
 
@@ -583,8 +612,8 @@ class SearchPlan:
     It holds each edge configuration's split (with the blade-bay cap
     applied), the core list and the config union, each computed once, plus
     the largest node count any pairing reaches. walk() yields the edge x
-    core pairs for one node count; design() turns them into candidates and
-    winner_key() ranks them without building any.
+    core pairs for one node count; rank() prices, filters and orders them,
+    for design() in full and for the node-count scans as the winner alone.
     """
 
     def __init__(self, request: DesignRequest, catalog: Catalog) -> None:
@@ -592,11 +621,6 @@ class SearchPlan:
         self.catalog = catalog
         configs = catalog.configs()
         self.cores = tuple((config, config.config_id) for config in catalog.core_set)
-        # the star is the cheapest switch with enough ports (ties: fewer ports, then id)
-        self.stars = sorted(
-            ((config, config.config_id) for config in configs),
-            key=lambda entry: (entry[0].cost, entry[0].ports, entry[1]),
-        )
         reach = max((config.ports for config in configs), default=0)
         widest_core = max((config.ports for config in catalog.core_set), default=0)
         blades = request.form_factor if isinstance(request.form_factor, BladeFormFactor) else None
@@ -618,7 +642,7 @@ class SearchPlan:
         self.max_reachable = reach
         # Every pairing has at least one core switch, so when no price is
         # negative an edge group costs at least its edges, its fewest cables
-        # and one cheapest core switch; winner_key() stops at groups above that.
+        # and one cheapest core switch; a winner-only rank() stops above that.
         self.cheapest_core = min((core for core, _ in self.cores), key=lambda core: core.cost, default=None)
         self.prunable = request.avg_cable_cost >= 0 and (
             self.cheapest_core is None or self.cheapest_core.cost >= 0
@@ -650,57 +674,76 @@ class SearchPlan:
             uniform = _uniform_stage(spread, core.ports, stage) if spread is not None else None
             yield core, core_id, stage, uniform
 
-    def winner_key(self, node_count: int) -> tuple:
-        """design()'s winner as its ranking key, found without building any candidate.
+    def rank(
+        self, node_count: int, objective: ObjectiveFn | None = None, winner_only: bool = False
+    ) -> tuple[RankedCandidates, tuple[RejectedCandidate, ...]]:
+        """Every design for node_count, ranked, plus the pairs the constraints rejected.
 
-        Returns ``(cost, switch_count, rack_units, edge id, core id)``, the
-        key ``design()`` ranks by, for an unconstrained request under the
-        default objective, and raises what ``design()`` raises when no
-        design exists.
+        Records of the trivial designs, then of each kept pair in walk order
+        (baseline before uniform variant), are stably sorted on (objective,
+        switch count, rack units, edge id, core id); designs are built when
+        read. ``winner_only`` (unconstrained requests only) keeps the winner
+        alone and, under the default objective, skips the edge groups whose
+        cost floor exceeds the best cost found. Raises what design() raises.
         """
         request = self.request
-        if request.constraints != ConstraintSet():
-            raise ValueError("the winner scan serves unconstrained requests only")
-        if node_count < 2:
-            raise ValueError("node_count must be at least 2")
-        blade = request.blade
-        best = None
-        if blade:
-            direct = trivial_direct_connect(replace(request, node_count=node_count), self.catalog)
-            if direct is not None:
-                best = _candidate_sort_key(direct)
-        for config, config_id in self.stars:
-            if config.ports >= node_count:
-                cost, units = _cost_and_units(request, config, 1, None, 0, 0 if blade else node_count)
-                star = (cost, 1, units, config_id, "")
-                best = star if best is None else min(best, star)
-                break
-
+        if node_count != request.node_count:
+            request = replace(request, node_count=node_count)
+        constraints = request.constraints
+        constrained = constraints != ConstraintSet()
+        if winner_only and constrained:
+            raise ValueError("the winner-only ranking serves unconstrained requests only")
+        records = []
+        for trivial in (trivial_direct_connect(request, self.catalog, objective),
+                        trivial_star(request, self.catalog, objective)):
+            if trivial is not None:
+                units, config_id = trivial.metrics.rack_units, trivial.edge_config.config_id
+                records.append(((trivial.objective, trivial.switch_count, units, config_id, ""), trivial))
+        best = min(records, key=itemgetter(0), default=None)
         groups = []
         for edge, edges, spread, pairs in self.walk(node_count):
-            cables = cable_count(node_count, edges, edge.ports_to_core, blade)
-            spread_cables = cable_count(node_count, edges, spread.ports_to_core, blade) if spread else cables
-            floor, _ = _cost_and_units(request, edge.config, edges, self.cheapest_core, 1, spread_cables)
-            groups.append((floor, edge, edges, cables, spread_cables, pairs))
-        groups.sort(key=lambda group: group[0])
-        for floor, edge, edges, cables, spread_cables, pairs in groups:
-            if self.prunable and best is not None and floor > best[0]:
+            split = EdgeSplit(edge.ports_to_nodes, edge.ports_to_core, edge.resulting_blocking, edges)
+            cables = cable_count(node_count, edges, edge.ports_to_core, request.blade)
+            spread_cables = cable_count(node_count, edges, spread.ports_to_core, request.blade) if spread else cables
+            floor, *_ = _cost_units_power(request, edge.config, edges, self.cheapest_core, 1, spread_cables)
+            groups.append((floor, edge, edges, ((split, cables), (spread, spread_cables)), pairs))
+        prune = winner_only and objective is None and self.prunable
+        if prune:
+            groups.sort(key=itemgetter(0))
+
+        rejected = []
+        for floor, edge, edges, variants, pairs in groups:
+            if prune and best is not None and floor > best[0][0]:
                 break
-            for core, core_id, stage, uniform in pairs:
-                cost, units = _cost_and_units(request, edge.config, edges, core, stage.core_count, cables)
-                key = (cost, edges + stage.core_count, units, edge.config_id, core_id)
-                if best is None or key < best:
-                    best = key
-                if uniform is not None:
-                    cost, units = _cost_and_units(
-                        request, edge.config, edges, core, uniform.core_count, spread_cables
-                    )
-                    key = (cost, edges + uniform.core_count, units, edge.config_id, core_id)
-                    if key < best:
-                        best = key
-        if best is None:
+            for core, core_id, *stages in pairs:
+                for (split, cables), stage, uniform in zip(variants, stages, (False, True)):
+                    if stage is None:
+                        continue
+                    cores = stage.core_count
+                    cost, units, power = _cost_units_power(request, edge.config, edges, core, cores, cables)
+                    if constrained:
+                        spare = _fat_tree_spare(core, cores, edges * split.ports_to_core)
+                        violations = _violations(constraints, units, spare, power, cost)
+                        if violations:
+                            rejected.append(RejectedCandidate(edge.config_id, core_id, tuple(violations)))
+                            continue
+                    if objective is not None:
+                        cost = objective(_network_metrics(request, edge.config, edges, core, cores, cables))
+                    key = (cost, edges + cores, units, edge.config_id, core_id)
+                    record = (key, (edge.config, core, split, stage, uniform))
+                    if not winner_only:
+                        records.append(record)
+                    elif best is None or key < best[0]:
+                        best = record
+
+        if winner_only:
+            records = [best] if best is not None else []
+        if not records:
+            if rejected:
+                raise DesignInfeasibleError(sorted({v.constraint for r in rejected for v in r.violations}))
             raise InsufficientRadixError(node_count, self.max_reachable)
-        return best
+        records.sort(key=itemgetter(0))
+        return RankedCandidates(request, records), tuple(rejected)
 
 
 def design(request: DesignRequest, catalog: Catalog, objective: ObjectiveFn | None = None) -> DesignReport:
@@ -711,45 +754,8 @@ def design(request: DesignRequest, catalog: Catalog, objective: ObjectiveFn | No
     reject them all. Ties are broken deterministically: fewer switches, then
     fewer rack units, then config ids.
     """
-    if request.node_count < 2:
-        raise ValueError("node_count must be at least 2")
-    if request.blocking_factor <= 0:
-        raise ValueError("blocking factor must be positive")
-    plan = SearchPlan(request, catalog)
-
-    candidates: list[FatTreeDesign] = []
-    rejected: list[RejectedCandidate] = []
-
-    direct = trivial_direct_connect(request, catalog, objective)
-    if direct is not None:
-        candidates.append(direct)
-    star = trivial_star(request, catalog, objective)
-    if star is not None:
-        candidates.append(star)
-
-    for edge, edges, spread, pairs in plan.walk(request.node_count):
-        split = EdgeSplit(edge.ports_to_nodes, edge.ports_to_core, edge.resulting_blocking, edges)
-        for core, core_id, stage, uniform in pairs:
-            group = [_fat_tree_candidate(request, edge.config, core, split, stage, objective)]
-            if uniform is not None:
-                group.append(
-                    _fat_tree_candidate(request, edge.config, core, spread, uniform, objective, uniform=True)
-                )
-            for candidate in group:
-                violations = check_constraints(candidate, request.constraints)
-                if violations:
-                    rejected.append(RejectedCandidate(edge.config_id, core_id, tuple(violations)))
-                else:
-                    candidates.append(candidate)
-
-    if not candidates:
-        if rejected:
-            binding = sorted({v.constraint for r in rejected for v in r.violations})
-            raise DesignInfeasibleError(binding)
-        raise InsufficientRadixError(request.node_count, plan.max_reachable)
-
-    ranked = tuple(sorted(candidates, key=_candidate_sort_key))
-    return DesignReport(request=request, winner=ranked[0], candidates=ranked, rejected=tuple(rejected))
+    candidates, rejected = SearchPlan(request, catalog).rank(request.node_count, objective)
+    return DesignReport(request=request, winner=candidates[0], candidates=candidates, rejected=rejected)
 
 
 def cluster_cost(design_: FatTreeDesign, request: DesignRequest, server_unit_cost: Money) -> Money:

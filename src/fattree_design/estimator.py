@@ -137,8 +137,8 @@ def single_model_catalog(config: SwitchConfig, currency: str = "USD") -> Catalog
 def sweep_lower_bound(config: SwitchConfig, first: int, last: int, avg_cable_cost: Money) -> list[SweepPoint]:
     """Estimate vs. designed cost for every node count in [first, last].
 
-    The designed cost is design()'s winning cost, read from one search
-    plan's winner-only scan instead of a full search per node count.
+    The designed cost is design()'s winning cost, from one search plan
+    whose ranking is asked for each node count's winner alone.
     """
     if first < 2 or last < first:
         raise ValueError("sweep range must satisfy 2 <= first <= last")
@@ -146,13 +146,13 @@ def sweep_lower_bound(config: SwitchConfig, first: int, last: int, avg_cable_cos
     plan = SearchPlan(request, single_model_catalog(config))
     points = []
     for nodes in range(first, last + 1):
-        actual, *_ = plan.winner_key(nodes)
+        candidates, _ = plan.rank(nodes, winner_only=True)
         estimate = lower_bound_estimate(nodes, config, avg_cable_cost)
         points.append(
             SweepPoint(
                 node_count=nodes,
                 estimate_cost=estimate.est_cost,
-                actual_cost=actual,
+                actual_cost=candidates[0].objective,
                 exact=estimate.exact,
             )
         )

@@ -14,7 +14,7 @@ quantifies how far a network built without that foresight can grow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,7 +26,7 @@ from .designer import (
     FatTreeDesign,
     NodeSpec,
     SearchPlan,
-    design,
+    design,  # noqa: F401  re-exported: perfbench's tracer wraps placement.design
     node_distribution,
 )
 from .money import Money
@@ -475,28 +475,25 @@ def fit_max_nodes(
 ) -> CapacityFit:
     """Largest N such that N nodes plus their network fit in capacity_units.
 
-    N walks down from the capacity. A winner-only scan of one search plan
-    ranks each N's pairings without building candidates and skips every N
-    whose winner does not fit; one full design() then runs at the first N
-    that does.
+    N walks down from the capacity. One search plan ranks each N through
+    the same ranking as design(), asking it for the winner alone, and the
+    first N whose winner fits returns that winner.
     """
+    most = capacity_units // node_spec.rack_units
     template = DesignRequest(
-        node_count=capacity_units // node_spec.rack_units,
+        node_count=max(2, most),
         blocking_factor=blocking,
         form_factor=node_spec,
         avg_cable_cost=avg_cable_cost,
     )
     plan = SearchPlan(template, catalog)
-    for nodes in range(template.node_count, 1, -1):
+    for nodes in range(most, 1, -1):
         try:
-            _cost, _switches, network_units, _edge, _core = plan.winner_key(nodes)
+            candidates, _ = plan.rank(nodes, winner_only=True)
         except DesignError:
             continue
-        if nodes * node_spec.rack_units + network_units > capacity_units:
-            continue
-        winner = design(replace(template, node_count=nodes), catalog).winner
-        total = nodes * node_spec.rack_units + winner.metrics.rack_units
-        if total <= capacity_units:
+        winner = candidates[0]
+        if nodes * node_spec.rack_units + winner.metrics.rack_units <= capacity_units:
             return CapacityFit(capacity_units=capacity_units, node_count=nodes, design=winner)
     raise PlacementError(f"no node count fits in {capacity_units}U")
 

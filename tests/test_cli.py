@@ -237,6 +237,8 @@ def test_expand_subcommand(capsys):
         ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--rack-weight-budget", "-5"],
         ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--rack-power-budget", "-5"],
         ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--reserve", "-3"],
+        ["design", "--nodes", "60", "--max-power=nan"],
+        ["design", "--nodes", "60", "--max-power=inf"],
     ],
 )
 def test_out_of_range_flags_exit_1(capsys, argv):
@@ -263,6 +265,7 @@ def test_out_of_range_flags_exit_1(capsys, argv):
         {"nodes": 60, "prefer_expandability": "no"},
         {"nodes": 60, "blockng": "2"},
         {"nodes": 60, "constraints": {"max_network_units": 10}},
+        {"nodes": 60, "constraints": {"max_network_power": float("nan")}},
     ],
 )
 def test_bad_request_documents_exit_1(capsys, tmp_path, document):

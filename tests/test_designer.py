@@ -376,6 +376,26 @@ def test_design_validates_request(ft36_catalog):
         design(DesignRequest(node_count=4, blocking_factor=Fraction(0)), ft36_catalog)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"node_count": 60.5}, "node_count must be an integer, got 60.5"),
+        ({"node_count": 60.0}, "node_count must be an integer, got 60.0"),
+        ({"node_count": True}, "node_count must be an integer, got True"),
+        ({"node_count": "60"}, "node_count must be an integer, got '60'"),
+        ({"node_count": -3}, "node_count must be at least 2"),
+        ({"blocking_factor": 2}, "blocking factor must be a Fraction, got 2"),
+        ({"blocking_factor": 1.5}, "blocking factor must be a Fraction, got 1.5"),
+        ({"blocking_factor": Fraction(-1, 2)}, "blocking factor must be positive"),
+        ({"avg_cable_cost": 1.5}, r"avg_cable_cost must be an integer \(minor units\), got 1.5"),
+        ({"avg_cable_cost": False}, r"avg_cable_cost must be an integer \(minor units\), got False"),
+    ],
+)
+def test_design_request_checks_its_fields(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DesignRequest(**{"node_count": 60, **fields})
+
+
 def test_edge_port_split_validates_inputs():
     with pytest.raises(ValueError):
         edge_port_split(1, Fraction(1))
@@ -446,8 +466,15 @@ def test_constraint_set_rejects_non_numeric_limits(limits):
         ConstraintSet(**limits)
 
 
+@pytest.mark.parametrize("limit", [float("nan"), float("inf"), float("-inf")])
+def test_constraint_set_rejects_non_finite_limits(limit):
+    with pytest.raises(ValueError, match="constraint max_network_power must be a finite number"):
+        ConstraintSet(max_network_power=limit)
+
+
 def test_constraint_set_accepts_numeric_limits():
     limits = ConstraintSet(max_network_rack_units=9, min_spare_core_ports=0,
                            max_network_power=1500.5, max_network_cost=10**9)
     assert limits.max_network_power == 1500.5
     assert ConstraintSet(max_network_power=1500).max_network_power == 1500
+    assert ConstraintSet(max_network_cost=10**400).max_network_cost == 10**400

@@ -275,6 +275,12 @@ def test_fit_max_nodes_impossible():
         fit_max_nodes(30, catalog, Fraction(1))
 
 
+@pytest.mark.parametrize("capacity, node_units", [(0, 1), (1, 1), (2, 1), (3, 2)])
+def test_fit_max_nodes_below_two_nodes(ft36_catalog, capacity, node_units):
+    with pytest.raises(PlacementError, match=f"^no node count fits in {capacity}U$"):
+        fit_max_nodes(capacity, ft36_catalog, Fraction(1), NodeSpec(rack_units=node_units))
+
+
 def test_expansion_plan_two_to_three_racks(ft36_catalog):
     plan = expansion_plan(84, 126, ft36_catalog, Fraction(1))
     assert plan.target_max_nodes == 115

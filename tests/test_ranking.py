@@ -1,0 +1,247 @@
+"""design()'s shared ranking against an eager reference ranker, and the lazy candidates contract."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fattree_design import designer
+from fattree_design.catalog import bundled_catalog_path, load_catalog, load_catalog_file
+from fattree_design.designer import (
+    BladeFormFactor,
+    ConstraintSet,
+    DesignError,
+    DesignInfeasibleError,
+    DesignRequest,
+    EdgeSplit,
+    FatTreeDesign,
+    InsufficientRadixError,
+    NodeSpec,
+    RejectedCandidate,
+    SearchPlan,
+    cable_count,
+    check_constraints,
+    design,
+    evaluate_objective,
+    trivial_direct_connect,
+    trivial_star,
+)
+from fattree_design.report import design_report_document, render_design_text
+
+DEMO = load_catalog_file(bundled_catalog_path("demo_catalog"))
+
+
+def sort_key(candidate):
+    return (
+        candidate.objective,
+        candidate.switch_count,
+        candidate.metrics.rack_units,
+        candidate.edge_config.config_id,
+        candidate.core_config.config_id if candidate.core_config else "",
+    )
+
+
+def build_fat_tree(request, edge_config, core_config, split, stage, objective, uniform):
+    cables = cable_count(request.node_count, split.edge_count, split.ports_to_core, request.blade)
+    metrics = designer._network_metrics(
+        request, edge_config, split.edge_count, core_config, stage.core_count, cables
+    )
+    return FatTreeDesign(
+        kind="fat_tree",
+        node_count=request.node_count,
+        edge_config=edge_config,
+        core_config=core_config,
+        split=split,
+        core_stage=stage,
+        cable_count=cables,
+        objective=evaluate_objective(metrics, objective),
+        metrics=metrics,
+        uniform_distribution=uniform,
+        max_supported_nodes=core_config.ports * split.ports_to_nodes,
+    )
+
+
+def eager_design(request, catalog, objective=None):
+    """Reference ranker: build every candidate, filter it with check_constraints, sort all of them.
+
+    Returns (ranked candidates, rejected) and raises what design() raises.
+    """
+    plan = SearchPlan(request, catalog)
+    candidates, rejected = [], []
+    for trivial in (trivial_direct_connect(request, catalog, objective), trivial_star(request, catalog, objective)):
+        if trivial is not None:
+            candidates.append(trivial)
+    for edge, edges, spread, pairs in plan.walk(request.node_count):
+        split = EdgeSplit(edge.ports_to_nodes, edge.ports_to_core, edge.resulting_blocking, edges)
+        for core, core_id, stage, uniform in pairs:
+            group = [build_fat_tree(request, edge.config, core, split, stage, objective, False)]
+            if uniform is not None:
+                group.append(build_fat_tree(request, edge.config, core, spread, uniform, objective, True))
+            for candidate in group:
+                violations = check_constraints(candidate, request.constraints)
+                if violations:
+                    rejected.append(RejectedCandidate(edge.config_id, core_id, tuple(violations)))
+                else:
+                    candidates.append(candidate)
+    if not candidates:
+        if rejected:
+            raise DesignInfeasibleError(sorted({v.constraint for r in rejected for v in r.violations}))
+        raise InsufficientRadixError(request.node_count, plan.max_reachable)
+    return sorted(candidates, key=sort_key), rejected
+
+
+OBJECTIVES = (
+    None,
+    lambda metrics: metrics.rack_units,
+    lambda metrics: 0,  # every candidate ties, so the rest of the key and the insertion order decide
+    lambda metrics: metrics.cost + round(100 * metrics.power),
+)
+
+
+@st.composite
+def catalogs(draw):
+    """Catalog documents from small value pools, so that ties are common; some have modular families."""
+    roles = st.sampled_from((["edge"], ["core"], ["edge", "core"]))
+    monolithic = [
+        {
+            "id": f"s{i}", "name": "",
+            "ports": draw(st.sampled_from((4, 6, 8, 12, 16, 24, 36, 48))),
+            "cost": draw(st.sampled_from((0, 100000, 150000, 300000))),
+            "power": draw(st.sampled_from((0, 20.5, 60))),
+            "rack_units": draw(st.sampled_from((1, 2))),
+            "weight": draw(st.sampled_from((0, 1.5))),
+            "roles": draw(roles),
+        }
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    modular = []
+    for i in range(draw(st.integers(0, 2))):
+        family = {
+            "id": f"m{i}",
+            "chassis_cost": draw(st.sampled_from((0, 500000))),
+            "chassis_rack_units": draw(st.integers(1, 3)),
+            "chassis_power": draw(st.sampled_from((0, 100))),
+            "chassis_weight": draw(st.sampled_from((0, 10.0))),
+            "fabric_board_cost": draw(st.sampled_from((0, 50000))),
+            "fabric_boards_required": draw(st.integers(1, 2)),
+            "line_card_cost": draw(st.sampled_from((0, 150000))),
+            "ports_per_line_card": draw(st.sampled_from((2, 4, 8))),
+            "max_line_cards": draw(st.integers(1, 4)),
+            "roles": draw(roles),
+        }
+        if draw(st.booleans()):
+            family["per_line_card_power"] = 12.5
+        modular.append(family)
+    entries = monolithic + modular
+    if not any("edge" in entry["roles"] for entry in entries):
+        entries[0]["roles"] = ["edge", *entries[0]["roles"]]
+    if not any("core" in entry["roles"] for entry in entries):
+        entries[-1]["roles"] = [*entries[-1]["roles"], "core"]
+    document = {"currency": "USD", "monolithic": monolithic, "modular": modular}
+    return load_catalog(json.dumps(document)), [e["id"] for e in entries if "edge" in e["roles"]]
+
+
+@st.composite
+def cases(draw):
+    catalog, edge_ids = draw(catalogs())
+    form_factor = NodeSpec()
+    nodes = st.integers(2, 80)
+    if draw(st.booleans()):
+        form_factor = BladeFormFactor(
+            enclosure_capacity=draw(st.integers(2, 20)),
+            enclosure_cost=draw(st.sampled_from((0, 700000))),
+            embedded_edge_switch_id=draw(st.sampled_from(edge_ids)),
+            pass_through_cost=draw(st.sampled_from((None, 0, 250000))),
+        )
+        # two enclosures' worth, where the direct interconnect competes
+        capacity = form_factor.enclosure_capacity
+        nodes = nodes | st.integers(capacity + 1, 2 * capacity)
+    maybe = lambda values: draw(st.sampled_from((None, *values)))  # noqa: E731
+    constraints = ConstraintSet(
+        max_network_rack_units=maybe((4, 12, 40)),
+        min_spare_core_ports=maybe((0, 8, 64)),
+        max_network_power=maybe((150.5, 1000, 5000.0)),
+        max_network_cost=maybe((1_000_000, 5_000_000, 20_000_000)),
+    )
+    request = DesignRequest(
+        node_count=draw(nodes),
+        blocking_factor=draw(st.sampled_from((Fraction(1), Fraction(2), Fraction(3, 2), Fraction(3), Fraction(1, 2)))),
+        form_factor=form_factor,
+        avg_cable_cost=draw(st.sampled_from((0, 8000, 40000))),
+        constraints=constraints if draw(st.booleans()) else ConstraintSet(),
+        prefer_expandability=draw(st.booleans()),
+    )
+    return request, catalog, draw(st.sampled_from(OBJECTIVES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_design_ranks_like_the_eager_reference(case):
+    request, catalog, objective = case
+    try:
+        expected, expected_rejected = eager_design(request, catalog, objective)
+    except DesignError as error:
+        with pytest.raises(type(error)) as raised:
+            design(request, catalog, objective)
+        assert str(raised.value) == str(error)
+        return
+    report = design(request, catalog, objective)
+    assert [sort_key(c) for c in report.candidates] == [sort_key(c) for c in expected]
+    assert list(report.candidates) == expected
+    assert report.rejected == tuple(expected_rejected)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the fat-tree designs built from pair records."""
+    calls = []
+    build = designer._fat_tree_candidate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(designer, "_fat_tree_candidate", counting)
+    return calls
+
+
+def test_candidates_are_built_when_read(builds):
+    report = design(DesignRequest(node_count=60), DEMO)
+    assert report.winner.kind == "fat_tree"
+    assert len(builds) == 1
+    assert len(report.candidates) > 5
+    assert len(builds) == 1
+    assert report.winner is report.candidates[0]
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("render", [
+    lambda report: render_design_text(report, "USD", top=5),
+    lambda report: design_report_document(report, "USD", top=5),
+])
+def test_rendering_the_top_5_builds_at_most_5_designs(builds, render):
+    report = design(DesignRequest(node_count=60), DEMO)
+    render(report)
+    assert len(report.candidates) > 5
+    assert len(builds) <= 5
+
+
+def test_repeated_reads_return_the_same_objects():
+    candidates = design(DesignRequest(node_count=60), DEMO).candidates
+    count = len(candidates)
+    assert candidates[-1] is candidates[count - 1]
+    assert candidates[-2] is candidates[count - 2]
+    sliced = candidates[1:4]
+    assert isinstance(sliced, tuple) and len(sliced) == 3
+    assert all(a is candidates[i] for i, a in enumerate(sliced, start=1))
+    assert candidates[::-1][0] is candidates[-1]
+    first, second = list(candidates), list(candidates)
+    assert len(first) == count
+    assert all(a is b for a, b in zip(first, second))
+    assert candidates[-count] is candidates[0]
+    with pytest.raises(IndexError):
+        candidates[count]
+    with pytest.raises(IndexError):
+        candidates[-count - 1]

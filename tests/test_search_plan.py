@@ -1,4 +1,4 @@
-"""The winner-only scan against design(), and fit_max_nodes against a full-search oracle."""
+"""The winner-only ranking against design(), and fit_max_nodes against a full-search oracle."""
 
 import json
 from fractions import Fraction
@@ -53,23 +53,29 @@ CATALOGS = {"demo": (DEMO, ("ft36",)), "small": (SMALL, ("e12", "s10"))}
 BLOCKINGS = (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(3))
 
 
-def winner_key(report):
-    winner = report.winner
-    core_id = winner.core_config.config_id if winner.core_config else ""
-    return (winner.objective, winner.switch_count, winner.metrics.rack_units,
-            winner.edge_config.config_id, core_id)
+def design_key(candidate):
+    core_id = candidate.core_config.config_id if candidate.core_config else ""
+    return (candidate.objective, candidate.switch_count, candidate.metrics.rack_units,
+            candidate.edge_config.config_id, core_id)
+
+
+def scan_key(plan, node_count):
+    """The winner-only ranking's winner, as design()'s ranking key."""
+    candidates, _ = plan.rank(node_count, winner_only=True)
+    assert len(candidates) == 1
+    return design_key(candidates[0])
 
 
 def assert_scan_matches_design(request, catalog):
     plan = SearchPlan(request, catalog)
     try:
-        expected = winner_key(design(request, catalog))
+        expected = design_key(design(request, catalog).winner)
     except DesignError as error:
         with pytest.raises(type(error)) as raised:
-            plan.winner_key(request.node_count)
+            scan_key(plan, request.node_count)
         assert str(raised.value) == str(error)
         return
-    assert plan.winner_key(request.node_count) == expected
+    assert scan_key(plan, request.node_count) == expected
 
 
 @st.composite
@@ -165,7 +171,7 @@ def test_scan_breaks_cost_ties_like_design():
 def test_scan_rejects_constrained_requests():
     plan = SearchPlan(DesignRequest(node_count=60, constraints=ConstraintSet(max_network_rack_units=9)), DEMO)
     with pytest.raises(ValueError):
-        plan.winner_key(60)
+        plan.rank(60, winner_only=True)
 
 
 def reference_fit_max_nodes(capacity_units, catalog, blocking, node_spec=NodeSpec()):
