@@ -25,15 +25,11 @@ from .designer import (
     InsufficientRadixError,
     NodeSpec,
     cable_count,
-    check_constraints,
     cluster_cost,
     core_stage,
     design,
     edge_count,
     edge_port_split,
-    evaluate_objective,
-    trivial_direct_connect,
-    trivial_star,
     uniform_distribution_variant,
 )
 from .estimator import (

@@ -20,11 +20,13 @@ from typing import Any, Iterator, Mapping
 from .money import Money
 
 ROLES = ("edge", "core")
+MAX_LINE_CARDS = 1024
 
-# Field tables map each field of a JSON object to (type, minimum, required). A type is
+# Field tables map each field of a JSON object to (type, bounds, required). A type is
 # a JSON type name, a tuple of names, None (any value), a nested table (an object) or a
 # one-element list (an array of it; a tuple in it is an enum whose members may not repeat).
-# A minimum bounds a number's value and a string's or array's length.
+# Bounds are a minimum, which bounds a number's value and a string's or array's length,
+# or a (minimum, maximum) pair of a number's value.
 _MONOLITHIC = {
     "id": ("string", 1, True),
     "name": ("string", None, True),
@@ -45,7 +47,8 @@ _MODULAR = {
     "fabric_boards_required": ("integer", 1, True),
     "line_card_cost": ("integer", 0, True),
     "ports_per_line_card": ("integer", 1, True),
-    "max_line_cards": ("integer", 1, True),
+    # a family expands into one configuration per card count, so the count is capped
+    "max_line_cards": ("integer", (1, MAX_LINE_CARDS), True),
     "per_line_card_power": ("number", 0, False),
     "per_line_card_weight": ("number", 0, False),
     "roles": ([ROLES], 1, True),
@@ -63,7 +66,9 @@ _TYPES = {
 
 
 def _same(one: Any, two: Any) -> bool:
-    """JSON equality: true is not 1, but 1 is 1.0."""
+    """JSON equality: true is not 1, but 1 is 1.0, and a value is itself (json.loads gives every NaN one object)."""
+    if one is two:
+        return True
     if isinstance(one, list) and isinstance(two, list):
         return len(one) == len(two) and all(map(_same, one, two))
     if isinstance(one, dict) and isinstance(two, dict):
@@ -71,7 +76,7 @@ def _same(one: Any, two: Any) -> bool:
     return one == two and isinstance(one, bool) == isinstance(two, bool)
 
 
-def _violations(value: Any, kind: Any, minimum: Any, path: tuple) -> Iterator[tuple[tuple, str]]:
+def _violations(value: Any, kind: Any, bounds: Any, path: tuple) -> Iterator[tuple[tuple, str]]:
     """(path, message) for each way ``value`` breaks its field, in JSON Schema's order and wording.
 
     Unlike JSON Schema, an integer is never a float (36.0 would reach the
@@ -94,9 +99,9 @@ def _violations(value: Any, kind: Any, minimum: Any, path: tuple) -> Iterator[tu
         for key, (_, _, required) in kind.items():
             if required and key not in value:
                 yield path, f"{key!r} is a required property"
-        for key, (field_kind, field_minimum, _) in kind.items():
+        for key, (field_kind, field_bounds, _) in kind.items():
             if key in value:
-                yield from _violations(value[key], field_kind, field_minimum, path + (key,))
+                yield from _violations(value[key], field_kind, field_bounds, path + (key,))
     elif isinstance(kind, list) and isinstance(kind[0], tuple):
         for index, item in enumerate(value):
             if not any(_same(item, member) for member in kind[0]):
@@ -106,10 +111,13 @@ def _violations(value: Any, kind: Any, minimum: Any, path: tuple) -> Iterator[tu
     elif isinstance(kind, list):
         for index, item in enumerate(value):
             yield from _violations(item, kind[0], None, path + (index,))
+    minimum, maximum = bounds if isinstance(bounds, tuple) else (bounds, None)
     if minimum is not None and isinstance(value, (str, list)) and len(value) < minimum:
         yield path, f"{value!r} {'should be non-empty' if minimum == 1 else 'is too short'}"
     elif minimum is not None and isinstance(value, (int, float)) and value < minimum:
         yield path, f"{value!r} is less than the minimum of {minimum!r}"
+    elif maximum is not None and isinstance(value, (int, float)) and value > maximum:
+        yield path, f"{value!r} is greater than the maximum of {maximum!r}"
 
 
 def field_violation(document: Any, table: dict[str, tuple]) -> str | None:

@@ -5,11 +5,12 @@ search covers two trivial topologies (direct enclosure interconnect and a
 single-switch star) plus the full edge-model x core-model grid. Every
 candidate that survives the constraint filter is kept and ranked, so callers
 can present alternatives instead of just the winner. A SearchPlan holds the
-per-catalog state (edge splits, core list) once, and its rank() is the one
-ranking: it prices and filters each edge x core pair as plain numbers and
+per-catalog state (edge splits, core list, star switches) once, and its
+rank() is the one ranking for every kind of network: it prices and filters
+each star, direct-connect variant and edge x core pair as plain numbers and
 sorts plain records. design() keeps the whole ranking and builds each
-candidate design only when it is read; fit_max_nodes and sweep_lower_bound
-ask the same ranking for the winner alone.
+candidate design, through one builder, only when it is read; fit_max_nodes
+and sweep_lower_bound ask the same ranking for the winner alone.
 
 All port arithmetic is exact integer/Fraction math; all money is integer
 minor units.
@@ -85,6 +86,15 @@ class BladeFormFactor:
     enclosure_cost: Money
     embedded_edge_switch_id: str
     pass_through_cost: Money | None = None
+
+    def __post_init__(self) -> None:
+        capacity = self.enclosure_capacity
+        if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
+            raise ValueError(f"blade enclosure_capacity must be an integer of at least 1, got {capacity!r}")
+        for name in ("enclosure_cost", "pass_through_cost"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"blade {name} must not be negative, got {value} (minor units)")
 
 
 @dataclass(frozen=True)
@@ -223,13 +233,6 @@ class DesignReport:
 ObjectiveFn = Callable[[DesignMetrics], Money]
 
 
-def evaluate_objective(metrics: DesignMetrics, objective: ObjectiveFn | None = None) -> Money:
-    """Objective value of a candidate; defaults to total network acquisition cost."""
-    if objective is None:
-        return metrics.cost
-    return objective(metrics)
-
-
 def edge_port_split(edge_ports: int, blocking: Fraction) -> tuple[int, int, Fraction] | None:
     """Split an edge switch's ports between nodes and core uplinks.
 
@@ -290,8 +293,6 @@ def cable_count(node_count: int, edge_switches: int, ports_to_core: int, blade: 
 def node_distribution(design: FatTreeDesign) -> tuple[int, ...]:
     """Nodes attached to each edge switch (per enclosure for direct connect)."""
     total, edges = design.node_count, design.edge_count
-    if design.kind == "star":
-        return (total,)
     if design.kind == "direct_connect":
         first = -(-total // 2)
         return (first, total - first)
@@ -350,12 +351,6 @@ def _uniform_stage(split: EdgeSplit, core_ports: int, baseline: CoreStage) -> Co
     return variant
 
 
-def check_constraints(candidate: FatTreeDesign, constraints: ConstraintSet) -> list[ConstraintViolation]:
-    """Evaluate every active constraint; an empty list means the candidate passes."""
-    metrics = candidate.metrics
-    return _violations(constraints, metrics.rack_units, spare_core_ports(candidate), metrics.power, metrics.cost)
-
-
 def _violations(
     constraints: ConstraintSet, rack_units: int, spare: int, power: float, cost: Money
 ) -> list[ConstraintViolation]:
@@ -371,27 +366,6 @@ def _violations(
         if limit is not None and (actual < limit if name == "min_spare_core_ports" else actual > limit):
             violations.append(ConstraintViolation(name, limit, actual))
     return violations
-
-
-def spare_core_ports(candidate: FatTreeDesign) -> int:
-    """Ports still available for growth: unused switch ports plus line-card headroom."""
-    if candidate.kind == "fat_tree":
-        assert candidate.core_config is not None
-        wired = candidate.edge_count * candidate.split.ports_to_core
-        return _fat_tree_spare(candidate.core_config, candidate.core_count, wired)
-    if candidate.kind == "star":
-        free = candidate.edge_config.ports - candidate.node_count
-        return free + candidate.edge_config.expandable_ports
-    # direct connect: every port is either node- or cross-link-facing
-    switch_ports = candidate.edge_count * candidate.edge_config.ports
-    used = candidate.node_count + 2 * candidate.cable_count if candidate.edge_count == 2 else (
-        candidate.node_count + candidate.cable_count
-    )
-    return max(0, switch_ports - used)
-
-
-def _fat_tree_spare(core_config: SwitchConfig, core_switches: int, wired_uplinks: int) -> int:
-    return core_switches * (core_config.ports + core_config.expandable_ports) - wired_uplinks
 
 
 def _cost_units_power(
@@ -439,21 +413,26 @@ def _network_metrics(
     )
 
 
-def _fat_tree_candidate(
+def _build_design(
     request: DesignRequest,
     objective: Money,
+    kind: str,
     edge_config: SwitchConfig,
-    core_config: SwitchConfig,
+    core_config: SwitchConfig | None,
     split: EdgeSplit,
-    stage: CoreStage,
+    stage: CoreStage | None,
+    cables: int,
     uniform: bool,
+    pass_through: bool,
+    max_supported_nodes: int,
 ) -> FatTreeDesign:
-    cables = cable_count(request.node_count, split.edge_count, split.ports_to_core, request.blade)
+    """The one builder of a design, for every kind, from the payload of its ranking record."""
+    extra_cost = request.form_factor.pass_through_cost if pass_through else 0
     metrics = _network_metrics(
-        request, edge_config, split.edge_count, core_config, stage.core_count, cables
+        request, edge_config, split.edge_count, core_config, stage.core_count if stage else 0, cables, extra_cost
     )
     return FatTreeDesign(
-        kind="fat_tree",
+        kind=kind,
         node_count=request.node_count,
         edge_config=edge_config,
         core_config=core_config,
@@ -463,96 +442,9 @@ def _fat_tree_candidate(
         objective=objective,
         metrics=metrics,
         uniform_distribution=uniform,
-        max_supported_nodes=core_config.ports * split.ports_to_nodes,
+        pass_through=pass_through,
+        max_supported_nodes=max_supported_nodes,
     )
-
-
-def trivial_direct_connect(
-    request: DesignRequest, catalog: Catalog, objective: ObjectiveFn | None = None
-) -> FatTreeDesign | None:
-    """Two blade enclosures wired switch-to-switch, skipping the core layer.
-
-    Applies only when exactly two enclosures are needed. When a pass-through
-    panel is priced, the cheaper of the two-switch and switch-plus-panel
-    variants is kept. Constraint-violating variants are dropped.
-    """
-    if not isinstance(request.form_factor, BladeFormFactor):
-        return None
-    blades = request.form_factor
-    if not blades.enclosure_capacity < request.node_count <= 2 * blades.enclosure_capacity:
-        return None
-    edge_config = _embedded_edge_config(request, catalog)
-    cross_cables = edge_config.ports // 2
-    variants = []
-    for use_pass_through in (False, True):
-        if use_pass_through and blades.pass_through_cost is None:
-            continue
-        switches = 1 if use_pass_through else 2
-        extra = blades.pass_through_cost if use_pass_through else 0
-        metrics = _network_metrics(
-            request, edge_config, switches, None, 0, cross_cables, extra_cost=extra
-        )
-        split = EdgeSplit(
-            ports_to_nodes=blades.enclosure_capacity,
-            ports_to_core=cross_cables,
-            resulting_blocking=None,
-            edge_count=switches,
-        )
-        variants.append(
-            FatTreeDesign(
-                kind="direct_connect",
-                node_count=request.node_count,
-                edge_config=edge_config,
-                core_config=None,
-                split=split,
-                core_stage=None,
-                cable_count=cross_cables,
-                objective=evaluate_objective(metrics, objective),
-                metrics=metrics,
-                pass_through=use_pass_through,
-                max_supported_nodes=2 * blades.enclosure_capacity,
-            )
-        )
-    feasible = [v for v in variants if not check_constraints(v, request.constraints)]
-    if not feasible:
-        return None
-    return min(feasible, key=lambda v: (v.objective, v.edge_count))
-
-
-def trivial_star(
-    request: DesignRequest, catalog: Catalog, objective: ObjectiveFn | None = None
-) -> FatTreeDesign | None:
-    """Single-switch star network when any catalog switch has enough ports."""
-    stars = []
-    for config in catalog.configs():
-        if config.ports < request.node_count:
-            continue
-        cables = 0 if request.blade else request.node_count
-        metrics = _network_metrics(request, config, 1, None, 0, cables)
-        split = EdgeSplit(
-            ports_to_nodes=request.node_count,
-            ports_to_core=0,
-            resulting_blocking=None,
-            edge_count=1,
-        )
-        stars.append(
-            FatTreeDesign(
-                kind="star",
-                node_count=request.node_count,
-                edge_config=config,
-                core_config=None,
-                split=split,
-                core_stage=None,
-                cable_count=cables,
-                objective=evaluate_objective(metrics, objective),
-                metrics=metrics,
-                max_supported_nodes=config.ports,
-            )
-        )
-    feasible = [s for s in stars if not check_constraints(s, request.constraints)]
-    if not feasible:
-        return None
-    return min(feasible, key=lambda s: (s.objective, s.edge_config.ports, s.edge_config.config_id))
 
 
 def _embedded_edge_config(request: DesignRequest, catalog: Catalog) -> SwitchConfig:
@@ -562,12 +454,6 @@ def _embedded_edge_config(request: DesignRequest, catalog: Catalog) -> SwitchCon
         if config.source_id == wanted or config.config_id == wanted:
             return config
     raise CatalogError(f"embedded edge switch {wanted!r} not found in the edge set")
-
-
-def _edge_candidates(request: DesignRequest, catalog: Catalog) -> tuple[SwitchConfig, ...]:
-    if request.blade:
-        return (_embedded_edge_config(request, catalog),)
-    return catalog.edge_set
 
 
 @dataclass(frozen=True)
@@ -582,14 +468,14 @@ class _EdgePlan:
 
 
 class RankedCandidates(Sequence):
-    """design()'s ranked designs, each built from its pair record when first read and then cached.
+    """design()'s ranked designs, each built from its record's payload when first read and then cached.
 
     ``len()`` builds nothing, and ``report.winner is report.candidates[0]``.
     """
 
     def __init__(self, request: DesignRequest, records: list) -> None:
         self._request = request
-        self._records = records  # (key, FatTreeDesign or pair), in rank order
+        self._records = records  # (key, FatTreeDesign or payload), in rank order
 
     def __len__(self) -> int:
         return len(self._records)
@@ -599,7 +485,7 @@ class RankedCandidates(Sequence):
             return tuple(self[i] for i in range(*index.indices(len(self._records))))
         key, item = self._records[index]
         if not isinstance(item, FatTreeDesign):
-            item = _fat_tree_candidate(self._request, key[0], *item)
+            item = _build_design(self._request, key[0], *item)
             self._records[index] = (key, item)
         return item
 
@@ -610,24 +496,27 @@ class SearchPlan:
     Built once per call of design(), fit_max_nodes() or sweep_lower_bound()
     from a request whose node count it ignores; nothing outlives that call.
     It holds each edge configuration's split (with the blade-bay cap
-    applied), the core list and the config union, each computed once, plus
-    the largest node count any pairing reaches. walk() yields the edge x
-    core pairs for one node count; rank() prices, filters and orders them,
-    for design() in full and for the node-count scans as the winner alone.
+    applied), the core list and the config union (the star switches), each
+    computed once, plus the largest node count any design reaches. walk()
+    yields the edge x core pairs for one node count; rank() prices, filters
+    and orders them with the star and direct-connect variants, for design()
+    in full and for the node-count scans as the winner alone.
     """
 
     def __init__(self, request: DesignRequest, catalog: Catalog) -> None:
         self.request = request
-        self.catalog = catalog
-        configs = catalog.configs()
+        self.configs = catalog.configs()
         self.cores = tuple((config, config.config_id) for config in catalog.core_set)
-        reach = max((config.ports for config in configs), default=0)
+        reach = max((config.ports for config in self.configs), default=0)
         widest_core = max((config.ports for config in catalog.core_set), default=0)
         blades = request.form_factor if isinstance(request.form_factor, BladeFormFactor) else None
+        edge_configs = catalog.edge_set
         if blades is not None:
             reach = max(reach, 2 * blades.enclosure_capacity)
+            edge_configs = (_embedded_edge_config(request, catalog),)
+        self.embedded = edge_configs[0] if blades is not None else None
         edges = []
-        for config in _edge_candidates(request, catalog):
+        for config in edge_configs:
             split_parts = edge_port_split(config.ports, request.blocking_factor)
             if split_parts is None:
                 continue
@@ -674,17 +563,62 @@ class SearchPlan:
             uniform = _uniform_stage(spread, core.ports, stage) if spread is not None else None
             yield core, core_id, stage, uniform
 
+    def _trivial_records(self, request: DesignRequest, objective: ObjectiveFn | None) -> list:
+        """Records of the best direct-connect variant and the best star that pass the constraints.
+
+        Direct connect keeps the lowest (objective, switch count), the star the
+        lowest (objective, ports, config id). A variant that a constraint
+        rejects is dropped silently: it never enters the rejected list.
+        """
+        node_count, constraints = request.node_count, request.constraints
+        constrained = constraints != ConstraintSet()
+        blades = request.form_factor if isinstance(request.form_factor, BladeFormFactor) else None
+        # (tie-break, spare ports, switch, split, cables, pass-through, max nodes) per variant
+        direct, stars = [], []
+        if blades is not None and blades.enclosure_capacity < node_count <= 2 * blades.enclosure_capacity:
+            config, capacity = self.embedded, blades.enclosure_capacity
+            cables = config.ports // 2
+            # a switch in each enclosure, or one switch cabled to a pass-through panel
+            for switches in (2, 1) if blades.pass_through_cost is not None else (2,):
+                # every port faces a node or a cross cable, and a cross cable uses a port on each switch
+                spare = max(0, switches * config.ports - node_count - switches * cables)
+                split = EdgeSplit(capacity, cables, None, switches)
+                direct.append(((switches,), spare, config, split, cables, switches == 1, 2 * capacity))
+        split = EdgeSplit(node_count, 0, None, 1)
+        cables = 0 if blades is not None else node_count
+        for config in self.configs:
+            if config.ports >= node_count:
+                spare = config.ports - node_count + config.expandable_ports
+                stars.append(((config.ports, config.config_id), spare, config, split, cables, False, config.ports))
+        records = []
+        for kind, variants in (("direct_connect", direct), ("star", stars)):
+            best = None
+            for tie, spare, config, split, cables, pass_through, max_nodes in variants:
+                switches, extra = split.edge_count, blades.pass_through_cost if pass_through else 0
+                cost, units, power = _cost_units_power(request, config, switches, None, 0, cables, extra)
+                if constrained and _violations(constraints, units, spare, power, cost):
+                    continue
+                if objective is not None:
+                    cost = objective(_network_metrics(request, config, switches, None, 0, cables, extra))
+                if best is None or (cost, *tie) < best[0]:
+                    payload = (kind, config, None, split, None, cables, False, pass_through, max_nodes)
+                    best = ((cost, *tie), ((cost, switches, units, config.config_id, ""), payload))
+            if best is not None:
+                records.append(best[1])
+        return records
+
     def rank(
         self, node_count: int, objective: ObjectiveFn | None = None, winner_only: bool = False
     ) -> tuple[RankedCandidates, tuple[RejectedCandidate, ...]]:
         """Every design for node_count, ranked, plus the pairs the constraints rejected.
 
-        Records of the trivial designs, then of each kept pair in walk order
-        (baseline before uniform variant), are stably sorted on (objective,
-        switch count, rack units, edge id, core id); designs are built when
-        read. ``winner_only`` (unconstrained requests only) keeps the winner
-        alone and, under the default objective, skips the edge groups whose
-        cost floor exceeds the best cost found. Raises what design() raises.
+        Records of the direct-connect and star designs, then of each kept
+        pair in walk order (baseline before uniform variant), are stably
+        sorted on (objective, switch count, rack units, edge id, core id);
+        designs are built when read. ``winner_only`` (unconstrained requests
+        only) keeps the winner alone and, under the default objective, skips
+        the edge groups whose cost floor exceeds the best cost found. Raises
+        what design() raises.
         """
         request = self.request
         if node_count != request.node_count:
@@ -693,12 +627,7 @@ class SearchPlan:
         constrained = constraints != ConstraintSet()
         if winner_only and constrained:
             raise ValueError("the winner-only ranking serves unconstrained requests only")
-        records = []
-        for trivial in (trivial_direct_connect(request, self.catalog, objective),
-                        trivial_star(request, self.catalog, objective)):
-            if trivial is not None:
-                units, config_id = trivial.metrics.rack_units, trivial.edge_config.config_id
-                records.append(((trivial.objective, trivial.switch_count, units, config_id, ""), trivial))
+        records = self._trivial_records(request, objective)
         best = min(records, key=itemgetter(0), default=None)
         groups = []
         for edge, edges, spread, pairs in self.walk(node_count):
@@ -722,7 +651,7 @@ class SearchPlan:
                     cores = stage.core_count
                     cost, units, power = _cost_units_power(request, edge.config, edges, core, cores, cables)
                     if constrained:
-                        spare = _fat_tree_spare(core, cores, edges * split.ports_to_core)
+                        spare = cores * (core.ports + core.expandable_ports) - edges * split.ports_to_core
                         violations = _violations(constraints, units, spare, power, cost)
                         if violations:
                             rejected.append(RejectedCandidate(edge.config_id, core_id, tuple(violations)))
@@ -730,7 +659,8 @@ class SearchPlan:
                     if objective is not None:
                         cost = objective(_network_metrics(request, edge.config, edges, core, cores, cables))
                     key = (cost, edges + cores, units, edge.config_id, core_id)
-                    record = (key, (edge.config, core, split, stage, uniform))
+                    max_nodes = core.ports * split.ports_to_nodes
+                    record = (key, ("fat_tree", edge.config, core, split, stage, cables, uniform, False, max_nodes))
                     if not winner_only:
                         records.append(record)
                     elif best is None or key < best[0]:

@@ -263,50 +263,36 @@ def _node_item(block: BuildingBlock, count: int) -> PlacedItem:
 def _try_spread(
     block: BuildingBlock, racks: Sequence[Rack], room: RoomSpec
 ) -> list[tuple[Rack, PlacedItem]] | None:
-    """Plan piecewise placement of a block into the given racks, or None."""
+    """Plan piecewise placement of a block into the given racks, or None.
+
+    Each rack is visited once: the switch goes into the first rack with room
+    for it, and each rack's nodes fill what that rack has left.
+    """
     switch = block.edge_switch
+    spec = block.node_spec
     placements: list[tuple[Rack, PlacedItem]] = []
-    used: dict[int, tuple[int, float, float]] = {}  # rack index -> tentative usage
-
-    def headroom(rack: Rack) -> tuple[int, float, float]:
-        extra_units, extra_weight, extra_power = used.get(rack.index, (0, 0.0, 0.0))
-        free = rack.free_units - extra_units
-        weight_left = (
-            room.rack_weight_budget - rack.used_weight - extra_weight
-            if room.rack_weight_budget is not None
-            else float("inf")
-        )
-        power_left = (
-            room.rack_power_budget - rack.used_power - extra_power
-            if room.rack_power_budget is not None
-            else float("inf")
-        )
-        return free, weight_left, power_left
-
-    def reserve(rack: Rack, item: PlacedItem) -> None:
-        extra_units, extra_weight, extra_power = used.get(rack.index, (0, 0.0, 0.0))
-        used[rack.index] = (
-            extra_units + item.rack_units,
-            extra_weight + item.weight,
-            extra_power + item.power,
-        )
-        placements.append((rack, item))
-
     switch_done = False
     remaining = block.node_count
-    spec = block.node_spec
     for rack in racks:
-        free, weight_left, power_left = headroom(rack)
+        free = rack.free_units
+        weight_left = (
+            room.rack_weight_budget - rack.used_weight if room.rack_weight_budget is not None else float("inf")
+        )
+        power_left = (
+            room.rack_power_budget - rack.used_power if room.rack_power_budget is not None else float("inf")
+        )
         if (
             not switch_done
             and free >= switch.rack_units
             and weight_left >= switch.weight
             and power_left >= switch.power
         ):
-            reserve(rack, _switch_item(block))
+            placements.append((rack, _switch_item(block)))
             switch_done = True
+            free -= switch.rack_units
+            weight_left -= switch.weight
+            power_left -= switch.power
         if remaining > 0:
-            free, weight_left, power_left = headroom(rack)
             chunk = free // spec.rack_units
             if spec.weight > 0 and weight_left != float("inf"):
                 chunk = min(chunk, int(weight_left / spec.weight))
@@ -314,7 +300,7 @@ def _try_spread(
                 chunk = min(chunk, int(power_left / spec.power))
             chunk = min(remaining, max(0, chunk))
             if chunk > 0:
-                reserve(rack, _node_item(block, chunk))
+                placements.append((rack, _node_item(block, chunk)))
                 remaining -= chunk
         if switch_done and remaining == 0:
             return placements

@@ -285,7 +285,7 @@ CATALOG_SCHEMA: dict[str, Any] = {
                     "fabric_boards_required": {"type": "integer", "minimum": 1},
                     "line_card_cost": {"type": "integer", "minimum": 0},
                     "ports_per_line_card": {"type": "integer", "minimum": 1},
-                    "max_line_cards": {"type": "integer", "minimum": 1},
+                    "max_line_cards": {"type": "integer", "minimum": 1, "maximum": 1024},
                     "per_line_card_power": {"type": "number", "minimum": 0},
                     "per_line_card_weight": {"type": "number", "minimum": 0},
                     "roles": {
@@ -308,7 +308,8 @@ FIELD_TYPES = {
     for name, spec in CATALOG_SCHEMA["properties"][entry]["items"]["properties"].items()
 }
 NAMES = sorted(FIELD_TYPES) + ["currency", "monolithic", "modular", "colour", ""]
-SCALARS = [None, True, False, -3, -1, 0, 1, 2, 3, 40, -0.5, 0.25, 36.0, 0.0, math.nan, math.inf, -math.inf, "", "x", "edge", "core"]
+SCALARS = [None, True, False, -3, -1, 0, 1, 2, 3, 40, 1024, 1025, -0.5, 0.25, 36.0, 0.0, math.nan, math.inf, -math.inf,
+           "", "x", "edge", "core"]
 ITEMS = ["edge", "core", "bogus", None, True, 1, 1.0, [True], [1], {"a": True}, {"a": 1}]
 WRONG_VALUES = st.one_of(
     st.sampled_from(SCALARS),
@@ -386,11 +387,21 @@ def test_checker_agrees_with_json_schema(document):
         assert message == expected
 
 
+def test_max_line_cards_is_capped_at_1024():
+    document = doc()
+    document["modular"][0]["max_line_cards"] = 1024
+    assert sum(config.source_id == "mod108" for config in load_catalog(document).core_set) == 1024
+    document["modular"][0]["max_line_cards"] = 1025
+    message = "catalog schema violation at modular/0/max_line_cards: 1025 is greater than the maximum of 1024"
+    assert load_message(document) == reference_message(document) == message
+
+
 @pytest.mark.parametrize(
     "roles",
     [
         ["edge", "edge"], ["core", "bogus", "core"], [True, 1], [1, 1.0], [[True], [1]], [[1], [1.0]],
         [{"a": True}, {"a": 1}], [{"a": 1}, {"a": 1}], [{"a": 1}, {"b": 1}],
+        ["edge", "core", math.nan, math.nan], [math.nan, float("nan")], [[math.nan], [math.nan]],
     ],
 )
 def test_role_uniqueness_agrees_with_json_schema(roles):

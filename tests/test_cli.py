@@ -239,6 +239,9 @@ def test_expand_subcommand(capsys):
         ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--reserve", "-3"],
         ["design", "--nodes", "60", "--max-power=nan"],
         ["design", "--nodes", "60", "--max-power=inf"],
+        ["design", "--nodes", "60", "--blade", "0", "--embedded-switch", "ft36"],
+        ["design", "--nodes", "60", "--blade", "16", "--embedded-switch", "ft36", "--enclosure-cost=-1"],
+        ["design", "--nodes", "60", "--blade", "16", "--embedded-switch", "ft36", "--pass-through-cost=-1"],
     ],
 )
 def test_out_of_range_flags_exit_1(capsys, argv):
@@ -266,6 +269,11 @@ def test_out_of_range_flags_exit_1(capsys, argv):
         {"nodes": 60, "blockng": "2"},
         {"nodes": 60, "constraints": {"max_network_units": 10}},
         {"nodes": 60, "constraints": {"max_network_power": float("nan")}},
+        {"nodes": 60, "form_factor": {"kind": "blade", "enclosure_capacity": 0, "embedded_edge_switch_id": "ft36"}},
+        {"nodes": 60, "form_factor": {"kind": "blade", "enclosure_capacity": 16, "enclosure_cost": -1,
+                                      "embedded_edge_switch_id": "ft36"}},
+        {"nodes": 60, "form_factor": {"kind": "blade", "enclosure_capacity": 16, "pass_through_cost": -1,
+                                      "embedded_edge_switch_id": "ft36"}},
     ],
 )
 def test_bad_request_documents_exit_1(capsys, tmp_path, document):
@@ -292,6 +300,17 @@ def test_float_integers_and_non_finite_numbers_exit_1(capsys, tmp_path, field, v
     catalog.write_text(json.dumps(document))
     code, out, err = run_capture(capsys, ["design", "--nodes", "60", "--catalog", str(catalog)])
     assert (code, out) == (1, "")
+    assert err == f"error: catalog schema violation at {message}\n"
+
+
+def test_max_line_cards_above_the_cap_exit_1(capsys, tmp_path):
+    document = json.loads(bundled_catalog_path("demo_catalog").read_text(encoding="utf-8"))
+    document["modular"][0]["max_line_cards"] = 1025
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(document))
+    code, out, err = run_capture(capsys, ["design", "--nodes", "60", "--catalog", str(catalog)])
+    assert (code, out) == (1, "")
+    message = "modular/0/max_line_cards: 1025 is greater than the maximum of 1024"
     assert err == f"error: catalog schema violation at {message}\n"
 
 

@@ -1,7 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from fattree_design import designer
 from fattree_design.catalog import Catalog
 from fattree_design.designer import (
     BladeFormFactor,
@@ -10,7 +12,6 @@ from fattree_design.designer import (
     DesignRequest,
     InsufficientRadixError,
     cable_count,
-    check_constraints,
     core_stage,
     design,
     edge_count,
@@ -18,9 +19,6 @@ from fattree_design.designer import (
     bundle_widths,
     node_distribution,
     request_from_document,
-    spare_core_ports,
-    trivial_direct_connect,
-    trivial_star,
     uniform_distribution_variant,
 )
 from fattree_design.catalog import ModularSwitchFamily, expand_modular
@@ -112,6 +110,19 @@ def blade_request(nodes, capacity=16, pass_through=None, **kwargs):
     )
 
 
+def ranked_of_kind(request, catalog, kind):
+    """design()'s candidate of this kind (the ranking keeps each trivial kind's best variant), or None."""
+    return next((c for c in design(request, catalog).candidates if c.kind == kind), None)
+
+
+def ranked_direct_connect(request, catalog):
+    return ranked_of_kind(request, catalog, "direct_connect")
+
+
+def ranked_star(request, catalog):
+    return ranked_of_kind(request, catalog, "star")
+
+
 @pytest.fixture
 def blade_catalog(ft36):
     encl = make_switch(32, 1_100_000, source_id="encl32", roles=("edge",))
@@ -119,7 +130,7 @@ def blade_catalog(ft36):
 
 
 def test_direct_connect_two_enclosures(blade_catalog):
-    result = trivial_direct_connect(blade_request(32), blade_catalog)
+    result = ranked_direct_connect(blade_request(32), blade_catalog)
     assert result is not None
     assert result.kind == "direct_connect"
     assert result.edge_count == 2
@@ -130,7 +141,7 @@ def test_direct_connect_two_enclosures(blade_catalog):
 
 
 def test_direct_connect_prefers_cheap_pass_through(blade_catalog):
-    result = trivial_direct_connect(blade_request(32, pass_through=400_000), blade_catalog)
+    result = ranked_direct_connect(blade_request(32, pass_through=400_000), blade_catalog)
     assert result is not None
     assert result.pass_through
     assert result.edge_count == 1
@@ -138,14 +149,22 @@ def test_direct_connect_prefers_cheap_pass_through(blade_catalog):
 
 
 def test_direct_connect_needs_exactly_two_enclosures(blade_catalog):
-    assert trivial_direct_connect(blade_request(48), blade_catalog) is None
-    assert trivial_direct_connect(blade_request(10), blade_catalog) is None
+    assert ranked_direct_connect(blade_request(48), blade_catalog) is None
+    assert ranked_direct_connect(blade_request(10), blade_catalog) is None
     rack_mounted = DesignRequest(node_count=32)
-    assert trivial_direct_connect(rack_mounted, blade_catalog) is None
+    assert ranked_direct_connect(rack_mounted, blade_catalog) is None
+
+
+def test_direct_connect_ranks_before_an_equal_star(blade_catalog):
+    # one switch and a free panel with free cables costs what a star on that switch costs:
+    # the keys tie exactly, and the direct interconnect keeps its place ahead of the star
+    report = design(blade_request(20, pass_through=0, avg_cable_cost=0), blade_catalog)
+    ranked = [(c.kind, c.edge_config.config_id, c.objective, c.switch_count) for c in report.candidates[:2]]
+    assert ranked == [("direct_connect", "encl32", 1_100_000, 1), ("star", "encl32", 1_100_000, 1)]
 
 
 def test_star_single_switch(ft36_catalog):
-    result = trivial_star(DesignRequest(node_count=36), ft36_catalog)
+    result = ranked_star(DesignRequest(node_count=36), ft36_catalog)
     assert result is not None
     assert result.kind == "star"
     assert result.cable_count == 36
@@ -153,7 +172,7 @@ def test_star_single_switch(ft36_catalog):
 
 
 def test_star_no_switch_large_enough(ft36_catalog):
-    assert trivial_star(DesignRequest(node_count=37), ft36_catalog) is None
+    assert ranked_star(DesignRequest(node_count=37), ft36_catalog) is None
 
 
 def test_star_picks_cheapest_sufficient_config():
@@ -171,13 +190,13 @@ def test_star_picks_cheapest_sufficient_config():
     )
     configs = {c.ports: c for c in expand_modular(family)}
     catalog = Catalog(edge_set=(configs[90],), core_set=(configs[108],))
-    result = trivial_star(DesignRequest(node_count=100), catalog)
+    result = ranked_star(DesignRequest(node_count=100), catalog)
     assert result is not None
     assert result.edge_config.config_id == "mod108:108p"
 
 
 def test_star_blade_needs_no_cables(blade_catalog):
-    result = trivial_star(blade_request(16), blade_catalog)
+    result = ranked_star(blade_request(16), blade_catalog)
     assert result is not None
     assert result.cable_count == 0
 
@@ -321,20 +340,36 @@ def test_no_constraints_keeps_both_core_options():
 
 
 def test_check_constraints_reports_both_values(ft36_catalog):
-    winner = design(DesignRequest(node_count=60), ft36_catalog).winner
-    violations = check_constraints(winner, ConstraintSet(max_network_power=100))
+    request = DesignRequest(node_count=60)
+    report = design(request, ft36_catalog)
+    winner = report.winner
+    power_limit = ConstraintSet(max_network_power=100)
+    # the winner is the only design, so the limit leaves none
+    with pytest.raises(DesignInfeasibleError, match="binding: max_network_power$"):
+        design(replace(request, constraints=power_limit), ft36_catalog)
+    metrics = winner.metrics
+    violations = designer._violations(power_limit, metrics.rack_units, 0, metrics.power, metrics.cost)
     assert len(violations) == 1
     assert violations[0].actual == winner.metrics.power
     assert "max_network_power" in str(violations[0])
-    assert check_constraints(winner, ConstraintSet()) == []
+    assert report.rejected == ()
+
+
+def kinds_kept(nodes, catalog, min_spare):
+    request = DesignRequest(node_count=nodes, constraints=ConstraintSet(min_spare_core_ports=min_spare))
+    try:
+        return {c.kind for c in design(request, catalog).candidates}
+    except DesignInfeasibleError:
+        return set()
 
 
 def test_spare_core_ports_accounting(ft36_catalog):
-    winner = design(DesignRequest(node_count=60), ft36_catalog).winner
-    # two cores of 36 ports, 72 uplinks wired
-    assert spare_core_ports(winner) == 0
-    star = trivial_star(DesignRequest(node_count=30), ft36_catalog)
-    assert spare_core_ports(star) == 6
+    # two cores of 36 ports, 72 uplinks wired: no spare port
+    assert kinds_kept(60, ft36_catalog, 0) == {"fat_tree"}
+    assert kinds_kept(60, ft36_catalog, 1) == set()
+    # a 36-port star for 30 nodes has 6 spare ports
+    assert "star" in kinds_kept(30, ft36_catalog, 6)
+    assert "star" not in kinds_kept(30, ft36_catalog, 7)
 
 
 def test_blade_design_counts_core_rack_units_only(blade_catalog):
@@ -394,6 +429,22 @@ def test_design_validates_request(ft36_catalog):
 def test_design_request_checks_its_fields(fields, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         DesignRequest(**{"node_count": 60, **fields})
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"enclosure_capacity": 0}, "blade enclosure_capacity must be an integer of at least 1, got 0"),
+        ({"enclosure_capacity": True}, "blade enclosure_capacity must be an integer of at least 1, got True"),
+        ({"enclosure_capacity": 16.0}, "blade enclosure_capacity must be an integer of at least 1, got 16.0"),
+        ({"enclosure_cost": -1}, r"blade enclosure_cost must not be negative, got -1 \(minor units\)"),
+        ({"pass_through_cost": -1}, r"blade pass_through_cost must not be negative, got -1 \(minor units\)"),
+    ],
+)
+def test_blade_form_factor_checks_its_fields(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BladeFormFactor(**{"enclosure_capacity": 16, "enclosure_cost": 0, "embedded_edge_switch_id": "e", **fields})
+    assert BladeFormFactor(1, 0, "e", pass_through_cost=0).pass_through_cost == 0
 
 
 def test_edge_port_split_validates_inputs():

@@ -38,3 +38,32 @@ def test_cli_output_matches_golden(name, argv, fmt, capsys, monkeypatch, tmp_pat
     assert captured.out.encode("utf-8") == (GOLDENS / f"{name}.{fmt}.out").read_bytes()
     if GEN.WIRING in argv:
         assert wiring.read_bytes() == (GOLDENS / "design-60.dot").read_bytes()
+
+
+# Commands whose ranking holds a star or a direct interconnect, some with
+# constraints that reject trivial variants or every design; their goldens in
+# tests/goldens were captured before these designs joined the shared ranking.
+DEMO = "src/fattree_design/data/demo_catalog.json"
+BLADE = "src/fattree_design/data/blade_cluster.json"
+BLADE_20 = ["--catalog", BLADE, "--nodes", "20", "--blade", "16", "--embedded-switch", "encl32"]
+TRIVIAL_COMMANDS = (
+    ("star-30", ["design", "--catalog", DEMO, "--nodes", "30"]),
+    ("star-30-spare-7", ["design", "--catalog", DEMO, "--nodes", "30", "--min-spare-ports", "7"]),
+    ("star-60-spare-40", ["design", "--catalog", DEMO, "--nodes", "60", "--min-spare-ports", "40"]),
+    ("direct-20-panel", ["design", *BLADE_20, "--pass-through-cost", "400"]),
+    ("constrained-1000", ["design", "--catalog", DEMO, "--nodes", "1000", "--blocking", "3/2",
+                          "--max-ru", "140", "--min-spare-ports", "64"]),
+    ("blade-20-max-power-1", ["design", *BLADE_20, "--max-power", "1"]),
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name, argv", TRIVIAL_COMMANDS, ids=[name for name, _ in TRIVIAL_COMMANDS])
+def test_trivial_topology_output_matches_golden(name, argv, fmt, capsys, monkeypatch):
+    """Exit 0 with the golden stdout, or, where a ``.err`` golden exists, exit 2 with that stderr line."""
+    monkeypatch.chdir(ROOT)
+    code = run(argv + ["--format", fmt])
+    captured = capsys.readouterr()
+    stdout, stderr = (ROOT / "tests" / "goldens" / f"{name}.{fmt}.{ext}" for ext in ("out", "err"))
+    expected = (2, b"", stderr.read_bytes()) if stderr.exists() else (0, stdout.read_bytes(), b"")
+    assert (code, captured.out.encode("utf-8"), captured.err.encode("utf-8")) == expected

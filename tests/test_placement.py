@@ -122,6 +122,22 @@ def test_spread_blocks_keep_their_switch_whole(ft36_catalog):
         assert len(racks_touched) > 1
 
 
+@pytest.mark.parametrize("budget", ["rack_weight_budget", "rack_power_budget"])
+def test_spread_blocks_stay_within_rack_budgets(budget):
+    # a spread block's switch takes its share of a rack's budget before that rack's nodes do
+    from fattree_design.catalog import Catalog
+
+    edge = make_switch(36, 100, source_id="e", weight=30.0, power=30.0, roles=("edge",))
+    core = make_switch(36, 100, source_id="c", rack_units=0, roles=("core",))
+    target = winner_for(198, Catalog(edge_set=(edge,), core_set=(core,)))
+    node = NodeSpec(rack_units=1, weight=10.0, power=10.0)
+    room = RoomSpec(rows=1, racks_per_row=12, **{budget: 330.0})
+    layout = plan_racks(target, room, node, dense=True)
+    assert (layout.racks_used, len(layout.spread_blocks)) == (7, 4)
+    used = [rack.used_weight if budget == "rack_weight_budget" else rack.used_power for rack in layout.racks]
+    assert max(used) == 330.0
+
+
 def test_non_dense_uses_twelve_racks(ft36_catalog):
     target = winner_for(396, ft36_catalog)
     room = RoomSpec(rows=2, racks_per_row=7)
@@ -223,7 +239,7 @@ def test_reserves_below_one_unit_rejected(ft36_catalog, reserve):
 
 
 def test_direct_connect_designs_are_not_placeable(ft36_catalog):
-    from fattree_design.designer import BladeFormFactor, trivial_direct_connect
+    from fattree_design.designer import BladeFormFactor
     from fattree_design.catalog import Catalog
 
     encl = make_switch(32, 1_100_000, source_id="encl32", roles=("edge",))
@@ -232,7 +248,7 @@ def test_direct_connect_designs_are_not_placeable(ft36_catalog):
         node_count=32,
         form_factor=BladeFormFactor(16, 750_000, "encl32"),
     )
-    direct = trivial_direct_connect(request, catalog)
+    direct = next(c for c in design(request, catalog).candidates if c.kind == "direct_connect")
     with pytest.raises(PlacementError):
         plan_racks(direct, RoomSpec(rows=1, racks_per_row=2), NodeSpec())
 

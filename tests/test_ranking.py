@@ -12,6 +12,7 @@ from fattree_design.catalog import bundled_catalog_path, load_catalog, load_cata
 from fattree_design.designer import (
     BladeFormFactor,
     ConstraintSet,
+    ConstraintViolation,
     DesignError,
     DesignInfeasibleError,
     DesignRequest,
@@ -22,11 +23,7 @@ from fattree_design.designer import (
     RejectedCandidate,
     SearchPlan,
     cable_count,
-    check_constraints,
     design,
-    evaluate_objective,
-    trivial_direct_connect,
-    trivial_star,
 )
 from fattree_design.report import design_report_document, render_design_text
 
@@ -43,36 +40,102 @@ def sort_key(candidate):
     )
 
 
-def build_fat_tree(request, edge_config, core_config, split, stage, objective, uniform):
-    cables = cable_count(request.node_count, split.edge_count, split.ports_to_core, request.blade)
+def build(request, objective, kind, edge_config, split, cables, core_config=None, stage=None,
+          extra_cost=0, max_supported_nodes=0, **flags):
+    core_count = stage.core_count if stage else 0
     metrics = designer._network_metrics(
-        request, edge_config, split.edge_count, core_config, stage.core_count, cables
+        request, edge_config, split.edge_count, core_config, core_count, cables, extra_cost
     )
     return FatTreeDesign(
-        kind="fat_tree",
+        kind=kind,
         node_count=request.node_count,
         edge_config=edge_config,
         core_config=core_config,
         split=split,
         core_stage=stage,
         cable_count=cables,
-        objective=evaluate_objective(metrics, objective),
+        objective=metrics.cost if objective is None else objective(metrics),
         metrics=metrics,
-        uniform_distribution=uniform,
-        max_supported_nodes=core_config.ports * split.ports_to_nodes,
+        max_supported_nodes=max_supported_nodes,
+        **flags,
     )
 
 
-def eager_design(request, catalog, objective=None):
-    """Reference ranker: build every candidate, filter it with check_constraints, sort all of them.
+def build_fat_tree(request, edge_config, core_config, split, stage, objective, uniform):
+    cables = cable_count(request.node_count, split.edge_count, split.ports_to_core, request.blade)
+    return build(request, objective, "fat_tree", edge_config, split, cables, core_config, stage,
+                 max_supported_nodes=core_config.ports * split.ports_to_nodes, uniform_distribution=uniform)
 
-    Returns (ranked candidates, rejected) and raises what design() raises.
+
+def spare_ports(candidate):
+    """Ports left for growth: unused switch ports plus line-card headroom."""
+    nodes, edge = candidate.node_count, candidate.edge_config
+    if candidate.kind == "fat_tree":
+        core = candidate.core_config
+        return candidate.core_count * (core.ports + core.expandable_ports) - (
+            candidate.edge_count * candidate.split.ports_to_core
+        )
+    if candidate.kind == "star":
+        return edge.ports - nodes + edge.expandable_ports
+    # direct connect: a cross cable takes a port on both switches, or one switch port and a panel port
+    used = nodes + 2 * candidate.cable_count if candidate.edge_count == 2 else nodes + candidate.cable_count
+    return max(0, candidate.edge_count * edge.ports - used)
+
+
+def violations(candidate, constraints):
+    metrics = candidate.metrics
+    found = []
+    for name, actual, broken in (
+        ("max_network_rack_units", metrics.rack_units, lambda a, limit: a > limit),
+        ("min_spare_core_ports", spare_ports(candidate), lambda a, limit: a < limit),
+        ("max_network_power", metrics.power, lambda a, limit: a > limit),
+        ("max_network_cost", metrics.cost, lambda a, limit: a > limit),
+    ):
+        limit = getattr(constraints, name)
+        if limit is not None and broken(actual, limit):
+            found.append(ConstraintViolation(name, limit, actual))
+    return found
+
+
+def trivial_designs(request, catalog, objective):
+    """The best feasible direct interconnect of two enclosures and the best feasible star, each when one exists."""
+    best = []
+    blades, nodes = request.form_factor, request.node_count
+    if request.blade and blades.enclosure_capacity < nodes <= 2 * blades.enclosure_capacity:
+        wanted = blades.embedded_edge_switch_id
+        edge = next(c for c in catalog.edge_set if wanted in (c.source_id, c.config_id))
+        cables, capacity = edge.ports // 2, blades.enclosure_capacity
+        variants = [build(request, objective, "direct_connect", edge, EdgeSplit(capacity, cables, None, 2), cables,
+                          max_supported_nodes=2 * capacity)]
+        if blades.pass_through_cost is not None:
+            variants.append(build(request, objective, "direct_connect", edge, EdgeSplit(capacity, cables, None, 1),
+                                  cables, extra_cost=blades.pass_through_cost, max_supported_nodes=2 * capacity,
+                                  pass_through=True))
+        feasible = [v for v in variants if not violations(v, request.constraints)]
+        if feasible:
+            best.append(min(feasible, key=lambda v: (v.objective, v.edge_count)))
+    cables = 0 if request.blade else nodes
+    stars = [
+        build(request, objective, "star", config, EdgeSplit(nodes, 0, None, 1), cables,
+              max_supported_nodes=config.ports)
+        for config in catalog.configs()
+        if config.ports >= nodes
+    ]
+    feasible = [s for s in stars if not violations(s, request.constraints)]
+    if feasible:
+        best.append(min(feasible, key=lambda s: (s.objective, s.edge_config.ports, s.edge_config.config_id)))
+    return best
+
+
+def eager_design(request, catalog, objective=None):
+    """Reference ranker: build every candidate, filter it with its own constraint check, sort all of them.
+
+    A rejected trivial variant is dropped without a trace; a rejected pair
+    is listed. Returns (ranked candidates, rejected) and raises what
+    design() raises.
     """
     plan = SearchPlan(request, catalog)
-    candidates, rejected = [], []
-    for trivial in (trivial_direct_connect(request, catalog, objective), trivial_star(request, catalog, objective)):
-        if trivial is not None:
-            candidates.append(trivial)
+    candidates, rejected = trivial_designs(request, catalog, objective), []
     for edge, edges, spread, pairs in plan.walk(request.node_count):
         split = EdgeSplit(edge.ports_to_nodes, edge.ports_to_core, edge.resulting_blocking, edges)
         for core, core_id, stage, uniform in pairs:
@@ -80,9 +143,9 @@ def eager_design(request, catalog, objective=None):
             if uniform is not None:
                 group.append(build_fat_tree(request, edge.config, core, spread, uniform, objective, True))
             for candidate in group:
-                violations = check_constraints(candidate, request.constraints)
-                if violations:
-                    rejected.append(RejectedCandidate(edge.config_id, core_id, tuple(violations)))
+                broken = violations(candidate, request.constraints)
+                if broken:
+                    rejected.append(RejectedCandidate(edge.config_id, core_id, tuple(broken)))
                 else:
                     candidates.append(candidate)
     if not candidates:
@@ -195,15 +258,15 @@ def test_design_ranks_like_the_eager_reference(case):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts the fat-tree designs built from pair records."""
+    """Counts the designs built from ranking records."""
     calls = []
-    build = designer._fat_tree_candidate
+    build_design = designer._build_design
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return build(*args, **kwargs)
+        return build_design(*args, **kwargs)
 
-    monkeypatch.setattr(designer, "_fat_tree_candidate", counting)
+    monkeypatch.setattr(designer, "_build_design", counting)
     return calls
 
 
