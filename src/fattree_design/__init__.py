@@ -30,7 +30,6 @@ from .designer import (
     design,
     edge_count,
     edge_port_split,
-    uniform_distribution_variant,
 )
 from .estimator import (
     PerPortEstimate,

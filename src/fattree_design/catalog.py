@@ -157,6 +157,12 @@ class ModularSwitchFamily:
     per_line_card_weight: float = 0.0
     roles: frozenset[str] = frozenset({"core"})
 
+    def __post_init__(self) -> None:
+        # a family built in code meets a catalog entry's bounds, the card cap among them
+        violation = field_violation(dict(vars(self), roles=sorted(self.roles)), _MODULAR)
+        if violation:
+            raise CatalogError(f"modular switch family violation at {violation}")
+
 
 @dataclass(frozen=True)
 class SwitchConfig:

@@ -306,34 +306,6 @@ def node_distribution(design: FatTreeDesign) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def uniform_distribution_variant(
-    node_count: int,
-    edge_switches: int,
-    blocking: Fraction,
-    edge_ports: int,
-    core_ports: int,
-    prefer_expandability: bool = False,
-) -> tuple[EdgeSplit, CoreStage] | None:
-    """Re-size the core for evenly spread nodes; returned only when it saves switches.
-
-    Spreading nodes evenly lowers the per-switch uplink demand, which in rare
-    cases removes a core switch. The tighter packing leaves no contiguous free
-    rack space, so it is skipped when the caller prefers expandability.
-    """
-    if prefer_expandability:
-        return None
-    baseline_split = edge_port_split(edge_ports, blocking)
-    if baseline_split is None:
-        return None
-    _, ports_to_core, _ = baseline_split
-    baseline = core_stage(edge_switches, ports_to_core, core_ports)
-    if baseline is None:
-        return None
-    split = _even_split(node_count, edge_switches, blocking)
-    variant = _uniform_stage(split, core_ports, baseline)
-    return None if variant is None else (split, variant)
-
-
 def _even_split(node_count: int, edge_switches: int, blocking: Fraction) -> EdgeSplit:
     """Nodes spread evenly over the edge switches, each with the fewest uplinks the blocking allows."""
     nodes_per_switch = -(-node_count // edge_switches)
@@ -368,30 +340,6 @@ def _violations(
     return violations
 
 
-def _cost_units_power(
-    request: DesignRequest,
-    edge_config: SwitchConfig,
-    edge_switches: int,
-    core_config: SwitchConfig | None,
-    core_switches: int,
-    cables: int,
-    extra_cost: Money = 0,
-) -> tuple[Money, int, float]:
-    """Network cost, rack units and power of a switch mix; the one home of these formulas."""
-    core_cost = core_switches * core_config.cost if core_config else 0
-    core_units = core_switches * core_config.rack_units if core_config else 0
-    core_power = core_switches * core_config.power if core_config else 0.0
-    # Blade edge switches live inside the enclosure and occupy no rack space
-    # of their own; their cost, power, and weight still count.
-    embedded = (
-        isinstance(request.form_factor, BladeFormFactor)
-        and edge_config.source_id == request.form_factor.embedded_edge_switch_id
-    )
-    edge_units = 0 if embedded else edge_switches * edge_config.rack_units
-    cost = edge_switches * edge_config.cost + core_cost + extra_cost + cables * request.avg_cable_cost
-    return cost, edge_units + core_units, edge_switches * edge_config.power + core_power
-
-
 def _network_metrics(
     request: DesignRequest,
     edge_config: SwitchConfig,
@@ -400,16 +348,24 @@ def _network_metrics(
     core_switches: int,
     cables: int,
     extra_cost: Money = 0,
-) -> DesignMetrics:
-    cost, rack_units, power = _cost_units_power(
-        request, edge_config, edge_switches, core_config, core_switches, cables, extra_cost
-    )
+) -> tuple[Money, float, int, float]:
+    """(cost, power, rack units, weight) of a switch mix, in DesignMetrics order; the one home of these formulas."""
+    core_cost = core_switches * core_config.cost if core_config else 0
+    core_power = core_switches * core_config.power if core_config else 0.0
+    core_units = core_switches * core_config.rack_units if core_config else 0
     core_weight = core_switches * core_config.weight if core_config else 0.0
-    return DesignMetrics(
-        cost=cost,
-        power=power,
-        rack_units=rack_units,
-        weight=edge_switches * edge_config.weight + core_weight,
+    # Blade edge switches live inside the enclosure and occupy no rack space
+    # of their own; their cost, power, and weight still count.
+    embedded = (
+        isinstance(request.form_factor, BladeFormFactor)
+        and edge_config.source_id == request.form_factor.embedded_edge_switch_id
+    )
+    edge_units = 0 if embedded else edge_switches * edge_config.rack_units
+    return (
+        edge_switches * edge_config.cost + core_cost + extra_cost + cables * request.avg_cable_cost,
+        edge_switches * edge_config.power + core_power,
+        edge_units + core_units,
+        edge_switches * edge_config.weight + core_weight,
     )
 
 
@@ -428,9 +384,9 @@ def _build_design(
 ) -> FatTreeDesign:
     """The one builder of a design, for every kind, from the payload of its ranking record."""
     extra_cost = request.form_factor.pass_through_cost if pass_through else 0
-    metrics = _network_metrics(
+    metrics = DesignMetrics(*_network_metrics(
         request, edge_config, split.edge_count, core_config, stage.core_count if stage else 0, cables, extra_cost
-    )
+    ))
     return FatTreeDesign(
         kind=kind,
         node_count=request.node_count,
@@ -595,11 +551,12 @@ class SearchPlan:
             best = None
             for tie, spare, config, split, cables, pass_through, max_nodes in variants:
                 switches, extra = split.edge_count, blades.pass_through_cost if pass_through else 0
-                cost, units, power = _cost_units_power(request, config, switches, None, 0, cables, extra)
+                numbers = _network_metrics(request, config, switches, None, 0, cables, extra)
+                cost, power, units, _ = numbers
                 if constrained and _violations(constraints, units, spare, power, cost):
                     continue
                 if objective is not None:
-                    cost = objective(_network_metrics(request, config, switches, None, 0, cables, extra))
+                    cost = objective(DesignMetrics(*numbers))
                 if best is None or (cost, *tie) < best[0]:
                     payload = (kind, config, None, split, None, cables, False, pass_through, max_nodes)
                     best = ((cost, *tie), ((cost, switches, units, config.config_id, ""), payload))
@@ -634,7 +591,7 @@ class SearchPlan:
             split = EdgeSplit(edge.ports_to_nodes, edge.ports_to_core, edge.resulting_blocking, edges)
             cables = cable_count(node_count, edges, edge.ports_to_core, request.blade)
             spread_cables = cable_count(node_count, edges, spread.ports_to_core, request.blade) if spread else cables
-            floor, *_ = _cost_units_power(request, edge.config, edges, self.cheapest_core, 1, spread_cables)
+            floor, *_ = _network_metrics(request, edge.config, edges, self.cheapest_core, 1, spread_cables)
             groups.append((floor, edge, edges, ((split, cables), (spread, spread_cables)), pairs))
         prune = winner_only and objective is None and self.prunable
         if prune:
@@ -649,7 +606,8 @@ class SearchPlan:
                     if stage is None:
                         continue
                     cores = stage.core_count
-                    cost, units, power = _cost_units_power(request, edge.config, edges, core, cores, cables)
+                    numbers = _network_metrics(request, edge.config, edges, core, cores, cables)
+                    cost, power, units, _ = numbers
                     if constrained:
                         spare = cores * (core.ports + core.expandable_ports) - edges * split.ports_to_core
                         violations = _violations(constraints, units, spare, power, cost)
@@ -657,7 +615,7 @@ class SearchPlan:
                             rejected.append(RejectedCandidate(edge.config_id, core_id, tuple(violations)))
                             continue
                     if objective is not None:
-                        cost = objective(_network_metrics(request, edge.config, edges, core, cores, cables))
+                        cost = objective(DesignMetrics(*numbers))
                     key = (cost, edges + cores, units, edge.config_id, core_id)
                     max_nodes = core.ports * split.ports_to_nodes
                     record = (key, ("fat_tree", edge.config, core, split, stage, cables, uniform, False, max_nodes))

@@ -97,23 +97,23 @@ class PlacedItem:
 
 @dataclass
 class Rack:
+    """A rack's items and their running totals; add() is the only code that adds to them."""
+
     index: int
     row: int
     position: int
     capacity_units: int
-    items: list[PlacedItem] = field(default_factory=list)
+    items: list[PlacedItem] = field(default_factory=list, init=False)
+    # start at int 0 and add in placement order, as sum() over items would
+    used_units: int = field(default=0, init=False)
+    used_weight: float = field(default=0, init=False)
+    used_power: float = field(default=0, init=False)
 
-    @property
-    def used_units(self) -> int:
-        return sum(item.rack_units for item in self.items)
-
-    @property
-    def used_weight(self) -> float:
-        return sum(item.weight for item in self.items)
-
-    @property
-    def used_power(self) -> float:
-        return sum(item.power for item in self.items)
+    def add(self, item: PlacedItem) -> None:
+        self.items.append(item)
+        self.used_units += item.rack_units
+        self.used_weight += item.weight
+        self.used_power += item.power
 
     @property
     def free_units(self) -> int:
@@ -147,14 +147,23 @@ def _serpentine_racks(room: RoomSpec) -> list[Rack]:
     return racks
 
 
-def _fits(rack: Rack, room: RoomSpec, units: int, weight: float, power: float) -> bool:
-    if rack.free_units < units:
+def _fits(rack: Rack, room: RoomSpec, item: BuildingBlock | PlacedItem) -> bool:
+    if rack.free_units < item.rack_units:
         return False
-    if room.rack_weight_budget is not None and rack.used_weight + weight > room.rack_weight_budget:
+    if room.rack_weight_budget is not None and rack.used_weight + item.weight > room.rack_weight_budget:
         return False
-    if room.rack_power_budget is not None and rack.used_power + power > room.rack_power_budget:
+    if room.rack_power_budget is not None and rack.used_power + item.power > room.rack_power_budget:
         return False
     return True
+
+
+def _first_fit(racks: Sequence[Rack], room: RoomSpec, item: PlacedItem) -> int | None:
+    """Add item to the first of racks that fits it and return that rack's position in racks, or None."""
+    for step, rack in enumerate(racks):
+        if _fits(rack, room, item):
+            rack.add(item)
+            return step
+    return None
 
 
 def building_blocks(design_: FatTreeDesign, node_spec: NodeSpec) -> list[BuildingBlock]:
@@ -190,7 +199,7 @@ def _place_core_switches(
     elif core_placement == "distributed":
         primary = racks
     elif core_placement == "first_racks_contiguous":
-        primary = None
+        primary = []
     else:
         raise ValueError(f"unknown core placement policy: {core_placement!r}")
     cursor = 0
@@ -202,23 +211,12 @@ def _place_core_switches(
             weight=config.weight,
             power=config.power,
         )
-        placed = False
-        if primary is not None:
-            for step in range(len(primary)):
-                rack = primary[(cursor + step) % len(primary)]
-                if _fits(rack, room, item.rack_units, item.weight, item.power):
-                    rack.items.append(item)
-                    cursor = (cursor + step + 1) % len(primary)
-                    placed = True
-                    break
-        if not placed:
-            for rack in racks:
-                if _fits(rack, room, item.rack_units, item.weight, item.power):
-                    rack.items.append(item)
-                    placed = True
-                    break
-        if not placed:
+        # the policy's racks from the cursor on, then every rack from the first
+        step = _first_fit(primary[cursor:] + primary[:cursor] + racks, room, item)
+        if step is None:
             raise PlacementError(f"no rack can hold core switch {i + 1} ({config.rack_units}U)")
+        if step < len(primary):
+            cursor = (cursor + step + 1) % len(primary)
 
 
 def _larger_than_rack(label: str, units: int, room: RoomSpec) -> PlacementError:
@@ -228,11 +226,8 @@ def _larger_than_rack(label: str, units: int, room: RoomSpec) -> PlacementError:
 def _place_reserved(racks: list[Rack], room: RoomSpec, units: int, label: str) -> None:
     if units > room.rack_units_per_rack:
         raise _larger_than_rack(label, units, room)
-    for rack in racks:
-        if _fits(rack, room, units, 0.0, 0.0):
-            rack.items.append(PlacedItem(kind="reserved", rack_units=units, label=label))
-            return
-    raise PlacementError(f"no rack can hold {label} ({units}U)")
+    if _first_fit(racks, room, PlacedItem(kind="reserved", rack_units=units, label=label)) is None:
+        raise PlacementError(f"no rack can hold {label} ({units}U)")
 
 
 def _switch_item(block: BuildingBlock) -> PlacedItem:
@@ -368,16 +363,16 @@ def plan_racks(
         placed = False
         while not placed:
             rack = racks[cursor]
-            if _fits(rack, room, block.rack_units, block.weight, block.power):
-                rack.items.append(_switch_item(block))
+            if _fits(rack, room, block):
+                rack.add(_switch_item(block))
                 if block.node_count:
-                    rack.items.append(_node_item(block, block.node_count))
+                    rack.add(_node_item(block, block.node_count))
                 placed = True
             elif dense:
                 plan = _try_spread(block, racks[: cursor + 1], room)
                 if plan is not None:
                     for target, item in plan:
-                        target.items.append(item)
+                        target.add(item)
                     spread_ids.append(block.block_id)
                     placed = True
             if not placed:

@@ -19,6 +19,7 @@ from fattree_design.catalog import (
     ROLES,
     CatalogError,
     ModularSwitchFamily,
+    _same,
     bundled_catalog_path,
     expand_modular,
     load_catalog,
@@ -134,6 +135,27 @@ def test_expansion_is_monotone():
         for earlier, later in zip(configs, configs[1:]):
             assert earlier.cost < later.cost
             assert earlier.ports < later.ports
+
+
+MOD108 = dict(
+    id="mod108", chassis_cost=2_500_000, chassis_rack_units=7, chassis_power=390, chassis_weight=55.0,
+    fabric_board_cost=900_000, fabric_boards_required=3, line_card_cost=1_300_000, ports_per_line_card=18,
+    max_line_cards=6,
+)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("max_line_cards", 5000, "max_line_cards: 5000 is greater than the maximum of 1024"),
+        ("ports_per_line_card", 0, "ports_per_line_card: 0 is less than the minimum of 1"),
+        ("max_line_cards", 0, "max_line_cards: 0 is less than the minimum of 1"),
+    ],
+)
+def test_modular_family_built_in_code_is_checked(field, value, message):
+    with pytest.raises(CatalogError) as raised:
+        ModularSwitchFamily(**dict(MOD108, **{field: value}))
+    assert str(raised.value) == f"modular switch family violation at {message}"
 
 
 def test_per_port_metrics(ft36):
@@ -318,8 +340,21 @@ WRONG_VALUES = st.one_of(
 )
 
 
+UNIQUE_ITEMS = Draft202012Validator({"uniqueItems": True})
+
+
+def misses_duplicate(array) -> bool:
+    """Two items are equal JSON, but jsonschema calls the array unique.
+
+    Its uniqueness check sorts the items and compares only neighbours, so in
+    ``[[true], [1], [true]]`` it never compares the two ``[true]``.
+    """
+    return UNIQUE_ITEMS.is_valid(array) and any(_same(one, two) for i, one in enumerate(array) for two in array[:i])
+
+
 def differs_on_purpose(document) -> bool:
-    """An integral float in an integer field, or a non-finite number in a numeric field."""
+    """An integral float in an integer field, a non-finite number in a numeric field, or roles
+    holding a duplicate that jsonschema misses."""
     if isinstance(document, list):
         return any(differs_on_purpose(item) for item in document)
     if not isinstance(document, dict):
@@ -328,6 +363,8 @@ def differs_on_purpose(document) -> bool:
         if isinstance(value, float) and FIELD_TYPES.get(key) in ("integer", "number"):
             if not math.isfinite(value) or (FIELD_TYPES[key] == "integer" and value.is_integer()):
                 return True
+        if key == "roles" and isinstance(value, list) and misses_duplicate(value):
+            return True
     return any(differs_on_purpose(value) for value in document.values())
 
 
@@ -394,6 +431,14 @@ def test_max_line_cards_is_capped_at_1024():
     document["modular"][0]["max_line_cards"] = 1025
     message = "catalog schema violation at modular/0/max_line_cards: 1025 is greater than the maximum of 1024"
     assert load_message(document) == reference_message(document) == message
+
+
+def test_checker_reports_a_duplicate_that_json_schema_misses():
+    document = doc()
+    document["monolithic"][0]["roles"] = [[True], [1], [True]]
+    assert misses_duplicate(document["monolithic"][0]["roles"]) and differs_on_purpose(document)
+    message = "catalog schema violation at monolithic/0/roles: [[True], [1], [True]] has non-unique elements"
+    assert load_message(document) == message
 
 
 @pytest.mark.parametrize(

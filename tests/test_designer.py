@@ -19,7 +19,6 @@ from fattree_design.designer import (
     bundle_widths,
     node_distribution,
     request_from_document,
-    uniform_distribution_variant,
 )
 from fattree_design.catalog import ModularSwitchFamily, expand_modular
 
@@ -201,22 +200,29 @@ def test_star_blade_needs_no_cables(blade_catalog):
     assert result.cable_count == 0
 
 
+def uniform_candidates(node_count, edge_switches, edge_ports, core_ports, prefer_expandability=False):
+    """design()'s fat-tree candidates that spread the nodes evenly, for one edge and one core model."""
+    edge = make_switch(edge_ports, 500_000, source_id="edge", roles=("edge",))
+    core = make_switch(core_ports, 300_000, source_id="core", roles=("core",))
+    request = DesignRequest(node_count=node_count, prefer_expandability=prefer_expandability)
+    fat_trees = [c for c in design(request, Catalog(edge_set=(edge,), core_set=(core,))).candidates
+                 if c.kind == "fat_tree"]
+    assert {c.edge_count for c in fat_trees} == {edge_switches}
+    return [c for c in fat_trees if c.uniform_distribution]
+
+
 def test_uniform_variant_usually_absent():
     # evenly spreading 60 nodes over four 36-port switches still needs 2 cores
-    assert uniform_distribution_variant(60, 4, Fraction(1), 36, 36) is None
+    assert uniform_candidates(60, 4, 36, 36) == []
 
 
 def test_uniform_variant_gated_by_expandability_preference():
-    assert (
-        uniform_distribution_variant(7, 2, Fraction(1), 12, 4, prefer_expandability=True)
-        is None
-    )
+    assert uniform_candidates(7, 2, 12, 4, prefer_expandability=True) == []
 
 
 def test_uniform_variant_saves_a_core_switch():
-    variant = uniform_distribution_variant(7, 2, Fraction(1), 12, 4)
-    assert variant is not None
-    split, stage = variant
+    [variant] = uniform_candidates(7, 2, 12, 4)
+    split, stage = variant.split, variant.core_stage
     assert split.ports_to_nodes == 4 and split.ports_to_core == 4
     assert stage.core_count == 2  # baseline needs 3
     assert split.resulting_blocking <= Fraction(1)

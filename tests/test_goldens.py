@@ -43,6 +43,10 @@ def test_cli_output_matches_golden(name, argv, fmt, capsys, monkeypatch, tmp_pat
 # Commands whose ranking holds a star or a direct interconnect, some with
 # constraints that reject trivial variants or every design; their goldens in
 # tests/goldens were captured before these designs joined the shared ranking.
+# The place commands' layouts pin how rack usage adds up: an empty kept rack
+# prints weight 0, a core-only rack whole-number power 304 (not 304.0), and
+# spread blocks of 12.3 kg, 333.3 W nodes non-integer sums; their goldens were
+# captured before racks kept running totals.
 DEMO = "src/fattree_design/data/demo_catalog.json"
 BLADE = "src/fattree_design/data/blade_cluster.json"
 BLADE_20 = ["--catalog", BLADE, "--nodes", "20", "--blade", "16", "--embedded-switch", "encl32"]
@@ -54,6 +58,12 @@ TRIVIAL_COMMANDS = (
     ("constrained-1000", ["design", "--catalog", DEMO, "--nodes", "1000", "--blocking", "3/2",
                           "--max-ru", "140", "--min-spare-ports", "64"]),
     ("blade-20-max-power-1", ["design", *BLADE_20, "--max-power", "1"]),
+    ("place-60-center", ["place", "--catalog", DEMO, "--nodes", "60", "--rows", "1", "--racks-per-row", "8",
+                         "--core-placement", "center"]),
+    ("place-200-dense-distributed", ["place", "--catalog", DEMO, "--nodes", "200", "--rows", "2",
+                                     "--racks-per-row", "6", "--dense", "--core-placement", "distributed",
+                                     "--node-weight", "12.3", "--node-power", "333.3",
+                                     "--rack-power-budget", "9000.5"]),
 )
 
 
@@ -67,3 +77,4 @@ def test_trivial_topology_output_matches_golden(name, argv, fmt, capsys, monkeyp
     stdout, stderr = (ROOT / "tests" / "goldens" / f"{name}.{fmt}.{ext}" for ext in ("out", "err"))
     expected = (2, b"", stderr.read_bytes()) if stderr.exists() else (0, stdout.read_bytes(), b"")
     assert (code, captured.out.encode("utf-8"), captured.err.encode("utf-8")) == expected
+

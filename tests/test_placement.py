@@ -138,6 +138,38 @@ def test_spread_blocks_stay_within_rack_budgets(budget):
     assert max(used) == 330.0
 
 
+WRAP_RESERVE = (22, 22) + (33,) * 8  # racks 0 and 1 keep 20U, racks 2-9 9U, racks 10 and 11 stay empty
+
+
+@pytest.mark.parametrize(
+    "policy, nodes, rows, reserve, expected",
+    [
+        # from the first rack on; rack 0 keeps 2U after the reserves, rack 1 17U
+        ("first_racks_contiguous", 96, 2, (40, 25), [1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4]),
+        # the middle column is racks 1 and 6: rack 1 takes one core, rack 6 the
+        # next four, then the first racks with room take the rest
+        ("center", 96, 2, (40, 25), [1, 6, 6, 6, 6, 2, 2, 2, 2, 3, 3, 3]),
+        # round robin over every rack, skipping rack 0 and wrapping after rack 7
+        ("distributed", 96, 2, (40, 25), [1, 2, 3, 4, 5, 6, 7, 2, 3, 4, 5, 6]),
+        # the middle column is racks 1, 6 and 9; with 6 and 9 full, the scan
+        # from the cursor wraps round to rack 1 before it falls back to rack 0
+        ("center", 48, 3, WRAP_RESERVE, [1, 1, 0, 0, 10, 10]),
+    ],
+)
+def test_core_switch_racks_per_policy(policy, nodes, rows, reserve, expected):
+    from fattree_design.catalog import Catalog
+
+    edge = make_switch(24, 100, source_id="e24", roles=("edge",))
+    core = make_switch(8, 100, source_id="c8", rack_units=10, roles=("core",))
+    target = winner_for(nodes, Catalog(edge_set=(edge,), core_set=(core,)))
+    assert (target.edge_count, target.core_count) == (nodes // 12, len(expected))
+    room = RoomSpec(rows=rows, racks_per_row=4)
+    layout = plan_racks(target, room, NodeSpec(), dense=True, core_placement=policy, reserve=reserve)
+    cores = {item.label: rack.index for rack in layout.racks for item in rack.items if item.kind == "core_switch"}
+    assert [cores[f"core-{i + 1:02d} (c8)"] for i in range(len(expected))] == expected
+    assert layout_nodes(layout) == nodes
+
+
 def test_non_dense_uses_twelve_racks(ft36_catalog):
     target = winner_for(396, ft36_catalog)
     room = RoomSpec(rows=2, racks_per_row=7)

@@ -15,6 +15,7 @@ from fattree_design.designer import (
     ConstraintViolation,
     DesignError,
     DesignInfeasibleError,
+    DesignMetrics,
     DesignRequest,
     EdgeSplit,
     FatTreeDesign,
@@ -43,9 +44,9 @@ def sort_key(candidate):
 def build(request, objective, kind, edge_config, split, cables, core_config=None, stage=None,
           extra_cost=0, max_supported_nodes=0, **flags):
     core_count = stage.core_count if stage else 0
-    metrics = designer._network_metrics(
+    metrics = DesignMetrics(*designer._network_metrics(
         request, edge_config, split.edge_count, core_config, core_count, cables, extra_cost
-    )
+    ))
     return FatTreeDesign(
         kind=kind,
         node_count=request.node_count,
