@@ -6,11 +6,13 @@ single-switch star) plus the full edge-model x core-model grid. Every
 candidate that survives the constraint filter is kept and ranked, so callers
 can present alternatives instead of just the winner. A SearchPlan holds the
 per-catalog state (edge splits, core list, star switches) once, and its
-rank() is the one ranking for every kind of network: it prices and filters
-each star, direct-connect variant and edge x core pair as plain numbers and
-sorts plain records. design() keeps the whole ranking and builds each
-candidate design, through one builder, only when it is read; fit_max_nodes
-and sweep_lower_bound ask the same ranking for the winner alone.
+rank() is the one search loop and the one ranking for every kind of network:
+for each edge model it counts the edge switches and the even spread, and for
+each core model it sizes the core layer, then prices and filters the pair as
+plain numbers, next to the star and direct-connect variants, and sorts plain
+records. design() keeps the whole ranking and builds each candidate design,
+through one builder, only when it is read; fit_max_nodes and
+sweep_lower_bound ask the same ranking for the winner alone.
 
 All port arithmetic is exact integer/Fraction math; all money is integer
 minor units.
@@ -106,6 +108,11 @@ class NodeSpec:
     power: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("rack_units", "weight", "power"):
+            value = getattr(self, name)
+            # NaN passes every range check below, and neither NaN nor inf is a JSON number
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"node {name} must be a finite number, got {value!r}")
         if self.rack_units < 1:
             raise ValueError(f"node rack_units must be at least 1, got {self.rack_units}")
         for name in ("weight", "power"):
@@ -315,14 +322,6 @@ def _even_split(node_count: int, edge_switches: int, blocking: Fraction) -> Edge
     return EdgeSplit(nodes_per_switch, uplinks, resulting, edge_switches)
 
 
-def _uniform_stage(split: EdgeSplit, core_ports: int, baseline: CoreStage) -> CoreStage | None:
-    """Core layer for an even split, kept only when it needs fewer core switches than the baseline."""
-    variant = core_stage(split.edge_count, split.ports_to_core, core_ports)
-    if variant is None or variant.core_count >= baseline.core_count:
-        return None
-    return variant
-
-
 def _violations(
     constraints: ConstraintSet, rack_units: int, spare: int, power: float, cost: Money
 ) -> list[ConstraintViolation]:
@@ -412,17 +411,6 @@ def _embedded_edge_config(request: DesignRequest, catalog: Catalog) -> SwitchCon
     raise CatalogError(f"embedded edge switch {wanted!r} not found in the edge set")
 
 
-@dataclass(frozen=True)
-class _EdgePlan:
-    """One edge configuration's port split, fixed for a (catalog, blocking, form factor)."""
-
-    config: SwitchConfig
-    config_id: str
-    ports_to_nodes: int
-    ports_to_core: int
-    resulting_blocking: Fraction
-
-
 class RankedCandidates(Sequence):
     """design()'s ranked designs, each built from its record's payload when first read and then cached.
 
@@ -451,12 +439,14 @@ class SearchPlan:
 
     Built once per call of design(), fit_max_nodes() or sweep_lower_bound()
     from a request whose node count it ignores; nothing outlives that call.
-    It holds each edge configuration's split (with the blade-bay cap
-    applied), the core list and the config union (the star switches), each
-    computed once, plus the largest node count any design reaches. walk()
-    yields the edge x core pairs for one node count; rank() prices, filters
-    and orders them with the star and direct-connect variants, for design()
-    in full and for the node-count scans as the winner alone.
+    It holds each edge configuration's port split as a plain (config,
+    ports to nodes, ports to core, resulting blocking) tuple, with the
+    blade-bay cap applied, the core list and the config union (the star
+    switches), each computed once, plus the largest node count any design
+    reaches. rank() is the one loop over edge configurations x cores for one
+    node count: it sizes, prices, filters and orders every pair with the
+    star and direct-connect variants, for design() in full and for the
+    node-count scans as the winner alone.
     """
 
     def __init__(self, request: DesignRequest, catalog: Catalog) -> None:
@@ -481,7 +471,7 @@ class SearchPlan:
                 # an enclosure cannot hold more blades than it has bays
                 ports_to_nodes = blades.enclosure_capacity
                 resulting = Fraction(ports_to_nodes, ports_to_core)
-            edges.append(_EdgePlan(config, config.config_id, ports_to_nodes, ports_to_core, resulting))
+            edges.append((config, ports_to_nodes, ports_to_core, resulting))
             reach = max(reach, widest_core * ports_to_nodes)
         self.edges = tuple(edges)
         self.max_reachable = reach
@@ -492,32 +482,6 @@ class SearchPlan:
         self.prunable = request.avg_cable_cost >= 0 and (
             self.cheapest_core is None or self.cheapest_core.cost >= 0
         )
-
-    def walk(self, node_count: int):
-        """Yield (edge plan, edge switch count, even split or None, pairs) per edge configuration.
-
-        The even split is the uniform-distribution candidate's split; it is
-        None when the request prefers expandability or when spreading frees
-        no uplink. ``pairs`` lazily yields (core config, core id, baseline
-        core stage, uniform core stage or None) for every core that can
-        reach all the edge switches, so a caller may skip a group unsized.
-        """
-        blocking = self.request.blocking_factor
-        spread_allowed = not self.request.prefer_expandability
-        for edge in self.edges:
-            edges = edge_count(node_count, edge.ports_to_nodes)
-            spread = _even_split(node_count, edges, blocking) if spread_allowed else None
-            if spread is not None and spread.ports_to_core >= edge.ports_to_core:
-                spread = None  # the same uplinks give the same core layer
-            yield edge, edges, spread, self._pairs(edge, edges, spread)
-
-    def _pairs(self, edge: _EdgePlan, edges: int, spread: EdgeSplit | None):
-        for core, core_id in self.cores:
-            stage = core_stage(edges, edge.ports_to_core, core.ports)
-            if stage is None:
-                continue
-            uniform = _uniform_stage(spread, core.ports, stage) if spread is not None else None
-            yield core, core_id, stage, uniform
 
     def _trivial_records(self, request: DesignRequest, objective: ObjectiveFn | None) -> list:
         """Records of the best direct-connect variant and the best star that pass the constraints.
@@ -570,7 +534,7 @@ class SearchPlan:
         """Every design for node_count, ranked, plus the pairs the constraints rejected.
 
         Records of the direct-connect and star designs, then of each kept
-        pair in walk order (baseline before uniform variant), are stably
+        pair in edge x core order (baseline before uniform variant), are stably
         sorted on (objective, switch count, rack units, edge id, core id);
         designs are built when read. ``winner_only`` (unconstrained requests
         only) keeps the winner alone and, under the default objective, skips
@@ -586,39 +550,53 @@ class SearchPlan:
             raise ValueError("the winner-only ranking serves unconstrained requests only")
         records = self._trivial_records(request, objective)
         best = min(records, key=itemgetter(0), default=None)
+        # One group per edge configuration: the baseline split packs each edge
+        # switch full, and the even spread over as many switches is a variant
+        # only when it needs fewer uplinks per switch.
         groups = []
-        for edge, edges, spread, pairs in self.walk(node_count):
-            split = EdgeSplit(edge.ports_to_nodes, edge.ports_to_core, edge.resulting_blocking, edges)
-            cables = cable_count(node_count, edges, edge.ports_to_core, request.blade)
+        for config, ports_to_nodes, ports_to_core, resulting in self.edges:
+            edges = edge_count(node_count, ports_to_nodes)
+            baseline = EdgeSplit(ports_to_nodes, ports_to_core, resulting, edges)
+            spread = None if request.prefer_expandability else _even_split(node_count, edges, request.blocking_factor)
+            if spread is not None and spread.ports_to_core >= ports_to_core:
+                spread = None  # the same uplinks give the same core layer
+            cables = cable_count(node_count, edges, ports_to_core, request.blade)
             spread_cables = cable_count(node_count, edges, spread.ports_to_core, request.blade) if spread else cables
-            floor, *_ = _network_metrics(request, edge.config, edges, self.cheapest_core, 1, spread_cables)
-            groups.append((floor, edge, edges, ((split, cables), (spread, spread_cables)), pairs))
+            floor, *_ = _network_metrics(request, config, edges, self.cheapest_core, 1, spread_cables)
+            groups.append((floor, config, edges, ((baseline, cables), (spread, spread_cables))))
         prune = winner_only and objective is None and self.prunable
         if prune:
             groups.sort(key=itemgetter(0))
 
         rejected = []
-        for floor, edge, edges, variants, pairs in groups:
+        for floor, config, edges, variants in groups:
             if prune and best is not None and floor > best[0][0]:
                 break
-            for core, core_id, *stages in pairs:
-                for (split, cables), stage, uniform in zip(variants, stages, (False, True)):
-                    if stage is None:
+            (baseline, _), (spread, _) = variants
+            for core, core_id in self.cores:
+                stage = core_stage(edges, baseline.ports_to_core, core.ports)
+                if stage is None:
+                    continue
+                uniform = core_stage(edges, spread.ports_to_core, core.ports) if spread else None
+                if uniform is not None and uniform.core_count >= stage.core_count:
+                    uniform = None  # the even spread is kept only when it frees a core switch
+                for (split, cables), sized, is_uniform in zip(variants, (stage, uniform), (False, True)):
+                    if sized is None:
                         continue
-                    cores = stage.core_count
-                    numbers = _network_metrics(request, edge.config, edges, core, cores, cables)
+                    cores = sized.core_count
+                    numbers = _network_metrics(request, config, edges, core, cores, cables)
                     cost, power, units, _ = numbers
                     if constrained:
                         spare = cores * (core.ports + core.expandable_ports) - edges * split.ports_to_core
                         violations = _violations(constraints, units, spare, power, cost)
                         if violations:
-                            rejected.append(RejectedCandidate(edge.config_id, core_id, tuple(violations)))
+                            rejected.append(RejectedCandidate(config.config_id, core_id, tuple(violations)))
                             continue
                     if objective is not None:
                         cost = objective(DesignMetrics(*numbers))
-                    key = (cost, edges + cores, units, edge.config_id, core_id)
+                    key = (cost, edges + cores, units, config.config_id, core_id)
                     max_nodes = core.ports * split.ports_to_nodes
-                    record = (key, ("fat_tree", edge.config, core, split, stage, cables, uniform, False, max_nodes))
+                    record = (key, ("fat_tree", config, core, split, sized, cables, is_uniform, False, max_nodes))
                     if not winner_only:
                         records.append(record)
                     elif best is None or key < best[0]:

@@ -12,6 +12,8 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 Money = int  # minor currency units
+_MONEY_LIMIT = Decimal(10) ** 15  # major units
+_CENT = Decimal("0.01")
 
 _CURRENCY_SYMBOLS = {"USD": "$", "EUR": "€", "GBP": "£"}
 
@@ -28,15 +30,22 @@ def format_money(amount: Money, currency: str = "USD") -> str:
 
 
 def parse_money(text: str) -> Money:
-    """Parse a decimal amount in major units ("80", "80.25") into minor units."""
+    """Parse a decimal amount in major units ("80", "80.25") into minor units.
+
+    NaN, infinities and amounts of 10**15 major units or more are invalid:
+    no price comes near that, a search priced with a far larger amount runs
+    for tens of seconds, and the report cannot print its sums.
+    """
     try:
         value = Decimal(text)
     except InvalidOperation:
         raise ValueError(f"invalid money amount: {text!r}") from None
-    cents = value * 100
-    if cents != cents.to_integral_value():
+    if not value.is_finite() or value.copy_abs() >= _MONEY_LIMIT:
+        raise ValueError(f"invalid money amount: {text!r}")
+    cents = value.quantize(_CENT)  # exact for amounts below the limit
+    if cents != value:
         raise ValueError(f"money amount has sub-cent precision: {text!r}")
-    return int(cents)
+    return int(cents * 100)
 
 
 def parse_ratio(text: str) -> Fraction:

@@ -14,6 +14,7 @@ quantifies how far a network built without that foresight can grow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -49,6 +50,11 @@ class RoomSpec:
     rack_power_budget: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("rows", "racks_per_row", "rack_units_per_rack", "rack_weight_budget", "rack_power_budget"):
+            value = getattr(self, name)
+            # a NaN budget compares false with every load, so it would apply no budget
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"room {name} must be a finite number, got {value!r}")
         for name in ("rows", "racks_per_row", "rack_units_per_rack"):
             if getattr(self, name) < 1:
                 raise ValueError(f"room {name} must be at least 1, got {getattr(self, name)}")

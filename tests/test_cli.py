@@ -1,10 +1,15 @@
+import argparse
+import contextlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fattree_design.catalog import bundled_catalog_path
-from fattree_design.cli import run
+from fattree_design.cli import build_parser, run
 from fattree_design.designer import DesignRequest, NodeSpec, design, request_from_document
 from fattree_design.report import emit_wiring
 
@@ -242,6 +247,17 @@ def test_expand_subcommand(capsys):
         ["design", "--nodes", "60", "--blade", "0", "--embedded-switch", "ft36"],
         ["design", "--nodes", "60", "--blade", "16", "--embedded-switch", "ft36", "--enclosure-cost=-1"],
         ["design", "--nodes", "60", "--blade", "16", "--embedded-switch", "ft36", "--pass-through-cost=-1"],
+        ["design", "--nodes", "60", "--cable-cost", "inf"],
+        ["design", "--nodes", "60", "--max-cost", "Infinity"],
+        ["design", "--nodes", "60", "--blade", "16", "--embedded-switch", "ft36", "--enclosure-cost", "inf"],
+        ["design", "--nodes", "60", "--cable-cost", "sNaN"],
+        ["design", "--nodes", "60", "--cable-cost", "1e999999999"],
+        ["design", "--nodes", "60", "--cable-cost", "nan"],
+        ["estimate", "--nodes", "648", "--switch", "ft36", "--cable-cost=-inf"],
+        ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--node-weight", "nan"],
+        ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--node-power", "inf"],
+        ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--rack-weight-budget", "nan"],
+        ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--rack-power-budget", "inf"],
     ],
 )
 def test_out_of_range_flags_exit_1(capsys, argv):
@@ -250,6 +266,23 @@ def test_out_of_range_flags_exit_1(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["design", "--nodes", "60", "--cable-cost"], "inf"),
+        (["design", "--nodes", "60", "--max-cost"], "Infinity"),
+        (["design", "--nodes", "60", "--blade", "16", "--embedded-switch", "ft36", "--enclosure-cost"], "inf"),
+        (["design", "--nodes", "60", "--cable-cost"], "sNaN"),
+        (["design", "--nodes", "60", "--cable-cost"], "1e999999999"),
+        (["design", "--nodes", "60", "--cable-cost"], "nan"),
+        (["sweep", "--from", "2", "--to", "4", "--switch", "ft36", "--cable-cost"], "1e15"),
+    ],
+)
+def test_non_finite_and_overflowing_money_names_the_amount(capsys, argv, text):
+    code, out, err = run_capture(capsys, argv + [text, "--catalog", DEMO])
+    assert (code, out, err) == (1, "", f"error: invalid money amount: {text!r}\n")
 
 
 @pytest.mark.parametrize(
@@ -350,3 +383,104 @@ def test_request_node_footprint_matches_flags(capsys, tmp_path):
     assert from_document["request"]["form_factor"] == {"kind": "rack_mounted", "node_rack_units": 2}
     for key in ("winner", "candidates", "feasible_candidates"):
         assert from_document[key] == from_flags[key]
+
+
+# Values for the CLI fuzz: each flag has a pool of good values and a pool of
+# bad ones. Flags that set a loop length or an allocation (room sizes, sweep
+# ranges, expansion units) never draw a huge value, so one example runs in
+# milliseconds, and --dot only ever names a file under tmp_path.
+NASTY = ("nan", "inf", "-inf", "sNaN", "Infinity", "-1", "0", "x", "", "1/0", "0.5", "80.253")
+ANY = NASTY + ("99999999999999999999", "1e15", "1e308", "1e999", "1e999999999")
+MONEY = (("80", "0", "80.25", "99999999999999"), ANY)
+REAL = (("0", "12.5", "500"), ANY)
+SMALL = (("1", "2", "4"), NASTY)
+SWITCH = (("ft36", "encl32", "mod108:36p"), ("mod108", "nope"))
+COMMON = {"--catalog": ((DEMO, DEMO, BLADES), NASTY), "--format": (("json", "text"), ("xml",))}
+FLAGS = {
+    "design": {
+        "--nodes": (("2", "60", "224", "1000"), ANY), "--blocking": (("1", "3/2", "2"), ANY),
+        "--cable-cost": MONEY, "--blade": (("16", "2"), ANY), "--enclosure-cost": MONEY,
+        "--embedded-switch": SWITCH, "--pass-through-cost": MONEY, "--max-ru": (("140", "8"), ANY),
+        "--min-spare-ports": (("64", "0"), ANY), "--max-power": REAL, "--max-cost": MONEY,
+        "--prefer-expandability": None, "--top": (("1", "5"), ANY),
+        "--dot": (("DOT",), ()), "--request": (("REQUEST",), ()),
+    },
+    "estimate": {"--nodes": (("648", "60"), ANY), "--switch": SWITCH, "--cable-cost": MONEY, "--blade": None},
+    "sweep": {"--from": (("2", "37"), NASTY), "--to": (("4", "40"), NASTY), "--switch": SWITCH, "--cable-cost": MONEY},
+    "place": {
+        "--nodes": (("60", "200"), ANY), "--blocking": (("1", "3/2"), ANY), "--cable-cost": MONEY,
+        "--rows": SMALL, "--racks-per-row": SMALL, "--rack-units": (("42", "48"), NASTY),
+        "--rack-weight-budget": REAL, "--rack-power-budget": REAL, "--node-ru": SMALL,
+        "--node-weight": REAL, "--node-power": REAL, "--dense": None,
+        "--core-placement": (("first_racks_contiguous", "center", "distributed"), ("edge",)),
+        "--reserve": (("4", "14"), ("45", *NASTY)),
+    },
+    "expand": {
+        "--current-units": (("42", "84"), NASTY), "--target-units": (("84", "126"), NASTY),
+        "--blocking": (("1", "2"), NASTY), "--cable-cost": MONEY, "--node-ru": SMALL,
+    },
+}
+REQUEST_DOCUMENTS = (
+    '{"nodes": 60}', '{"nodes": 60, "avg_cable_cost": NaN}', '{"nodes": 60, "constraints": {"max_network_power": Infinity}}',
+    '{"nodes": 60, "form_factor": {"node_weight": NaN}}', '[]', '{"nodes": ', '',
+)
+
+
+SUBPARSERS = next(
+    action.choices for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+)
+
+
+@st.composite
+def argvs(draw):
+    """An argv for one subcommand, with its required flags and any optional ones, plus a request document."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = dict(COMMON, **FLAGS[command])
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=7, unique=True))
+    required = {action.option_strings[0] for action in SUBPARSERS[command]._actions if action.required}
+    required |= {"--nodes"} & set(flags)  # design needs it too, unless a request document replaces the flags
+    chosen += sorted(required - set(chosen))
+    argv = [command]
+    for flag in chosen:
+        if flags[flag] is None:
+            argv.append(flag)
+            continue
+        good, bad = flags[flag]
+        pool = bad if bad and draw(st.integers(0, 5)) == 5 else good
+        argv.append(f"{flag}={draw(st.sampled_from(pool))}")
+    return argv, draw(st.sampled_from(REQUEST_DOCUMENTS))
+
+
+def no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=argvs())
+def test_cli_fuzz_never_raises(tmp_path, case):
+    argv, document = case
+    request = tmp_path / "request.json"
+    request.write_text(document, encoding="utf-8")
+    dot = tmp_path / "wiring.dot"
+    argv = [arg.replace("=DOT", f"={dot}").replace("=REQUEST", f"={request}") for arg in argv]
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            parsed = False
+        else:
+            parsed = True
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if not parsed:
+        assert code == 1
+    elif code == 0:
+        assert err == ""
+        if "--format=json" in argv:
+            json.loads(out, parse_constant=no_constant)
+    else:
+        prefix = "error: " if code == 1 else ("infeasible: ", "placement failed: ")
+        assert out == "" and err.startswith(prefix) and err.count("\n") == 1, (argv, err)

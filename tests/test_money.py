@@ -37,6 +37,23 @@ def test_parse_money():
         parse_money("80.253")
     with pytest.raises(ValueError):
         parse_money("not-money")
+    assert parse_money("999999999999999.99") == 99_999_999_999_999_999
+    assert parse_money("1E+2") == 10000
+
+
+@pytest.mark.parametrize(
+    "text", ["inf", "Infinity", "-inf", "nan", "NaN", "sNaN", "1e999999999", "-1e999999999", "1e15", "-1e15"]
+)
+def test_parse_money_rejects_non_finite_and_overflowing_amounts(text):
+    with pytest.raises(ValueError) as raised:
+        parse_money(text)
+    assert str(raised.value) == f"invalid money amount: {text!r}"
+
+
+@pytest.mark.parametrize("text", ["1.0000000000000000000000000001", "1e-999999999"])
+def test_parse_money_sees_sub_cent_digits_past_the_decimal_precision(text):
+    with pytest.raises(ValueError, match="sub-cent precision"):
+        parse_money(text)
 
 
 def test_parse_ratio():

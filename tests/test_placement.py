@@ -249,6 +249,14 @@ def test_node_spec_is_the_designer_form_factor():
         lambda: RoomSpec(rows=1, racks_per_row=4, rack_units_per_rack=0),
         lambda: RoomSpec(rows=1, racks_per_row=4, rack_weight_budget=-5.0),
         lambda: RoomSpec(rows=1, racks_per_row=4, rack_power_budget=-0.5),
+        lambda: NodeSpec(weight=float("nan")),
+        lambda: NodeSpec(power=float("inf")),
+        lambda: NodeSpec(weight=float("-inf")),
+        lambda: NodeSpec(rack_units=float("nan")),
+        lambda: RoomSpec(rows=1, racks_per_row=4, rack_weight_budget=float("nan")),
+        lambda: RoomSpec(rows=1, racks_per_row=4, rack_power_budget=float("inf")),
+        lambda: RoomSpec(rows=float("inf"), racks_per_row=4),
+        lambda: RoomSpec(rows=1, racks_per_row=4, rack_units_per_rack=float("nan")),
     ],
 )
 def test_footprint_and_room_reject_out_of_range_values(build):

@@ -1,6 +1,7 @@
 """design()'s shared ranking against an eager reference ranker, and the lazy candidates contract."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from fattree_design.designer import (
     BladeFormFactor,
     ConstraintSet,
     ConstraintViolation,
+    CoreStage,
     DesignError,
     DesignInfeasibleError,
     DesignMetrics,
@@ -22,7 +24,6 @@ from fattree_design.designer import (
     InsufficientRadixError,
     NodeSpec,
     RejectedCandidate,
-    SearchPlan,
     cable_count,
     design,
 )
@@ -128,6 +129,59 @@ def trivial_designs(request, catalog, objective):
     return best
 
 
+def reference_pairs(request, catalog):
+    """Every edge x core pair the rules allow, as (edge, core, split, core stage, uniform), in catalog order.
+
+    Worked out here from the rules alone, with no help from the program's
+    search: an edge switch gives nodes the most ports whose node:uplink ratio
+    stays within the blocking factor, and never more than an enclosure has
+    bays; enough such switches host every node; a core switch needs a port
+    per edge switch, and each bundle takes as many links as its ports allow.
+    The even spread puts the same number of nodes (give or take one) on
+    every edge switch with the fewest uplinks the blocking allows. It is a
+    candidate, after the baseline, only when it needs fewer uplinks and
+    fewer core switches. Returns (pairs, the largest node count any design
+    reaches).
+    """
+    nodes, blocking = request.node_count, request.blocking_factor
+    edge_configs = catalog.edge_set
+    reach = max(config.ports for config in catalog.configs())
+    if request.blade:
+        capacity, wanted = request.form_factor.enclosure_capacity, request.form_factor.embedded_edge_switch_id
+        edge_configs = [next(c for c in catalog.edge_set if wanted in (c.source_id, c.config_id))]
+        reach = max(reach, 2 * capacity)
+
+    def core_layer(edges, uplinks, core):
+        width = min(core.ports // edges, uplinks)
+        return CoreStage(width, -(-uplinks // width)) if width else None
+
+    pairs = []
+    for edge in edge_configs:
+        to_nodes = max((n for n in range(1, edge.ports) if Fraction(n, edge.ports - n) <= blocking), default=None)
+        if to_nodes is None:
+            continue
+        uplinks = edge.ports - to_nodes
+        if request.blade:
+            to_nodes = min(to_nodes, capacity)
+        reach = max(reach, max(core.ports for core in catalog.core_set) * to_nodes)
+        edges = -(-nodes // to_nodes)
+        split = EdgeSplit(to_nodes, uplinks, Fraction(to_nodes, uplinks), edges)
+        per_switch = -(-nodes // edges)
+        even_uplinks = math.ceil(per_switch / blocking)
+        spread = EdgeSplit(per_switch, even_uplinks, Fraction(per_switch, even_uplinks), edges)
+        for core in catalog.core_set:
+            stage = core_layer(edges, uplinks, core)
+            if stage is None:
+                continue
+            pairs.append((edge, core, split, stage, False))
+            if request.prefer_expandability or even_uplinks >= uplinks:
+                continue
+            even = core_layer(edges, even_uplinks, core)
+            if even is not None and even.core_count < stage.core_count:
+                pairs.append((edge, core, spread, even, True))
+    return pairs, reach
+
+
 def eager_design(request, catalog, objective=None):
     """Reference ranker: build every candidate, filter it with its own constraint check, sort all of them.
 
@@ -135,24 +189,19 @@ def eager_design(request, catalog, objective=None):
     is listed. Returns (ranked candidates, rejected) and raises what
     design() raises.
     """
-    plan = SearchPlan(request, catalog)
+    pairs, reach = reference_pairs(request, catalog)
     candidates, rejected = trivial_designs(request, catalog, objective), []
-    for edge, edges, spread, pairs in plan.walk(request.node_count):
-        split = EdgeSplit(edge.ports_to_nodes, edge.ports_to_core, edge.resulting_blocking, edges)
-        for core, core_id, stage, uniform in pairs:
-            group = [build_fat_tree(request, edge.config, core, split, stage, objective, False)]
-            if uniform is not None:
-                group.append(build_fat_tree(request, edge.config, core, spread, uniform, objective, True))
-            for candidate in group:
-                broken = violations(candidate, request.constraints)
-                if broken:
-                    rejected.append(RejectedCandidate(edge.config_id, core_id, tuple(broken)))
-                else:
-                    candidates.append(candidate)
+    for edge, core, split, stage, uniform in pairs:
+        candidate = build_fat_tree(request, edge, core, split, stage, objective, uniform)
+        broken = violations(candidate, request.constraints)
+        if broken:
+            rejected.append(RejectedCandidate(edge.config_id, core.config_id, tuple(broken)))
+        else:
+            candidates.append(candidate)
     if not candidates:
         if rejected:
             raise DesignInfeasibleError(sorted({v.constraint for r in rejected for v in r.violations}))
-        raise InsufficientRadixError(request.node_count, plan.max_reachable)
+        raise InsufficientRadixError(request.node_count, reach)
     return sorted(candidates, key=sort_key), rejected
 
 
