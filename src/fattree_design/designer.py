@@ -446,7 +446,9 @@ class SearchPlan:
     reaches. rank() is the one loop over edge configurations x cores for one
     node count: it sizes, prices, filters and orders every pair with the
     star and direct-connect variants, for design() in full and for the
-    node-count scans as the winner alone.
+    node-count scans as the winner alone. For the winner alone it also holds
+    the cheapest core switch, from which rank() works out the cost floors
+    that let it skip edge groups and single cores.
     """
 
     def __init__(self, request: DesignRequest, catalog: Catalog) -> None:
@@ -477,10 +479,12 @@ class SearchPlan:
         self.max_reachable = reach
         # Every pairing has at least one core switch, so when no price is
         # negative an edge group costs at least its edges, its fewest cables
-        # and one cheapest core switch; a winner-only rank() stops above that.
+        # and one cheapest core switch, and a pair with a given core at least
+        # that floor with the core's price in place of the cheapest one; a
+        # winner-only rank() skips what lies above the best cost found.
         self.cheapest_core = min((core for core, _ in self.cores), key=lambda core: core.cost, default=None)
-        self.prunable = request.avg_cable_cost >= 0 and (
-            self.cheapest_core is None or self.cheapest_core.cost >= 0
+        self.prunable = (
+            self.cheapest_core is not None and self.cheapest_core.cost >= 0 and request.avg_cable_cost >= 0
         )
 
     def _trivial_records(self, request: DesignRequest, objective: ObjectiveFn | None) -> list:
@@ -537,8 +541,14 @@ class SearchPlan:
         pair in edge x core order (baseline before uniform variant), are stably
         sorted on (objective, switch count, rack units, edge id, core id);
         designs are built when read. ``winner_only`` (unconstrained requests
-        only) keeps the winner alone and, under the default objective, skips
-        the edge groups whose cost floor exceeds the best cost found. Raises
+        only) keeps the winner alone. Under the default objective, and when
+        no price is negative, it also visits the edge groups in order of
+        their cost floor (edges, fewest cables, one cheapest core switch)
+        and stops at the first group whose floor exceeds the best cost
+        found; inside a group it skips, before sizing it, each core whose
+        price in place of the cheapest one lifts the floor above that cost.
+        Both comparisons are strict, so a pair that ties the best cost still
+        meets the full key. The full ranking makes neither check. Raises
         what design() raises.
         """
         request = self.request
@@ -573,7 +583,11 @@ class SearchPlan:
             if prune and best is not None and floor > best[0][0]:
                 break
             (baseline, _), (spread, _) = variants
+            # the floor less its core switch: each core adds back its own price
+            edge_floor = floor - self.cheapest_core.cost if prune else 0
             for core, core_id in self.cores:
+                if prune and best is not None and edge_floor + core.cost > best[0][0]:
+                    continue
                 stage = core_stage(edges, baseline.ports_to_core, core.ports)
                 if stage is None:
                     continue

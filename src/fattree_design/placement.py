@@ -33,6 +33,7 @@ from .designer import (
 from .money import Money
 
 CORE_PLACEMENTS = ("first_racks_contiguous", "center", "distributed")
+MAX_RACK_POSITIONS = 10_000  # placement builds one Rack per position
 
 
 class PlacementError(Exception):
@@ -58,6 +59,10 @@ class RoomSpec:
         for name in ("rows", "racks_per_row", "rack_units_per_rack"):
             if getattr(self, name) < 1:
                 raise ValueError(f"room {name} must be at least 1, got {getattr(self, name)}")
+        if self.rack_count > MAX_RACK_POSITIONS:
+            raise ValueError(
+                f"room rows x racks_per_row must be at most {MAX_RACK_POSITIONS} rack positions, got {self.rack_count}"
+            )
         for name in ("rack_weight_budget", "rack_power_budget"):
             budget = getattr(self, name)
             if budget is not None and budget < 0:
@@ -462,9 +467,11 @@ def fit_max_nodes(
 ) -> CapacityFit:
     """Largest N such that N nodes plus their network fit in capacity_units.
 
-    N walks down from the capacity. One search plan ranks each N through
-    the same ranking as design(), asking it for the winner alone, and the
-    first N whose winner fits returns that winner.
+    N walks down from the nodes the capacity holds, or from the largest
+    node count any design of the catalog reaches if that is lower: every
+    larger N has no design. One search plan ranks each N through the same
+    ranking as design(), asking it for the winner alone, and the first N
+    whose winner fits returns that winner.
     """
     most = capacity_units // node_spec.rack_units
     template = DesignRequest(
@@ -474,7 +481,7 @@ def fit_max_nodes(
         avg_cable_cost=avg_cable_cost,
     )
     plan = SearchPlan(template, catalog)
-    for nodes in range(most, 1, -1):
+    for nodes in range(min(most, plan.max_reachable), 1, -1):
         try:
             candidates, _ = plan.rank(nodes, winner_only=True)
         except DesignError:

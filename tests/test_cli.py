@@ -227,6 +227,18 @@ def test_expand_subcommand(capsys):
     assert initials == {"all_switches_upfront": 73, "core_first": 75}
 
 
+def test_expand_beyond_the_catalog_reach(capsys):
+    # the demo catalog reaches 1,944 nodes, so a room of 10^8 U fits that many and no more
+    code, out, err = run_capture(
+        capsys,
+        ["expand", "--current-units", "100000000", "--target-units", "100000042", "--catalog", DEMO,
+         "--format", "json"],
+    )
+    assert (code, err) == (0, "")
+    document = json.loads(out)
+    assert document["baseline"]["nodes"] == document["expandable_plan"]["target_max_nodes"] == 1944
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -242,6 +254,8 @@ def test_expand_subcommand(capsys):
         ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--rack-weight-budget", "-5"],
         ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--rack-power-budget", "-5"],
         ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--reserve", "-3"],
+        ["place", "--nodes", "60", "--rows", "300", "--racks-per-row", "300"],
+        ["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "100000000"],
         ["design", "--nodes", "60", "--max-power=nan"],
         ["design", "--nodes", "60", "--max-power=inf"],
         ["design", "--nodes", "60", "--blade", "0", "--embedded-switch", "ft36"],

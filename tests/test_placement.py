@@ -6,6 +6,7 @@ import pytest
 from fattree_design.designer import DesignRequest, design
 from fattree_design.estimator import single_model_catalog
 from fattree_design.placement import (
+    MAX_RACK_POSITIONS,
     NodeSpec,
     PlacementError,
     RoomSpec,
@@ -257,11 +258,18 @@ def test_node_spec_is_the_designer_form_factor():
         lambda: RoomSpec(rows=1, racks_per_row=4, rack_power_budget=float("inf")),
         lambda: RoomSpec(rows=float("inf"), racks_per_row=4),
         lambda: RoomSpec(rows=1, racks_per_row=4, rack_units_per_rack=float("nan")),
+        lambda: RoomSpec(rows=300, racks_per_row=300),
+        lambda: RoomSpec(rows=101, racks_per_row=100),
+        lambda: RoomSpec(rows=1, racks_per_row=10**8),
     ],
 )
 def test_footprint_and_room_reject_out_of_range_values(build):
     with pytest.raises(ValueError, match="must"):
         build()
+
+
+def test_room_of_the_largest_size_is_accepted():
+    assert RoomSpec(rows=100, racks_per_row=100).rack_count == MAX_RACK_POSITIONS
 
 
 def test_oversized_indivisible_item_rejected(ft36_catalog):

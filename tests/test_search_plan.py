@@ -2,15 +2,19 @@
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fattree_design import designer
 from fattree_design.catalog import (
     Catalog,
+    ModularSwitchFamily,
     SwitchConfig,
     bundled_catalog_path,
+    expand_modular,
     load_catalog,
     load_catalog_file,
 )
@@ -125,6 +129,94 @@ def tied_catalogs(draw):
     )
 
 
+@st.composite
+def many_core_catalogs(draw):
+    """Catalogs of 10 to 40 configurations, most of them cores, priced spread, all zero or all equal.
+
+    Many cores per edge group give the winner-only ranking's per-core cost
+    floor something to skip, and zero and equal prices give the cost ties
+    that its strict comparison must pass on to the full ranking key.
+    """
+    pricing = draw(st.sampled_from(("spread", "zero", "equal")))
+    shared = draw(st.integers(1, 500000))
+
+    def price(spread_max=2000000):
+        if pricing == "spread":
+            return draw(st.integers(0, spread_max))
+        return 0 if pricing == "zero" else shared
+
+    family = ModularSwitchFamily(
+        id="m",
+        chassis_cost=price(),
+        chassis_rack_units=draw(st.integers(1, 4)),
+        chassis_power=0.0,
+        chassis_weight=0.0,
+        # under equal prices the chassis alone carries the price, so every line-card count costs the same
+        fabric_board_cost=price() if pricing == "spread" else 0,
+        fabric_boards_required=draw(st.integers(1, 2)),
+        line_card_cost=price(400000) if pricing == "spread" else 0,
+        ports_per_line_card=draw(st.sampled_from((4, 8, 12))),
+        max_line_cards=draw(st.integers(2, 8)),
+        roles=frozenset(draw(st.sampled_from((("core",), ("edge", "core"))))),
+    )
+    switches = expand_modular(family)
+    for i in range(draw(st.integers(max(1, 10 - len(switches)), 40 - len(switches)))):
+        # the first monolith is an edge switch, so every catalog has an edge group
+        roles = ("edge",) if i == 0 else draw(st.sampled_from((("core",), ("core",), ("edge",), ("edge", "core"))))
+        switches.append(SwitchConfig(
+            source_id=f"sw{i:02d}",
+            ports=draw(st.sampled_from((4, 6, 8, 12, 16, 24, 32, 36, 48, 64))),
+            cost=price(),
+            power=0.0,
+            rack_units=draw(st.sampled_from((1, 2))),
+            weight=0.0,
+            roles=frozenset(roles),
+        ))
+    return Catalog(
+        edge_set=tuple(s for s in switches if "edge" in s.roles),
+        core_set=tuple(s for s in switches if "core" in s.roles),
+    )
+
+
+def test_per_core_floor_keeps_the_design_winner():
+    """The winner-only ranking skips single cores that cannot win, and still finds design()'s winner.
+
+    With the even spread off, rank() sizes each core it does not skip once
+    per edge group it enters, so skipping whole edge groups alone leaves a
+    whole multiple of the core count of core_stage() calls; a remainder
+    shows that a core was skipped inside a group.
+    """
+    skipped_inside_a_group = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        many_core_catalogs(),
+        st.lists(st.integers(2, 1500), min_size=1, max_size=4),
+        st.sampled_from(BLOCKINGS),
+        st.sampled_from((0, DEFAULT_CABLE_COST)),
+    )
+    def check(catalog, node_counts, blocking, cable_cost):
+        for nodes in node_counts:
+            for expandable in (False, True):
+                request = DesignRequest(
+                    node_count=nodes,
+                    blocking_factor=blocking,
+                    avg_cable_cost=cable_cost,
+                    prefer_expandability=expandable,
+                )
+                assert_scan_matches_design(request, catalog)
+            plan = SearchPlan(request, catalog)
+            with mock.patch.object(designer, "core_stage", wraps=designer.core_stage) as sized:
+                try:
+                    plan.rank(nodes, winner_only=True)
+                except DesignError:
+                    continue
+            skipped_inside_a_group.append(sized.call_count % len(plan.cores) != 0)
+
+    check()
+    assert any(skipped_inside_a_group)
+
+
 @settings(max_examples=150, deadline=None)
 @given(requests())
 def test_scan_key_equals_design_winner(case):
@@ -185,6 +277,15 @@ def reference_fit_max_nodes(capacity_units, catalog, blocking, node_spec=NodeSpe
         if nodes * node_spec.rack_units + winner.metrics.rack_units <= capacity_units:
             return CapacityFit(capacity_units=capacity_units, node_count=nodes, design=winner)
     raise PlacementError(f"no node count fits in {capacity_units}U")
+
+
+def test_fit_max_nodes_walk_starts_at_the_catalog_reach():
+    # the demo catalog reaches 1,944 nodes at blocking 1, and no larger count has a design
+    assert SearchPlan(DesignRequest(node_count=2), DEMO).max_reachable == 1944
+    huge = fit_max_nodes(10**8, DEMO, Fraction(1))
+    fitted = fit_max_nodes(2344, DEMO, Fraction(1))
+    assert (huge.node_count, huge.design) == (fitted.node_count, fitted.design)
+    assert (huge.node_count, huge.design.metrics.rack_units) == (1944, 234)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOGS))
