@@ -11,18 +11,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 from .catalog import CatalogError, load_catalog_file
-from .designer import (
-    BladeFormFactor,
-    ConstraintSet,
-    DesignError,
-    DesignRequest,
-    FormFactor,
-    NodeSpec,
-    design,
-    request_from_document,
-)
+from .designer import DesignError, DesignRequest, NodeSpec, design, request_from_document
 from .estimator import lower_bound_estimate, sweep_lower_bound
 from .money import parse_money, parse_ratio
 from .placement import (
@@ -124,36 +116,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _design_request(args: argparse.Namespace) -> DesignRequest:
+    """The ``--request`` document, or one built from the flags, read by ``request_from_document``."""
     if args.request:
         document = json.loads(Path(args.request).read_text(encoding="utf-8"))
         return request_from_document(document)
     if args.nodes is None:
         raise ValueError("either --request or --nodes is required")
+    document = {
+        "nodes": args.nodes,
+        "blocking": args.blocking,
+        "avg_cable_cost": parse_money(args.cable_cost),
+        "constraints": {
+            "max_network_rack_units": args.max_ru,
+            "min_spare_core_ports": args.min_spare_ports,
+            "max_network_power": args.max_power,
+            "max_network_cost": parse_money(args.max_cost) if args.max_cost else None,
+        },
+        "prefer_expandability": args.prefer_expandability,
+    }
     if args.blade is not None:
         if not args.embedded_switch:
             raise ValueError("--blade requires --embedded-switch")
-        form: FormFactor = BladeFormFactor(
-            enclosure_capacity=args.blade,
-            enclosure_cost=parse_money(args.enclosure_cost),
-            embedded_edge_switch_id=args.embedded_switch,
-            pass_through_cost=parse_money(args.pass_through_cost) if args.pass_through_cost else None,
-        )
-    else:
-        form = NodeSpec()
-    constraints = ConstraintSet(
-        max_network_rack_units=args.max_ru,
-        min_spare_core_ports=args.min_spare_ports,
-        max_network_power=args.max_power,
-        max_network_cost=parse_money(args.max_cost) if args.max_cost else None,
-    )
-    return DesignRequest(
-        node_count=args.nodes,
-        blocking_factor=parse_ratio(args.blocking),
-        form_factor=form,
-        avg_cable_cost=parse_money(args.cable_cost),
-        constraints=constraints,
-        prefer_expandability=args.prefer_expandability,
-    )
+        document["form_factor"] = {
+            "kind": "blade",
+            "enclosure_capacity": args.blade,
+            "enclosure_cost": parse_money(args.enclosure_cost),
+            "embedded_edge_switch_id": args.embedded_switch,
+        }
+        if args.pass_through_cost:
+            document["form_factor"]["pass_through_cost"] = parse_money(args.pass_through_cost)
+    return request_from_document(document)
+
+
+def _write(args: argparse.Namespace, document: Callable[[], dict[str, Any]], text: Callable[[], str]) -> None:
+    """Write the report to stdout in the chosen format, rendering only that one."""
+    sys.stdout.write(reporting.to_json(document()) if args.format == "json" else text())
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
@@ -162,11 +159,8 @@ def _cmd_design(args: argparse.Namespace) -> int:
     catalog = load_catalog_file(args.catalog)
     request = _design_request(args)
     result = design(request, catalog)
-    if args.format == "json":
-        document = reporting.design_report_document(result, catalog.currency, top=args.top)
-        sys.stdout.write(reporting.to_json(document))
-    else:
-        sys.stdout.write(reporting.render_design_text(result, catalog.currency, top=args.top))
+    _write(args, lambda: reporting.design_report_document(result, catalog.currency, top=args.top),
+           lambda: reporting.render_design_text(result, catalog.currency, top=args.top))
     if args.dot:
         Path(args.dot).write_text(reporting.emit_wiring(result.winner), encoding="utf-8")
     return EXIT_OK
@@ -178,10 +172,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     estimate = lower_bound_estimate(
         args.nodes, config, parse_money(args.cable_cost), blade=args.blade
     )
-    if args.format == "json":
-        sys.stdout.write(reporting.to_json(reporting.estimate_document(estimate, catalog.currency)))
-    else:
-        sys.stdout.write(reporting.render_estimate_text(estimate, catalog.currency))
+    _write(args, lambda: reporting.estimate_document(estimate, catalog.currency),
+           lambda: reporting.render_estimate_text(estimate, catalog.currency))
     return EXIT_OK
 
 
@@ -189,10 +181,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     catalog = load_catalog_file(args.catalog)
     config = catalog.find(args.switch)
     points = sweep_lower_bound(config, args.first, args.last, parse_money(args.cable_cost))
-    if args.format == "json":
-        sys.stdout.write(reporting.to_json(reporting.sweep_document(points, catalog.currency)))
-    else:
-        sys.stdout.write(reporting.render_sweep_text(points, catalog.currency))
+    _write(args, lambda: reporting.sweep_document(points, catalog.currency),
+           lambda: reporting.render_sweep_text(points, catalog.currency))
     return EXIT_OK
 
 
@@ -221,12 +211,8 @@ def _cmd_place(args: argparse.Namespace) -> int:
         core_placement=args.core_placement,
         reserve=args.reserve,
     )
-    if args.format == "json":
-        sys.stdout.write(reporting.to_json(reporting.layout_document(layout)))
-    else:
-        sys.stdout.write(reporting.render_room_top_view(layout))
-        sys.stdout.write("\n")
-        sys.stdout.write(reporting.render_rack_fronts(layout))
+    _write(args, lambda: reporting.layout_document(layout),
+           lambda: reporting.render_room_top_view(layout) + "\n" + reporting.render_rack_fronts(layout))
     return EXIT_OK
 
 
@@ -244,10 +230,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     )
     extra = args.target_units - args.current_units
     audit = expansion_audit(plan.baseline.design, extra, node_spec)
-    if args.format == "json":
-        sys.stdout.write(reporting.to_json(reporting.expansion_document(plan, audit, catalog.currency)))
-    else:
-        sys.stdout.write(reporting.render_expansion_text(plan, audit))
+    _write(args, lambda: reporting.expansion_document(plan, audit, catalog.currency),
+           lambda: reporting.render_expansion_text(plan, audit))
     return EXIT_OK
 
 

@@ -83,7 +83,7 @@ def lower_bound_estimate(
     Assumes a non-blocking fabric with the same switch model on both layers.
     The cable term counts one cable per node plus one per two uplink ports
     (skipping node cables for blades), which matches the real design's cable
-    count at every exact point.
+    count at every exact point. An odd or sub-4 port count has no exact point.
     """
     if node_count < 1:
         raise ValueError("node_count must be positive")
@@ -93,7 +93,7 @@ def lower_bound_estimate(
     metrics = per_port_metrics(config)
     total_ports = 3 * node_count
     cables = node_count if blade else 2 * node_count
-    factor = exactness_condition(node_count, config.ports)
+    factor = exactness_condition(node_count, config.ports) if config.ports >= 4 and config.ports % 2 == 0 else None
     quoted_cost_per_port = round_half_up(metrics.cost_per_port, Fraction(100))
     quoted_power_per_port = round_half_up(metrics.power_per_port, Fraction(1, 100))
     return PerPortEstimate(

@@ -24,11 +24,7 @@ from .placement import ExpansionAudit, ExpansionPlan, RackLayout
 
 
 def _ratio_text(value: Fraction | None) -> str | None:
-    if value is None:
-        return None
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return None if value is None else str(value)
 
 
 def _money_doc(amount: int, currency: str) -> dict[str, Any]:
@@ -74,7 +70,6 @@ def candidate_document(candidate: FatTreeDesign, currency: str) -> dict[str, Any
 
 def design_report_document(report: DesignReport, currency: str, top: int | None = None) -> dict[str, Any]:
     request = report.request
-    candidates = report.candidates if top is None else report.candidates[:top]
     form: dict[str, Any]
     if isinstance(request.form_factor, BladeFormFactor):
         form = {
@@ -93,7 +88,7 @@ def design_report_document(report: DesignReport, currency: str, top: int | None 
             "prefer_expandability": request.prefer_expandability,
         },
         "winner": candidate_document(report.winner, currency),
-        "candidates": [candidate_document(c, currency) for c in candidates],
+        "candidates": [candidate_document(c, currency) for c in report.candidates[:top]],
         "feasible_candidates": len(report.candidates),
         "rejected_candidates": [
             {
@@ -113,8 +108,9 @@ def render_design_text(report: DesignReport, currency: str, top: int = 5) -> str
     lines.append(f"design for {request.node_count} nodes, blocking factor {blocking}")
     for rank, candidate in enumerate(report.candidates[:top], start=1):
         marker = "winner" if rank == 1 else f"#{rank}"
-        lines.append(f"{marker}: {_candidate_summary(candidate, currency)}")
-        lines.extend(f"    {line}" for line in _candidate_detail(candidate, currency))
+        summary, *detail = _candidate_lines(candidate, currency)
+        lines.append(f"{marker}: {summary}")
+        lines.extend(f"    {line}" for line in detail)
     extra = len(report.candidates) - top
     if extra > 0:
         lines.append(f"... {extra} more feasible candidate(s) not shown")
@@ -123,35 +119,29 @@ def render_design_text(report: DesignReport, currency: str, top: int = 5) -> str
     return "\n".join(lines) + "\n"
 
 
-def _candidate_summary(candidate: FatTreeDesign, currency: str) -> str:
+def _candidate_lines(candidate: FatTreeDesign, currency: str) -> list[str]:
+    """The candidate's summary line, then its detail lines."""
     cost = format_money(candidate.objective, currency)
+    cables = f"cables {candidate.cable_count}"
     if candidate.kind == "star":
-        return f"star on {candidate.edge_config.config_id} ({cost})"
-    if candidate.kind == "direct_connect":
+        lines = [f"star on {candidate.edge_config.config_id} ({cost})", cables]
+    elif candidate.kind == "direct_connect":
         variant = "switch + pass-through panel" if candidate.pass_through else "two switches"
-        return f"direct connect, {variant} ({cost})"
-    edge = f"{candidate.edge_count}x {candidate.edge_config.config_id}"
-    core = f"{candidate.core_count}x {candidate.core_config.config_id}"
-    uniform = ", uniform node spread" if candidate.uniform_distribution else ""
-    return f"fat tree, {edge} edge + {core} core{uniform} ({cost})"
-
-
-def _candidate_detail(candidate: FatTreeDesign, currency: str) -> list[str]:
-    lines = []
-    split = candidate.split
-    if candidate.kind == "fat_tree":
-        lines.append(
-            f"ports per edge switch: {split.ports_to_nodes} to nodes, "
-            f"{split.ports_to_core} to core (blocking {_ratio_text(split.resulting_blocking)})"
-        )
-        assert candidate.core_stage is not None
-        widths = bundle_widths(split.ports_to_core, candidate.core_stage)
-        bundle = f"bundle width {candidate.core_stage.bundle_width}"
-        if widths[-1] != candidate.core_stage.bundle_width:
-            bundle += f" (last {widths[-1]})"
-        lines.append(f"{bundle}, cables {candidate.cable_count}")
+        lines = [f"direct connect, {variant} ({cost})", cables]
     else:
-        lines.append(f"cables {candidate.cable_count}")
+        split, stage = candidate.split, candidate.core_stage
+        assert candidate.core_config is not None and stage is not None
+        edge = f"{candidate.edge_count}x {candidate.edge_config.config_id}"
+        core = f"{candidate.core_count}x {candidate.core_config.config_id}"
+        uniform = ", uniform node spread" if candidate.uniform_distribution else ""
+        widths = bundle_widths(split.ports_to_core, stage)
+        last = f" (last {widths[-1]})" if widths[-1] != stage.bundle_width else ""
+        lines = [
+            f"fat tree, {edge} edge + {core} core{uniform} ({cost})",
+            f"ports per edge switch: {split.ports_to_nodes} to nodes, "
+            f"{split.ports_to_core} to core (blocking {_ratio_text(split.resulting_blocking)})",
+            f"bundle width {stage.bundle_width}{last}, {cables}",
+        ]
     metrics = candidate.metrics
     lines.append(
         f"cost {format_money(metrics.cost, currency)}, power {metrics.power:g} W, "
@@ -165,7 +155,8 @@ def emit_wiring(design_: FatTreeDesign) -> str:
     """DOT wiring diagram: nodes at the bottom, edge layer, then core layer.
 
     Inter-layer links are drawn one edge per bundle, labelled with the bundle
-    width; unused ports are annotated on the last edge switch.
+    width; unused ports are annotated on the last edge switch. The network's
+    kind picks the switch labels, the core boxes and the links.
     """
     lines = [
         "graph network {",
@@ -173,47 +164,32 @@ def emit_wiring(design_: FatTreeDesign) -> str:
         '  node [shape=box, fontname="Helvetica"];',
     ]
     distribution = node_distribution(design_)
-    edge_names = [f"edge{i}" for i in range(len(distribution))]
-
-    if design_.kind == "fat_tree":
-        assert design_.core_config is not None and design_.core_stage is not None
-        widths = bundle_widths(design_.split.ports_to_core, design_.core_stage)
-        for j in range(design_.core_stage.core_count):
-            lines.append(
-                f'  core{j} [label="core {j + 1}\\n{design_.core_config.config_id}"];'
-            )
-    for i, attached in enumerate(distribution):
-        if design_.kind == "star":
-            label = f"switch\\n{design_.edge_config.config_id}"
-        elif design_.kind == "direct_connect" and design_.pass_through and i == 1:
-            label = "pass-through panel"
-        else:
-            label = f"edge {i + 1}\\n{design_.edge_config.config_id}"
-        if design_.kind == "fat_tree" and i == len(distribution) - 1:
-            unused = design_.edge_config.ports - attached - design_.split.ports_to_core
-            if unused > 0:
-                label += f"\\nunused ports: {unused}"
-        lines.append(f'  {edge_names[i]} [label="{label}"];')
-    lines.append("  node [shape=point, width=0.05];")
-    node_index = 0
-    attachments = []
-    for i, attached in enumerate(distribution):
-        for _ in range(attached):
-            lines.append(f"  n{node_index};")
-            attachments.append(f"  n{node_index} -- {edge_names[i]};")
-            node_index += 1
-    lines.extend(attachments)
-    if design_.kind == "fat_tree":
+    config_id = design_.edge_config.config_id
+    labels = [f"edge {i + 1}\\n{config_id}" for i in range(len(distribution))]
+    links: list[str] = []
+    if design_.kind == "star":
+        labels = [f"switch\\n{config_id}"]
+    elif design_.kind == "direct_connect":
+        if design_.pass_through:
+            labels[1] = "pass-through panel"
+        links.append(f'  edge0 -- edge1 [label="{design_.cable_count}", penwidth=2];')
+    else:
+        stage = design_.core_stage
+        assert design_.core_config is not None and stage is not None
+        unused = design_.edge_config.ports - distribution[-1] - design_.split.ports_to_core
+        if unused > 0:
+            labels[-1] += f"\\nunused ports: {unused}"
+        for j in range(stage.core_count):
+            lines.append(f'  core{j} [label="core {j + 1}\\n{design_.core_config.config_id}"];')
+        widths = bundle_widths(design_.split.ports_to_core, stage)
         for i in range(len(distribution)):
-            for j, width in enumerate(widths):
-                lines.append(
-                    f'  {edge_names[i]} -- core{j} [label="{width}", penwidth=2];'
-                )
-    elif design_.kind == "direct_connect" and len(edge_names) == 2:
-        lines.append(
-            f'  {edge_names[0]} -- {edge_names[1]} '
-            f'[label="{design_.cable_count}", penwidth=2];'
-        )
+            links.extend(f'  edge{i} -- core{j} [label="{width}", penwidth=2];' for j, width in enumerate(widths))
+    lines.extend(f'  edge{i} [label="{label}"];' for i, label in enumerate(labels))
+    lines.append("  node [shape=point, width=0.05];")
+    owners = [i for i, attached in enumerate(distribution) for _ in range(attached)]
+    lines.extend(f"  n{index};" for index in range(len(owners)))
+    lines.extend(f"  n{index} -- edge{i};" for index, i in enumerate(owners))
+    lines.extend(links)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -22,6 +22,8 @@ from fattree_design.designer import (
 )
 from fattree_design.catalog import ModularSwitchFamily, expand_modular
 
+from fattree_design.estimator import single_model_catalog
+
 from conftest import make_switch
 
 
@@ -535,3 +537,24 @@ def test_constraint_set_accepts_numeric_limits():
     assert limits.max_network_power == 1500.5
     assert ConstraintSet(max_network_power=1500).max_network_power == 1500
     assert ConstraintSet(max_network_cost=10**400).max_network_cost == 10**400
+
+
+def test_every_pair_uses_the_fewest_edge_switches():
+    """A pair's edge count is ceil(N / ports_to_nodes), even where one more switch costs less.
+
+    At blocking 3/2 a 48-port edge switch has 28 node ports. 140 nodes take
+    5 edge switches and 3 cores; 141 nodes take 6 edge switches with the even
+    spread and 2 cores, which costs less and would serve 140 nodes too, so the
+    winner's cost falls from 140 to 141 nodes.
+    """
+    sm00 = make_switch(48, 576_000, source_id="sm00", power=156.4, rack_units=1, weight=12.6)
+    catalog = single_model_catalog(sm00)
+    found = {}
+    for nodes in (140, 141):
+        report = design(DesignRequest(node_count=nodes, blocking_factor=Fraction(3, 2)), catalog)
+        winner = report.winner
+        found[nodes] = (winner.metrics.cost, winner.edge_count, winner.core_count, winner.uniform_distribution)
+        for candidate in report.candidates:
+            if candidate.kind == "fat_tree" and not candidate.uniform_distribution:
+                assert candidate.edge_count == -(-nodes // candidate.split.ports_to_nodes)
+    assert found == {140: (6_528_000, 5, 3, False), 141: (6_504_000, 6, 2, True)}

@@ -11,6 +11,8 @@ from fattree_design.estimator import (
     sweep_lower_bound,
 )
 
+from conftest import make_switch
+
 
 @pytest.mark.parametrize(
     "nodes,expected",
@@ -40,6 +42,14 @@ def test_exactness_condition_validates_ports():
         exactness_condition(10, 35)
     with pytest.raises(ValueError):
         exactness_condition(1, 2)
+
+
+@pytest.mark.parametrize("ports, nodes", [(25, 100), (25, 312), (3, 4)])
+def test_estimate_on_odd_ports_is_not_exact(ports, nodes):
+    # exactness_condition rejects such a switch; the estimate reports it as never exact
+    estimate = lower_bound_estimate(nodes, make_switch(ports, 500_000), 8000)
+    assert (estimate.exact, estimate.bundle_factor) == (False, None)
+    assert estimate.total_ports == 3 * nodes
 
 
 def test_estimate_full_population(ft36):
