@@ -8,6 +8,7 @@ JSON or text; wiring diagrams can be written as DOT files. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -159,10 +160,13 @@ def _cmd_design(args: argparse.Namespace) -> int:
     catalog = load_catalog_file(args.catalog)
     request = _design_request(args)
     result = design(request, catalog)
-    _write(args, lambda: reporting.design_report_document(result, catalog.currency, top=args.top),
-           lambda: reporting.render_design_text(result, catalog.currency, top=args.top))
-    if args.dot:
-        Path(args.dot).write_text(reporting.emit_wiring(result.winner), encoding="utf-8")
+    wiring = reporting.emit_wiring(result.winner) if args.dot else ""
+    # open the diagram file before stdout is written, so that an unwritable path leaves stdout empty
+    with open(args.dot, "w", encoding="utf-8") if args.dot else contextlib.nullcontext() as dot:
+        _write(args, lambda: reporting.design_report_document(result, catalog.currency, top=args.top),
+               lambda: reporting.render_design_text(result, catalog.currency, top=args.top))
+        if dot:
+            dot.write(wiring)
     return EXIT_OK
 
 

@@ -7,12 +7,13 @@ candidate that survives the constraint filter is kept and ranked, so callers
 can present alternatives instead of just the winner. A SearchPlan holds the
 per-catalog state (edge splits, core list, star switches) once, and its
 rank() is the one search loop and the one ranking for every kind of network:
-for each edge model it counts the edge switches and the even spread, and for
-each core model it sizes the core layer, then prices and filters the pair as
-plain numbers, next to the star and direct-connect variants, and sorts plain
-records. design() keeps the whole ranking and builds each candidate design,
-through one builder, only when it is read; fit_max_nodes and
-sweep_lower_bound ask the same ranking for the winner alone.
+for each edge model it counts the edge switches and the even spread, sizes
+the core layer against every core model in one call and prices the pairs in
+one more, then filters them as plain numbers, next to the star and
+direct-connect variants, and sorts plain records. design() keeps the whole
+ranking and builds each candidate design, through one builder, only when it
+is read; fit_max_nodes and sweep_lower_bound ask the same ranking for the
+winner alone.
 
 All port arithmetic is exact integer/Fraction math; all money is integer
 minor units.
@@ -21,8 +22,9 @@ minor units.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields, replace
+from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from operator import itemgetter
 
@@ -169,6 +171,26 @@ class CoreStage:
     core_count: int
 
 
+@dataclass
+class SearchStats:
+    """Counts of what SearchPlan.rank() did over the plan's calls; stars and direct connects are not counted.
+
+    A pair sized is skipped (too few core ports) or a candidate, as is each even spread kept, and a
+    candidate is rejected or ranked: pairs_considered + spread_variants == pairs_skipped +
+    candidates_rejected + candidates_ranked. The winner-only ranking skips a core by its cost floor
+    before sizing the group or, as the best cost drops, after; its candidates then rank as losers.
+    """
+
+    pairs_considered: int = 0
+    pairs_skipped: int = 0
+    spread_variants: int = 0
+    candidates_rejected: int = 0
+    rejections: Counter = field(default_factory=Counter)  # per constraint name; a candidate may break several
+    candidates_ranked: int = 0
+    groups_cut: int = 0  # winner-only: edge groups cut by their cost floor
+    cores_skipped: int = 0  # winner-only: cores skipped by the per-core floor
+
+
 @dataclass(frozen=True)
 class DesignMetrics:
     """Aggregate network metrics (switches plus cables; nodes excluded)."""
@@ -266,20 +288,27 @@ def edge_count(node_count: int, ports_to_nodes: int) -> int:
     return -(-node_count // ports_to_nodes)
 
 
-def core_stage(edge_switches: int, ports_to_core: int, core_ports: int) -> CoreStage | None:
-    """Size the core layer, or None when the core switch has too few ports.
+def core_layers(edge_switches: int, ports_to_core: int, core_ports: Iterable[int]) -> list[tuple[int, int] | None]:
+    """(bundle width, core switch count) of one edge group's core layer per core port count; None where too few.
 
-    Every edge switch must reach every core switch, so a core switch needs at
-    least one port per edge switch; bundling then packs as many rounds of
-    edge-to-core links as fit.
+    Every edge switch reaches every core switch, so a core switch needs a port per edge switch; bundling
+    then packs as many rounds of edge-to-core links as fit. core_stage() sizes one pair by this rule.
     """
+    if edge_switches < 1:
+        raise ValueError("edge_switches must be positive")
     if ports_to_core < 1:
         raise ValueError("ports_to_core must be positive")
-    if core_ports < edge_switches:
-        return None
-    bundle_width = min(core_ports // edge_switches, ports_to_core)
-    core_count = -(-ports_to_core // bundle_width)
-    return CoreStage(bundle_width=bundle_width, core_count=core_count)
+    layers = []
+    for ports in core_ports:
+        width = ports // edge_switches if ports < edge_switches * ports_to_core else ports_to_core
+        layers.append((width, -(-ports_to_core // width)) if ports >= edge_switches else None)
+    return layers
+
+
+def core_stage(edge_switches: int, ports_to_core: int, core_ports: int) -> CoreStage | None:
+    """Size the core layer for one core switch model, or None when it has too few ports (see core_layers)."""
+    layer, = core_layers(edge_switches, ports_to_core, (core_ports,))
+    return CoreStage(*layer) if layer else None
 
 
 def bundle_widths(ports_to_core: int, stage: CoreStage) -> tuple[int, ...]:
@@ -313,59 +342,59 @@ def node_distribution(design: FatTreeDesign) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _even_split(node_count: int, edge_switches: int, blocking: Fraction) -> EdgeSplit:
+def _even_split(node_count: int, edge_switches: int, blocking: Fraction, ports_to_core: int) -> EdgeSplit | None:
     """Nodes spread evenly over the edge switches, each with the fewest uplinks the blocking allows."""
     nodes_per_switch = -(-node_count // edge_switches)
     uplinks = -(-nodes_per_switch * blocking.denominator // blocking.numerator)
+    if uplinks >= ports_to_core:
+        return None  # the baseline's uplinks give the same core layer
     resulting = Fraction(nodes_per_switch, uplinks)
     assert resulting <= blocking
     return EdgeSplit(nodes_per_switch, uplinks, resulting, edge_switches)
 
 
-def _violations(
-    constraints: ConstraintSet, rack_units: int, spare: int, power: float, cost: Money
-) -> list[ConstraintViolation]:
-    """The active constraints that a network with these numbers breaks, in field order."""
-    violations = []
-    for name, actual in (
-        ("max_network_rack_units", rack_units),
-        ("min_spare_core_ports", spare),
-        ("max_network_power", power),
-        ("max_network_cost", cost),
-    ):
-        limit = getattr(constraints, name)
-        if limit is not None and (actual < limit if name == "min_spare_core_ports" else actual > limit):
-            violations.append(ConstraintViolation(name, limit, actual))
-    return violations
+def _active_limits(constraints: ConstraintSet) -> tuple[tuple[int, str, float], ...]:
+    """(place, name, limit) of each limit that is set, in field order, which is _violations' order of numbers."""
+    named = ((at, field_.name, getattr(constraints, field_.name)) for at, field_ in enumerate(fields(constraints)))
+    return tuple(limit for limit in named if limit[2] is not None)
+
+
+def _violations(limits: tuple, rack_units: int, spare: int, power: float, cost: Money) -> list[ConstraintViolation]:
+    """The limits, from _active_limits, that a network with these numbers breaks, in field order."""
+    actuals = (rack_units, spare, power, cost)
+    return [
+        ConstraintViolation(name, limit, actuals[at])
+        for at, name, limit in limits
+        if (actuals[at] < limit if name == "min_spare_core_ports" else actuals[at] > limit)
+    ]
+
+
+# Zero switches of this empty model add nothing: the core layer of a design that has none.
+_NO_CORE = SwitchConfig("", 0, 0, 0.0, 0, 0.0, frozenset())
 
 
 def _network_metrics(
-    request: DesignRequest,
-    edge_config: SwitchConfig,
-    edge_switches: int,
-    core_config: SwitchConfig | None,
-    core_switches: int,
-    cables: int,
-    extra_cost: Money = 0,
-) -> tuple[Money, float, int, float]:
-    """(cost, power, rack units, weight) of a switch mix, in DesignMetrics order; the one home of these formulas."""
-    core_cost = core_switches * core_config.cost if core_config else 0
-    core_power = core_switches * core_config.power if core_config else 0.0
-    core_units = core_switches * core_config.rack_units if core_config else 0
-    core_weight = core_switches * core_config.weight if core_config else 0.0
+    request: DesignRequest, edge_config: SwitchConfig, edge_switches: int, mixes: Iterable, extra_cost: Money = 0
+) -> list[tuple[Money, float, int, float]]:
+    """(cost, power, rack units, weight) of the edge switches with each (core config, core switches, cables) mix.
+
+    The one home of these formulas, in DesignMetrics order: the edge side is
+    worked out once, and each mix adds its core switches and cables to it.
+    """
     # Blade edge switches live inside the enclosure and occupy no rack space
     # of their own; their cost, power, and weight still count.
     embedded = (
         isinstance(request.form_factor, BladeFormFactor)
         and edge_config.source_id == request.form_factor.embedded_edge_switch_id
     )
+    edge_cost, edge_power = edge_switches * edge_config.cost + extra_cost, edge_switches * edge_config.power
     edge_units = 0 if embedded else edge_switches * edge_config.rack_units
-    return (
-        edge_switches * edge_config.cost + core_cost + extra_cost + cables * request.avg_cable_cost,
-        edge_switches * edge_config.power + core_power,
-        edge_units + core_units,
-        edge_switches * edge_config.weight + core_weight,
-    )
+    edge_weight, cable_cost = edge_switches * edge_config.weight, request.avg_cable_cost
+    return [
+        (edge_cost + cores * core.cost + cables * cable_cost, edge_power + cores * core.power,
+         edge_units + cores * core.rack_units, edge_weight + cores * core.weight)
+        for core, cores, cables in mixes
+    ]
 
 
 def _build_design(
@@ -375,7 +404,7 @@ def _build_design(
     edge_config: SwitchConfig,
     core_config: SwitchConfig | None,
     split: EdgeSplit,
-    stage: CoreStage | None,
+    layer: tuple[int, int] | None,
     cables: int,
     uniform: bool,
     pass_through: bool,
@@ -383,16 +412,15 @@ def _build_design(
 ) -> FatTreeDesign:
     """The one builder of a design, for every kind, from the payload of its ranking record."""
     extra_cost = request.form_factor.pass_through_cost if pass_through else 0
-    metrics = DesignMetrics(*_network_metrics(
-        request, edge_config, split.edge_count, core_config, stage.core_count if stage else 0, cables, extra_cost
-    ))
+    mix = (core_config or _NO_CORE, layer[1] if layer else 0, cables)
+    metrics = DesignMetrics(*_network_metrics(request, edge_config, split.edge_count, (mix,), extra_cost)[0])
     return FatTreeDesign(
         kind=kind,
         node_count=request.node_count,
         edge_config=edge_config,
         core_config=core_config,
         split=split,
-        core_stage=stage,
+        core_stage=CoreStage(*layer) if layer else None,
         cable_count=cables,
         objective=objective,
         metrics=metrics,
@@ -444,8 +472,9 @@ class SearchPlan:
     blade-bay cap applied, the core list and the config union (the star
     switches), each computed once, plus the largest node count any design
     reaches. rank() is the one loop over edge configurations x cores for one
-    node count: it sizes, prices, filters and orders every pair with the
-    star and direct-connect variants, for design() in full and for the
+    node count: it sizes and prices each edge group's pairs in one call each,
+    filters and orders them with the star and direct-connect variants, and
+    counts what it did in ``stats``, for design() in full and for the
     node-count scans as the winner alone. For the winner alone it also holds
     the cheapest core switch, from which rank() works out the cost floors
     that let it skip edge groups and single cores.
@@ -455,6 +484,7 @@ class SearchPlan:
         self.request = request
         self.configs = catalog.configs()
         self.cores = tuple((config, config.config_id) for config in catalog.core_set)
+        self.stats = SearchStats()
         reach = max((config.ports for config in self.configs), default=0)
         widest_core = max((config.ports for config in catalog.core_set), default=0)
         blades = request.form_factor if isinstance(request.form_factor, BladeFormFactor) else None
@@ -487,15 +517,14 @@ class SearchPlan:
             self.cheapest_core is not None and self.cheapest_core.cost >= 0 and request.avg_cable_cost >= 0
         )
 
-    def _trivial_records(self, request: DesignRequest, objective: ObjectiveFn | None) -> list:
+    def _trivial_records(self, request: DesignRequest, objective: ObjectiveFn | None, limits: tuple) -> list:
         """Records of the best direct-connect variant and the best star that pass the constraints.
 
         Direct connect keeps the lowest (objective, switch count), the star the
         lowest (objective, ports, config id). A variant that a constraint
         rejects is dropped silently: it never enters the rejected list.
         """
-        node_count, constraints = request.node_count, request.constraints
-        constrained = constraints != ConstraintSet()
+        node_count = request.node_count
         blades = request.form_factor if isinstance(request.form_factor, BladeFormFactor) else None
         # (tie-break, spare ports, switch, split, cables, pass-through, max nodes) per variant
         direct, stars = [], []
@@ -519,9 +548,9 @@ class SearchPlan:
             best = None
             for tie, spare, config, split, cables, pass_through, max_nodes in variants:
                 switches, extra = split.edge_count, blades.pass_through_cost if pass_through else 0
-                numbers = _network_metrics(request, config, switches, None, 0, cables, extra)
+                numbers, = _network_metrics(request, config, switches, ((_NO_CORE, 0, cables),), extra)
                 cost, power, units, _ = numbers
-                if constrained and _violations(constraints, units, spare, power, cost):
+                if limits and _violations(limits, units, spare, power, cost):
                     continue
                 if objective is not None:
                     cost = objective(DesignMetrics(*numbers))
@@ -545,21 +574,22 @@ class SearchPlan:
         no price is negative, it also visits the edge groups in order of
         their cost floor (edges, fewest cables, one cheapest core switch)
         and stops at the first group whose floor exceeds the best cost
-        found; inside a group it skips, before sizing it, each core whose
-        price in place of the cheapest one lifts the floor above that cost.
-        Both comparisons are strict, so a pair that ties the best cost still
-        meets the full key. The full ranking makes neither check. Raises
-        what design() raises.
+        found; inside a group it drops, before sizing any, each core whose
+        price in place of the cheapest one lifts the floor above that cost,
+        and again as that cost drops. Both comparisons are strict, so a pair
+        that ties the best cost still meets the full key. The full ranking
+        makes neither check. Raises what design() raises.
         """
         request = self.request
         if node_count != request.node_count:
             request = replace(request, node_count=node_count)
-        constraints = request.constraints
-        constrained = constraints != ConstraintSet()
-        if winner_only and constrained:
+        limits = _active_limits(request.constraints)
+        if winner_only and limits:
             raise ValueError("the winner-only ranking serves unconstrained requests only")
-        records = self._trivial_records(request, objective)
+        records = self._trivial_records(request, objective, limits)
         best = min(records, key=itemgetter(0), default=None)
+        prune = winner_only and objective is None and self.prunable
+        blade, blocking = request.blade, request.blocking_factor
         # One group per edge configuration: the baseline split packs each edge
         # switch full, and the even spread over as many switches is a variant
         # only when it needs fewer uplinks per switch.
@@ -567,54 +597,74 @@ class SearchPlan:
         for config, ports_to_nodes, ports_to_core, resulting in self.edges:
             edges = edge_count(node_count, ports_to_nodes)
             baseline = EdgeSplit(ports_to_nodes, ports_to_core, resulting, edges)
-            spread = None if request.prefer_expandability else _even_split(node_count, edges, request.blocking_factor)
-            if spread is not None and spread.ports_to_core >= ports_to_core:
-                spread = None  # the same uplinks give the same core layer
-            cables = cable_count(node_count, edges, ports_to_core, request.blade)
-            spread_cables = cable_count(node_count, edges, spread.ports_to_core, request.blade) if spread else cables
-            floor, *_ = _network_metrics(request, config, edges, self.cheapest_core, 1, spread_cables)
-            groups.append((floor, config, edges, ((baseline, cables), (spread, spread_cables))))
-        prune = winner_only and objective is None and self.prunable
+            spread = None if request.prefer_expandability else _even_split(node_count, edges, blocking, ports_to_core)
+            cables = cable_count(node_count, edges, ports_to_core, blade)
+            spread_cables = cable_count(node_count, edges, spread.ports_to_core, blade) if spread else cables
+            cheapest_mix = ((self.cheapest_core, 1, spread_cables),)
+            floor = _network_metrics(request, config, edges, cheapest_mix)[0][0] if prune else 0
+            groups.append((floor, config, edges, baseline, cables, spread, spread_cables))
         if prune:
             groups.sort(key=itemgetter(0))
 
+        stats = self.stats
         rejected = []
-        for floor, config, edges, variants in groups:
+        candidates = 0
+        for index, (floor, config, edges, baseline, cables, spread, spread_cables) in enumerate(groups):
             if prune and best is not None and floor > best[0][0]:
+                stats.groups_cut += len(groups) - index
                 break
-            (baseline, _), (spread, _) = variants
             # the floor less its core switch: each core adds back its own price
             edge_floor = floor - self.cheapest_core.cost if prune else 0
-            for core, core_id in self.cores:
+            cores = self.cores
+            if prune and best is not None:
+                cores = [entry for entry in cores if edge_floor + entry[0].cost <= best[0][0]]
+                stats.cores_skipped += len(self.cores) - len(cores)
+            ports = [core.ports for core, _ in cores]
+            layers = core_layers(edges, baseline.ports_to_core, ports)
+            spread_layers = core_layers(edges, spread.ports_to_core, ports) if spread else (None,) * len(ports)
+            # (core, core id, split, core layer, cables, uniform) per candidate, and what it is priced from
+            pairs, mixes = [], []
+            for (core, core_id), layer, spread_layer in zip(cores, layers, spread_layers):
+                if layer is None:
+                    continue
+                pairs.append((core, core_id, baseline, layer, cables, False))
+                mixes.append((core, layer[1], cables))
+                if spread_layer is not None and spread_layer[1] < layer[1]:
+                    # the even spread is kept only when it frees a core switch
+                    pairs.append((core, core_id, spread, spread_layer, spread_cables, True))
+                    mixes.append((core, spread_layer[1], spread_cables))
+            skipped = layers.count(None)
+            stats.pairs_considered += len(layers)
+            stats.pairs_skipped += skipped
+            stats.spread_variants += len(pairs) - len(layers) + skipped
+            candidates += len(pairs)
+            priced = _network_metrics(request, config, edges, mixes)
+            edge_id = config.config_id
+            for (core, core_id, split, layer, split_cables, uniform), numbers in zip(pairs, priced):
                 if prune and best is not None and edge_floor + core.cost > best[0][0]:
+                    if not uniform:  # the best cost dropped inside this group; count each core once
+                        stats.cores_skipped += 1
                     continue
-                stage = core_stage(edges, baseline.ports_to_core, core.ports)
-                if stage is None:
-                    continue
-                uniform = core_stage(edges, spread.ports_to_core, core.ports) if spread else None
-                if uniform is not None and uniform.core_count >= stage.core_count:
-                    uniform = None  # the even spread is kept only when it frees a core switch
-                for (split, cables), sized, is_uniform in zip(variants, (stage, uniform), (False, True)):
-                    if sized is None:
+                cost, power, units, _ = numbers
+                core_switches = layer[1]
+                if limits:
+                    spare = core_switches * (core.ports + core.expandable_ports) - edges * split.ports_to_core
+                    violations = _violations(limits, units, spare, power, cost)
+                    if violations:
+                        rejected.append(RejectedCandidate(edge_id, core_id, tuple(violations)))
                         continue
-                    cores = sized.core_count
-                    numbers = _network_metrics(request, config, edges, core, cores, cables)
-                    cost, power, units, _ = numbers
-                    if constrained:
-                        spare = cores * (core.ports + core.expandable_ports) - edges * split.ports_to_core
-                        violations = _violations(constraints, units, spare, power, cost)
-                        if violations:
-                            rejected.append(RejectedCandidate(config.config_id, core_id, tuple(violations)))
-                            continue
-                    if objective is not None:
-                        cost = objective(DesignMetrics(*numbers))
-                    key = (cost, edges + cores, units, config.config_id, core_id)
-                    max_nodes = core.ports * split.ports_to_nodes
-                    record = (key, ("fat_tree", config, core, split, sized, cables, is_uniform, False, max_nodes))
-                    if not winner_only:
-                        records.append(record)
-                    elif best is None or key < best[0]:
-                        best = record
+                if objective is not None:
+                    cost = objective(DesignMetrics(*numbers))
+                key = (cost, edges + core_switches, units, edge_id, core_id)
+                max_nodes = core.ports * split.ports_to_nodes
+                record = (key, ("fat_tree", config, core, split, layer, split_cables, uniform, False, max_nodes))
+                if not winner_only:
+                    records.append(record)
+                elif best is None or key < best[0]:
+                    best = record
+        stats.candidates_rejected += len(rejected)
+        stats.candidates_ranked += candidates - len(rejected)
+        stats.rejections.update(violation.constraint for candidate in rejected for violation in candidate.violations)
 
         if winner_only:
             records = [best] if best is not None else []

@@ -87,7 +87,8 @@ def lower_bound_estimate(
     """
     if node_count < 1:
         raise ValueError("node_count must be positive")
-    capacity = config.ports * config.ports // 2
+    # an edge switch gives nodes half its ports, rounded down, and a core switch reaches one edge switch per port
+    capacity = config.ports * (config.ports // 2)
     if node_count > capacity:
         raise InsufficientRadixError(node_count, capacity)
     metrics = per_port_metrics(config)

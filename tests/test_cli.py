@@ -126,6 +126,14 @@ def test_dot_output(capsys, tmp_path, ft36_catalog):
     assert "unused ports: 12" in text
 
 
+def test_unwritable_dot_path_writes_nothing_to_stdout(capsys, tmp_path):
+    missing = tmp_path / "missing" / "wiring.dot"
+    code, out, err = run_capture(capsys, ["design", "--nodes", "60", "--catalog", DEMO, "--dot", str(missing)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+    assert not missing.parent.exists()
+
+
 def test_dot_bundle_weights_sum_to_uplinks(ft36_catalog):
     winner = design(DesignRequest(node_count=100), ft36_catalog).winner
     text = emit_wiring(winner)
@@ -433,6 +441,21 @@ def test_estimate_and_sweep_accept_an_odd_port_switch(capsys, tmp_path):
     assert (code, err) == (0, "")
     points = json.loads(out)["points"]
     assert [p["nodes"] for p in points] == list(range(2, 41)) and not any(p["exact"] for p in points)
+
+
+def test_estimate_caps_an_odd_port_switch_at_its_design_reach(capsys, tmp_path):
+    # 12 of a 25-port switch's ports face nodes, and a 25-port core reaches 25 edge switches: 300 nodes
+    switch = {"id": "odd25", "name": "25-port switch", "ports": 25, "cost": 500000, "power": 100,
+              "rack_units": 1, "weight": 5.0, "roles": ["edge", "core"]}
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps({"currency": "USD", "monolithic": [switch], "modular": []}))
+    common = ["--switch", "odd25", "--catalog", str(catalog)]
+    code, out, err = run_capture(capsys, ["estimate", "--nodes", "300", *common])
+    assert (code, err) == (0, "") and out
+    for argv in (["estimate", "--nodes", "301", *common], ["sweep", "--from", "2", "--to", "312", *common]):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "infeasible: insufficient radix: 301 nodes requested but the catalog supports at most 300\n"
 
 
 def test_top_limits_alternatives(capsys):

@@ -8,10 +8,12 @@ from fattree_design.catalog import Catalog
 from fattree_design.designer import (
     BladeFormFactor,
     ConstraintSet,
+    CoreStage,
     DesignInfeasibleError,
     DesignRequest,
     InsufficientRadixError,
     cable_count,
+    core_layers,
     core_stage,
     design,
     edge_count,
@@ -71,6 +73,29 @@ def test_core_stage(edges, uplinks, core_ports, bundle, cores):
 
 def test_core_stage_unsuitable_switch():
     assert core_stage(37, 18, 36) is None
+
+
+def test_core_layers_agree_with_core_stage():
+    """One batch call sizes each core port count as core_stage() sizes that pair alone."""
+    port_counts = (1, 2, 3, 7, 12, 36, 48, 90, 108, 324)
+    for edges in (1, 2, 5, 9, 14, 37, 50):
+        for uplinks in (1, 2, 3, 16, 18, 40):
+            layers = core_layers(edges, uplinks, port_counts)
+            assert len(layers) == len(port_counts)
+            for core_ports, layer in zip(port_counts, layers):
+                assert core_layers(edges, uplinks, (core_ports,)) == [layer]
+                stage = core_stage(edges, uplinks, core_ports)
+                if core_ports < edges:
+                    assert (layer, stage) == (None, None)
+                else:
+                    assert stage == CoreStage(*layer)
+    for uplinks in (0, -3):
+        with pytest.raises(ValueError, match="ports_to_core must be positive"):
+            core_layers(4, uplinks, ())
+        with pytest.raises(ValueError, match="ports_to_core must be positive"):
+            core_stage(4, uplinks, 36)
+    with pytest.raises(ValueError, match="edge_switches must be positive"):
+        core_stage(0, 18, 36)
 
 
 @pytest.mark.parametrize(
@@ -356,7 +381,8 @@ def test_check_constraints_reports_both_values(ft36_catalog):
     with pytest.raises(DesignInfeasibleError, match="binding: max_network_power$"):
         design(replace(request, constraints=power_limit), ft36_catalog)
     metrics = winner.metrics
-    violations = designer._violations(power_limit, metrics.rack_units, 0, metrics.power, metrics.cost)
+    limits = designer._active_limits(power_limit)
+    violations = designer._violations(limits, metrics.rack_units, 0, metrics.power, metrics.cost)
     assert len(violations) == 1
     assert violations[0].actual == winner.metrics.power
     assert "max_network_power" in str(violations[0])

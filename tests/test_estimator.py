@@ -44,12 +44,21 @@ def test_exactness_condition_validates_ports():
         exactness_condition(1, 2)
 
 
-@pytest.mark.parametrize("ports, nodes", [(25, 100), (25, 312), (3, 4)])
+@pytest.mark.parametrize("ports, nodes", [(25, 100), (25, 300), (3, 3)])
 def test_estimate_on_odd_ports_is_not_exact(ports, nodes):
     # exactness_condition rejects such a switch; the estimate reports it as never exact
     estimate = lower_bound_estimate(nodes, make_switch(ports, 500_000), 8000)
     assert (estimate.exact, estimate.bundle_factor) == (False, None)
     assert estimate.total_ports == 3 * nodes
+
+
+@pytest.mark.parametrize("ports, reach", [(25, 300), (3, 3), (36, 648)])
+def test_estimate_stops_at_the_design_reach(ports, reach):
+    # a switch keeps ports // 2 ports per edge switch for nodes, for at most ports edge switches
+    switch = make_switch(ports, 500_000)
+    assert lower_bound_estimate(reach, switch, 8000).node_count == reach
+    with pytest.raises(InsufficientRadixError, match=f"at most {reach}$"):
+        lower_bound_estimate(reach + 1, switch, 8000)
 
 
 def test_estimate_full_population(ft36):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from fattree_design.designer import (
     InsufficientRadixError,
     NodeSpec,
     RejectedCandidate,
+    SearchPlan,
     cable_count,
     design,
 )
@@ -45,9 +47,8 @@ def sort_key(candidate):
 def build(request, objective, kind, edge_config, split, cables, core_config=None, stage=None,
           extra_cost=0, max_supported_nodes=0, **flags):
     core_count = stage.core_count if stage else 0
-    metrics = DesignMetrics(*designer._network_metrics(
-        request, edge_config, split.edge_count, core_config, core_count, cables, extra_cost
-    ))
+    mix = (core_config or designer._NO_CORE, core_count, cables)
+    metrics = DesignMetrics(*designer._network_metrics(request, edge_config, split.edge_count, (mix,), extra_cost)[0])
     return FatTreeDesign(
         kind=kind,
         node_count=request.node_count,
@@ -304,6 +305,38 @@ def test_design_ranks_like_the_eager_reference(case):
     assert [sort_key(c) for c in report.candidates] == [sort_key(c) for c in expected]
     assert list(report.candidates) == expected
     assert report.rejected == tuple(expected_rejected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+def test_search_stats_add_up(case):
+    """rank()'s counters against the reference's pairs and rejects: considered = skipped + kept + rejected."""
+    request, catalog, objective = case
+    pairs, _ = reference_pairs(request, catalog)
+    baseline = sum(1 for *_, uniform in pairs if not uniform)
+    plan = SearchPlan(request, catalog)
+    try:
+        expected, expected_rejected = eager_design(request, catalog, objective)
+    except DesignError:
+        # nothing ranked: every pair (if any) was rejected
+        expected, expected_rejected = [], [None] * len(pairs)
+        with pytest.raises(DesignError):
+            plan.rank(request.node_count, objective)
+    else:
+        plan.rank(request.node_count, objective)
+    stats = plan.stats
+    assert stats.pairs_considered == len(plan.edges) * len(catalog.core_set)
+    assert stats.pairs_skipped == stats.pairs_considered - baseline
+    assert stats.spread_variants == len(pairs) - baseline
+    assert stats.candidates_ranked == sum(candidate.kind == "fat_tree" for candidate in expected)
+    assert stats.candidates_rejected == len(expected_rejected)
+    if expected:
+        assert stats.rejections == Counter(v.constraint for r in expected_rejected for v in r.violations)
+    assert (
+        stats.pairs_considered + stats.spread_variants
+        == stats.pairs_skipped + stats.candidates_rejected + stats.candidates_ranked
+    )
+    assert (stats.groups_cut, stats.cores_skipped) == (0, 0)  # the full ranking cuts nothing
 
 
 @pytest.fixture

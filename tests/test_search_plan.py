@@ -2,13 +2,11 @@
 
 import json
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fattree_design import designer
 from fattree_design.catalog import (
     Catalog,
     ModularSwitchFamily,
@@ -181,10 +179,8 @@ def many_core_catalogs(draw):
 def test_per_core_floor_keeps_the_design_winner():
     """The winner-only ranking skips single cores that cannot win, and still finds design()'s winner.
 
-    With the even spread off, rank() sizes each core it does not skip once
-    per edge group it enters, so skipping whole edge groups alone leaves a
-    whole multiple of the core count of core_stage() calls; a remainder
-    shows that a core was skipped inside a group.
+    The plan's cores_skipped counts the cores that the per-core floor skips
+    inside an edge group the ranking entered, before or after sizing them.
     """
     skipped_inside_a_group = []
 
@@ -206,12 +202,16 @@ def test_per_core_floor_keeps_the_design_winner():
                 )
                 assert_scan_matches_design(request, catalog)
             plan = SearchPlan(request, catalog)
-            with mock.patch.object(designer, "core_stage", wraps=designer.core_stage) as sized:
-                try:
-                    plan.rank(nodes, winner_only=True)
-                except DesignError:
-                    continue
-            skipped_inside_a_group.append(sized.call_count % len(plan.cores) != 0)
+            try:
+                plan.rank(nodes, winner_only=True)
+            except DesignError:
+                continue
+            stats = plan.stats
+            skipped_inside_a_group.append(stats.cores_skipped > 0)
+            assert (
+                stats.pairs_considered + stats.spread_variants
+                == stats.pairs_skipped + stats.candidates_rejected + stats.candidates_ranked
+            )
 
     check()
     assert any(skipped_inside_a_group)
