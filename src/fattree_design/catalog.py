@@ -9,15 +9,14 @@ own terms during the design search.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from .money import Money
+from .money import Money, check_not_negative
 
 ROLES = ("edge", "core")
 MAX_LINE_CARDS = 1024
@@ -179,6 +178,9 @@ class SwitchConfig:
     expandable_ports: int = 0
     name: str = ""
 
+    def __post_init__(self) -> None:
+        check_not_negative("switch cost", self.cost)
+
     @property
     def config_id(self) -> str:
         """Stable identifier; modular expansions are distinguished by port count."""
@@ -204,7 +206,6 @@ class Catalog:
     edge_set: tuple[SwitchConfig, ...]
     core_set: tuple[SwitchConfig, ...]
     currency: str = "USD"
-    document: Mapping[str, Any] = field(compare=False, hash=False, repr=False, default_factory=dict)
 
     def configs(self) -> tuple[SwitchConfig, ...]:
         """Union of both sets, deduplicated, in deterministic order."""
@@ -222,10 +223,6 @@ class Catalog:
         if family:
             raise CatalogError(f"{config_id!r} is a modular family; pick one of {', '.join(family)}")
         raise CatalogError(f"no switch configuration with id {config_id!r}")
-
-    def to_document(self) -> dict[str, Any]:
-        """Normalized source document; reloading it reproduces this catalog."""
-        return copy.deepcopy(self.document)
 
 
 def expand_modular(family: ModularSwitchFamily) -> list[SwitchConfig]:
@@ -261,7 +258,7 @@ def per_port_metrics(config: SwitchConfig) -> PerPortMetrics:
     )
 
 
-def parse_catalog(document: Mapping[str, Any], *, require_both_roles: bool = True) -> Catalog:
+def parse_catalog(document: Mapping[str, Any]) -> Catalog:
     """Validate a parsed catalog document and expand it into candidate sets."""
     violation = field_violation(document, _CATALOG)
     if violation:
@@ -297,7 +294,7 @@ def parse_catalog(document: Mapping[str, Any], *, require_both_roles: bool = Tru
 
     if not seen_ids:
         raise CatalogError("catalog empty")
-    if require_both_roles and (not edge_set or not core_set):
+    if not edge_set or not core_set:
         missing = "edge" if not edge_set else "core"
         raise CatalogError(f"catalog has no {missing} switches")
 
@@ -306,11 +303,10 @@ def parse_catalog(document: Mapping[str, Any], *, require_both_roles: bool = Tru
         edge_set=tuple(sorted(edge_set, key=order)),
         core_set=tuple(sorted(core_set, key=order)),
         currency=document["currency"],
-        document=json.loads(json.dumps(document, sort_keys=True)),
     )
 
 
-def load_catalog(source: str | bytes | Mapping[str, Any], *, require_both_roles: bool = True) -> Catalog:
+def load_catalog(source: str | bytes | Mapping[str, Any]) -> Catalog:
     """Load a catalog from JSON text or an already-parsed document."""
     document = source
     if isinstance(source, (str, bytes)):
@@ -318,11 +314,11 @@ def load_catalog(source: str | bytes | Mapping[str, Any], *, require_both_roles:
             document = json.loads(source)
         except json.JSONDecodeError as exc:
             raise CatalogError(f"catalog is not valid JSON: {exc}") from None
-    return parse_catalog(document, require_both_roles=require_both_roles)
+    return parse_catalog(document)
 
 
-def load_catalog_file(path: str | Path, *, require_both_roles: bool = True) -> Catalog:
-    return load_catalog(Path(path).read_text(encoding="utf-8"), require_both_roles=require_both_roles)
+def load_catalog_file(path: str | Path) -> Catalog:
+    return load_catalog(Path(path).read_text(encoding="utf-8"))
 
 
 def bundled_catalog_path(name: str = "demo_catalog") -> Path:

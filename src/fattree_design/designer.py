@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from operator import itemgetter
 
 from .catalog import Catalog, CatalogError, SwitchConfig, field_violation
-from .money import Money, parse_ratio
+from .money import Money, check_not_negative, parse_ratio
 
 DEFAULT_CABLE_COST: Money = 8000  # average cable price, minor units
 
@@ -96,9 +96,8 @@ class BladeFormFactor:
         if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
             raise ValueError(f"blade enclosure_capacity must be an integer of at least 1, got {capacity!r}")
         for name in ("enclosure_cost", "pass_through_cost"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"blade {name} must not be negative, got {value} (minor units)")
+            if getattr(self, name) is not None:
+                check_not_negative(f"blade {name}", getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -147,6 +146,7 @@ class DesignRequest:
             raise ValueError("blocking factor must be positive")
         if isinstance(self.avg_cable_cost, bool) or not isinstance(self.avg_cable_cost, int):
             raise ValueError(f"avg_cable_cost must be an integer (minor units), got {self.avg_cable_cost!r}")
+        check_not_negative("avg_cable_cost", self.avg_cable_cost)
 
     @property
     def blade(self) -> bool:
@@ -212,11 +212,15 @@ class FatTreeDesign:
     split: EdgeSplit
     core_stage: CoreStage | None
     cable_count: int
-    objective: Money
     metrics: DesignMetrics
     uniform_distribution: bool = False
     pass_through: bool = False
     max_supported_nodes: int = 0
+
+    @property
+    def objective(self) -> Money:
+        """What the ranking minimises: the network's cost."""
+        return self.metrics.cost
 
     @property
     def edge_count(self) -> int:
@@ -257,9 +261,6 @@ class DesignReport:
     winner: FatTreeDesign
     candidates: Sequence[FatTreeDesign]
     rejected: tuple[RejectedCandidate, ...] = ()
-
-
-ObjectiveFn = Callable[[DesignMetrics], Money]
 
 
 def edge_port_split(edge_ports: int, blocking: Fraction) -> tuple[int, int, Fraction] | None:
@@ -342,10 +343,15 @@ def node_distribution(design: FatTreeDesign) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def fewest_uplinks(nodes: int, blocking: Fraction) -> int:
+    """Fewest uplinks that keep an edge switch's nodes:uplinks ratio within the blocking factor."""
+    return -(-nodes * blocking.denominator // blocking.numerator)
+
+
 def _even_split(node_count: int, edge_switches: int, blocking: Fraction, ports_to_core: int) -> EdgeSplit | None:
     """Nodes spread evenly over the edge switches, each with the fewest uplinks the blocking allows."""
     nodes_per_switch = -(-node_count // edge_switches)
-    uplinks = -(-nodes_per_switch * blocking.denominator // blocking.numerator)
+    uplinks = fewest_uplinks(nodes_per_switch, blocking)
     if uplinks >= ports_to_core:
         return None  # the baseline's uplinks give the same core layer
     resulting = Fraction(nodes_per_switch, uplinks)
@@ -399,7 +405,6 @@ def _network_metrics(
 
 def _build_design(
     request: DesignRequest,
-    objective: Money,
     kind: str,
     edge_config: SwitchConfig,
     core_config: SwitchConfig | None,
@@ -422,7 +427,6 @@ def _build_design(
         split=split,
         core_stage=CoreStage(*layer) if layer else None,
         cable_count=cables,
-        objective=objective,
         metrics=metrics,
         uniform_distribution=uniform,
         pass_through=pass_through,
@@ -457,7 +461,7 @@ class RankedCandidates(Sequence):
             return tuple(self[i] for i in range(*index.indices(len(self._records))))
         key, item = self._records[index]
         if not isinstance(item, FatTreeDesign):
-            item = _build_design(self._request, key[0], *item)
+            item = _build_design(self._request, *item)
             self._records[index] = (key, item)
         return item
 
@@ -507,21 +511,19 @@ class SearchPlan:
             reach = max(reach, widest_core * ports_to_nodes)
         self.edges = tuple(edges)
         self.max_reachable = reach
-        # Every pairing has at least one core switch, so when no price is
-        # negative an edge group costs at least its edges, its fewest cables
-        # and one cheapest core switch, and a pair with a given core at least
-        # that floor with the core's price in place of the cheapest one; a
-        # winner-only rank() skips what lies above the best cost found.
-        self.cheapest_core = min((core for core, _ in self.cores), key=lambda core: core.cost, default=None)
-        self.prunable = (
-            self.cheapest_core is not None and self.cheapest_core.cost >= 0 and request.avg_cable_cost >= 0
-        )
+        # Every pairing has at least one core switch and no price is negative,
+        # so an edge group costs at least its edges, its fewest cables and one
+        # cheapest core switch, and a pair with a given core at least that
+        # floor with the core's price in place of the cheapest one; a
+        # winner-only rank() skips what lies above the best cost found. With
+        # no core there is no pair, and the empty core model stands in.
+        self.cheapest_core = min((core for core, _ in self.cores), key=lambda core: core.cost, default=_NO_CORE)
 
-    def _trivial_records(self, request: DesignRequest, objective: ObjectiveFn | None, limits: tuple) -> list:
+    def _trivial_records(self, request: DesignRequest, limits: tuple) -> list:
         """Records of the best direct-connect variant and the best star that pass the constraints.
 
-        Direct connect keeps the lowest (objective, switch count), the star the
-        lowest (objective, ports, config id). A variant that a constraint
+        Direct connect keeps the lowest (cost, switch count), the star the
+        lowest (cost, ports, config id). A variant that a constraint
         rejects is dropped silently: it never enters the rejected list.
         """
         node_count = request.node_count
@@ -548,12 +550,9 @@ class SearchPlan:
             best = None
             for tie, spare, config, split, cables, pass_through, max_nodes in variants:
                 switches, extra = split.edge_count, blades.pass_through_cost if pass_through else 0
-                numbers, = _network_metrics(request, config, switches, ((_NO_CORE, 0, cables),), extra)
-                cost, power, units, _ = numbers
+                (cost, power, units, _), = _network_metrics(request, config, switches, ((_NO_CORE, 0, cables),), extra)
                 if limits and _violations(limits, units, spare, power, cost):
                     continue
-                if objective is not None:
-                    cost = objective(DesignMetrics(*numbers))
                 if best is None or (cost, *tie) < best[0]:
                     payload = (kind, config, None, split, None, cables, False, pass_through, max_nodes)
                     best = ((cost, *tie), ((cost, switches, units, config.config_id, ""), payload))
@@ -562,23 +561,22 @@ class SearchPlan:
         return records
 
     def rank(
-        self, node_count: int, objective: ObjectiveFn | None = None, winner_only: bool = False
+        self, node_count: int, winner_only: bool = False
     ) -> tuple[RankedCandidates, tuple[RejectedCandidate, ...]]:
         """Every design for node_count, ranked, plus the pairs the constraints rejected.
 
         Records of the direct-connect and star designs, then of each kept
         pair in edge x core order (baseline before uniform variant), are stably
-        sorted on (objective, switch count, rack units, edge id, core id);
+        sorted on (cost, switch count, rack units, edge id, core id);
         designs are built when read. ``winner_only`` (unconstrained requests
-        only) keeps the winner alone. Under the default objective, and when
-        no price is negative, it also visits the edge groups in order of
-        their cost floor (edges, fewest cables, one cheapest core switch)
-        and stops at the first group whose floor exceeds the best cost
-        found; inside a group it drops, before sizing any, each core whose
-        price in place of the cheapest one lifts the floor above that cost,
-        and again as that cost drops. Both comparisons are strict, so a pair
-        that ties the best cost still meets the full key. The full ranking
-        makes neither check. Raises what design() raises.
+        only) keeps the winner alone. It also visits the edge groups in
+        order of their cost floor (edges, fewest cables, one cheapest core
+        switch) and stops at the first group whose floor exceeds the best
+        cost found; inside a group it drops, before sizing any, each core
+        whose price in place of the cheapest one lifts the floor above that
+        cost, and again as that cost drops. Both comparisons are strict, so
+        a pair that ties the best cost still meets the full key. The full
+        ranking makes neither check. Raises what design() raises.
         """
         request = self.request
         if node_count != request.node_count:
@@ -586,9 +584,8 @@ class SearchPlan:
         limits = _active_limits(request.constraints)
         if winner_only and limits:
             raise ValueError("the winner-only ranking serves unconstrained requests only")
-        records = self._trivial_records(request, objective, limits)
+        records = self._trivial_records(request, limits)
         best = min(records, key=itemgetter(0), default=None)
-        prune = winner_only and objective is None and self.prunable
         blade, blocking = request.blade, request.blocking_factor
         # One group per edge configuration: the baseline split packs each edge
         # switch full, and the even spread over as many switches is a variant
@@ -601,22 +598,22 @@ class SearchPlan:
             cables = cable_count(node_count, edges, ports_to_core, blade)
             spread_cables = cable_count(node_count, edges, spread.ports_to_core, blade) if spread else cables
             cheapest_mix = ((self.cheapest_core, 1, spread_cables),)
-            floor = _network_metrics(request, config, edges, cheapest_mix)[0][0] if prune else 0
+            floor = _network_metrics(request, config, edges, cheapest_mix)[0][0] if winner_only else 0
             groups.append((floor, config, edges, baseline, cables, spread, spread_cables))
-        if prune:
+        if winner_only:
             groups.sort(key=itemgetter(0))
 
         stats = self.stats
         rejected = []
         candidates = 0
         for index, (floor, config, edges, baseline, cables, spread, spread_cables) in enumerate(groups):
-            if prune and best is not None and floor > best[0][0]:
+            if winner_only and best is not None and floor > best[0][0]:
                 stats.groups_cut += len(groups) - index
                 break
             # the floor less its core switch: each core adds back its own price
-            edge_floor = floor - self.cheapest_core.cost if prune else 0
+            edge_floor = floor - self.cheapest_core.cost
             cores = self.cores
-            if prune and best is not None:
+            if winner_only and best is not None:
                 cores = [entry for entry in cores if edge_floor + entry[0].cost <= best[0][0]]
                 stats.cores_skipped += len(self.cores) - len(cores)
             ports = [core.ports for core, _ in cores]
@@ -640,12 +637,11 @@ class SearchPlan:
             candidates += len(pairs)
             priced = _network_metrics(request, config, edges, mixes)
             edge_id = config.config_id
-            for (core, core_id, split, layer, split_cables, uniform), numbers in zip(pairs, priced):
-                if prune and best is not None and edge_floor + core.cost > best[0][0]:
+            for (core, core_id, split, layer, split_cables, uniform), (cost, power, units, _) in zip(pairs, priced):
+                if winner_only and best is not None and edge_floor + core.cost > best[0][0]:
                     if not uniform:  # the best cost dropped inside this group; count each core once
                         stats.cores_skipped += 1
                     continue
-                cost, power, units, _ = numbers
                 core_switches = layer[1]
                 if limits:
                     spare = core_switches * (core.ports + core.expandable_ports) - edges * split.ports_to_core
@@ -653,8 +649,6 @@ class SearchPlan:
                     if violations:
                         rejected.append(RejectedCandidate(edge_id, core_id, tuple(violations)))
                         continue
-                if objective is not None:
-                    cost = objective(DesignMetrics(*numbers))
                 key = (cost, edges + core_switches, units, edge_id, core_id)
                 max_nodes = core.ports * split.ports_to_nodes
                 record = (key, ("fat_tree", config, core, split, layer, split_cables, uniform, False, max_nodes))
@@ -676,7 +670,7 @@ class SearchPlan:
         return RankedCandidates(request, records), tuple(rejected)
 
 
-def design(request: DesignRequest, catalog: Catalog, objective: ObjectiveFn | None = None) -> DesignReport:
+def design(request: DesignRequest, catalog: Catalog) -> DesignReport:
     """Full design search: trivial cases, the edge x core grid, and selection.
 
     Raises InsufficientRadixError when no switch pairing can reach the node
@@ -684,7 +678,7 @@ def design(request: DesignRequest, catalog: Catalog, objective: ObjectiveFn | No
     reject them all. Ties are broken deterministically: fewer switches, then
     fewer rack units, then config ids.
     """
-    candidates, rejected = SearchPlan(request, catalog).rank(request.node_count, objective)
+    candidates, rejected = SearchPlan(request, catalog).rank(request.node_count)
     return DesignReport(request=request, winner=candidates[0], candidates=candidates, rejected=rejected)
 
 

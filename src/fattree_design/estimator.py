@@ -24,7 +24,7 @@ from .designer import (
     SearchPlan,
 )
 from .catalog import Catalog
-from .money import Money, round_half_up
+from .money import Money, check_not_negative, round_half_up
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,7 @@ def lower_bound_estimate(
     """
     if node_count < 1:
         raise ValueError("node_count must be positive")
+    check_not_negative("avg_cable_cost", avg_cable_cost)
     # an edge switch gives nodes half its ports, rounded down, and a core switch reaches one edge switch per port
     capacity = config.ports * (config.ports // 2)
     if node_count > capacity:
@@ -129,10 +130,10 @@ class SweepPoint:
         return Fraction(self.actual_cost - self.estimate_cost, self.actual_cost)
 
 
-def single_model_catalog(config: SwitchConfig, currency: str = "USD") -> Catalog:
+def single_model_catalog(config: SwitchConfig) -> Catalog:
     """Catalog exposing one configuration as both the edge and core candidate."""
     both = replace(config, roles=frozenset({"edge", "core"}))
-    return Catalog(edge_set=(both,), core_set=(both,), currency=currency)
+    return Catalog(edge_set=(both,), core_set=(both,))
 
 
 def sweep_lower_bound(config: SwitchConfig, first: int, last: int, avg_cable_cost: Money) -> list[SweepPoint]:

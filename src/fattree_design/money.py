@@ -29,6 +29,12 @@ def format_money(amount: Money, currency: str = "USD") -> str:
     return f"{prefix}{units:,}"
 
 
+def check_not_negative(name: str, amount: Money) -> None:
+    """Raise ValueError for a negative price: money that enters the program is never below zero."""
+    if amount < 0:
+        raise ValueError(f"{name} must not be negative, got {amount} (minor units)")
+
+
 def parse_money(text: str) -> Money:
     """Parse a decimal amount in major units ("80", "80.25") into minor units.
 

@@ -28,6 +28,8 @@ from .designer import (
     NodeSpec,
     SearchPlan,
     design,  # noqa: F401  re-exported: perfbench's tracer wraps placement.design
+    edge_count,
+    fewest_uplinks,
     node_distribution,
 )
 from .money import Money
@@ -138,7 +140,6 @@ class RackLayout:
     room: RoomSpec
     racks: tuple[Rack, ...]
     spread_blocks: tuple[str, ...]
-    unplaced: tuple[str, ...] = ()
 
     @property
     def racks_used(self) -> int:
@@ -536,9 +537,7 @@ def expansion_plan(
     best_nodes, best_edges = 0, 0
     upper = min(target.node_count, max(0, (current_capacity_units - core_units)) // node_spec.rack_units)
     for nodes in range(upper, -1, -1):
-        edges = -(-nodes // ports_to_nodes) if nodes else 0
-        if edges > final.edge_count:
-            continue
+        edges = edge_count(nodes, ports_to_nodes)
         used = core_units + edges * edge_units + nodes * node_spec.rack_units
         if used <= current_capacity_units:
             best_nodes, best_edges = nodes, edges
@@ -582,11 +581,8 @@ def expansion_audit(
     blocking = design_.split.resulting_blocking
     assert blocking is not None
 
-    def uplinks_for(nodes: int) -> int:
-        return -(-nodes * blocking.denominator // blocking.numerator)
-
     distribution = node_distribution(design_)
-    wired_uplinks = sum(uplinks_for(nodes) for nodes in distribution)
+    wired_uplinks = sum(fewest_uplinks(nodes, blocking) for nodes in distribution)
     spare_core = design_.core_count * design_.core_config.ports - wired_uplinks
 
     capacity_left = extra_capacity_units
@@ -594,15 +590,15 @@ def expansion_audit(
     edge_ports = design_.edge_config.ports
 
     last = distribution[-1]
-    last_uplinks = uplinks_for(last)
+    last_uplinks = fewest_uplinks(last, blocking)
     free_ports = edge_ports - last - last_uplinks
     via_spare = 0
     for extra in range(min(ports_to_nodes - last, capacity_left // node_spec.rack_units), -1, -1):
-        new_uplinks = uplinks_for(last + extra) - last_uplinks
+        new_uplinks = fewest_uplinks(last + extra, blocking) - last_uplinks
         if extra + new_uplinks <= free_ports and new_uplinks <= spare_core:
             via_spare = extra
             break
-    spare_core -= uplinks_for(last + via_spare) - last_uplinks
+    spare_core -= fewest_uplinks(last + via_spare, blocking) - last_uplinks
     capacity_left -= via_spare * node_spec.rack_units
 
     via_new = 0
@@ -616,7 +612,7 @@ def expansion_audit(
             break
         new_switches += 1
         via_new += nodes
-        spare_core -= uplinks_for(nodes)
+        spare_core -= fewest_uplinks(nodes, blocking)
         capacity_left -= edge_units + nodes * node_spec.rack_units
 
     return ExpansionAudit(

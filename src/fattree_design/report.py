@@ -267,7 +267,7 @@ def layout_document(layout: RackLayout) -> dict[str, Any]:
     return {
         "racks_used": layout.racks_used,
         "spread_blocks": list(layout.spread_blocks),
-        "unplaced": list(layout.unplaced),
+        "unplaced": [],  # plan_racks places every block or raises
         "racks": [
             {
                 "index": rack.index,

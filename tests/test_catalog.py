@@ -19,6 +19,7 @@ from fattree_design.catalog import (
     ROLES,
     CatalogError,
     ModularSwitchFamily,
+    SwitchConfig,
     _same,
     bundled_catalog_path,
     expand_modular,
@@ -158,18 +159,18 @@ def test_modular_family_built_in_code_is_checked(field, value, message):
     assert str(raised.value) == f"modular switch family violation at {message}"
 
 
+def test_switch_config_built_in_code_rejects_a_negative_cost():
+    with pytest.raises(ValueError) as raised:
+        SwitchConfig("sw", 36, -1, 0.0, 1, 0.0, frozenset({"edge"}))
+    assert str(raised.value) == "switch cost must not be negative, got -1 (minor units)"
+    assert SwitchConfig("sw", 36, 0, 0.0, 1, 0.0, frozenset({"edge"})).cost == 0
+
+
 def test_per_port_metrics(ft36):
     metrics = per_port_metrics(ft36)
     assert metrics.cost_per_port == Fraction(1_100_000, 36)  # ~$305.6 per port
     assert metrics.power_per_port == Fraction(152, 36)
     assert metrics.rack_units_per_port == Fraction(1, 36)
-
-
-def test_round_trip():
-    catalog = load_catalog(doc())
-    again = load_catalog(catalog.to_document())
-    assert again == catalog
-    assert again.to_document() == catalog.to_document()
 
 
 def test_deterministic_ordering():
@@ -201,9 +202,11 @@ def test_missing_role_side_rejected():
     core_only["monolithic"][0]["roles"] = ["core"]
     with pytest.raises(CatalogError, match="no edge switches"):
         load_catalog(core_only)
-    # star-only usage may skip the requirement
-    catalog = load_catalog(core_only, require_both_roles=False)
-    assert catalog.edge_set == ()
+    edge_only = doc()
+    edge_only["monolithic"][0]["roles"] = ["edge"]
+    edge_only["modular"][0]["roles"] = ["edge"]
+    with pytest.raises(CatalogError, match="no core switches"):
+        load_catalog(edge_only)
 
 
 def test_duplicate_id_rejected():

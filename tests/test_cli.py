@@ -328,6 +328,16 @@ OUT_OF_RANGE_FLAGS = [
      "invalid money amount: '1e15'"),
     (["design", "--nodes", "60", "--max-cost", "0.001"],
      "money amount has sub-cent precision: '0.001'"),
+    (["design", "--nodes", "60", "--cable-cost=-80"],
+     "avg_cable_cost must not be negative, got -8000 (minor units)"),
+    (["estimate", "--nodes", "60", "--switch", "ft36", "--cable-cost=-80"],
+     "avg_cable_cost must not be negative, got -8000 (minor units)"),
+    (["sweep", "--from", "2", "--to", "4", "--switch", "ft36", "--cable-cost=-80"],
+     "avg_cable_cost must not be negative, got -8000 (minor units)"),
+    (["place", "--nodes", "60", "--rows", "1", "--racks-per-row", "4", "--cable-cost=-80"],
+     "avg_cable_cost must not be negative, got -8000 (minor units)"),
+    (["expand", "--current-units", "84", "--target-units", "126", "--cable-cost=-80"],
+     "avg_cable_cost must not be negative, got -8000 (minor units)"),
 ]
 
 
@@ -378,6 +388,7 @@ def test_non_finite_and_overflowing_money_names_the_amount(capsys, argv, text):
                                       "embedded_edge_switch_id": "ft36"}},
         {"nodes": 60, "form_factor": {"kind": "blade", "enclosure_capacity": 16, "pass_through_cost": -1,
                                       "embedded_edge_switch_id": "ft36"}},
+        {"nodes": 60, "avg_cable_cost": -1},
     ],
 )
 def test_bad_request_documents_exit_1(capsys, tmp_path, document):

@@ -317,15 +317,6 @@ def test_zero_cost_catalog_objective_is_cable_cost():
     assert report.winner.objective == 30 * 8000
 
 
-def test_custom_objective_is_used(ft36_catalog):
-    report = design(
-        DesignRequest(node_count=60),
-        ft36_catalog,
-        objective=lambda metrics: metrics.rack_units,
-    )
-    assert report.winner.objective == report.winner.metrics.rack_units
-
-
 SIZE_CONSTRAINED_CORES = Catalog(
     edge_set=(make_switch(36, 1_100_000, source_id="ft36"),),
     core_set=(
@@ -458,6 +449,7 @@ def test_design_validates_request(ft36_catalog):
         ({"blocking_factor": Fraction(-1, 2)}, "blocking factor must be positive"),
         ({"avg_cable_cost": 1.5}, r"avg_cable_cost must be an integer \(minor units\), got 1.5"),
         ({"avg_cable_cost": False}, r"avg_cable_cost must be an integer \(minor units\), got False"),
+        ({"avg_cable_cost": -1}, r"avg_cable_cost must not be negative, got -1 \(minor units\)"),
     ],
 )
 def test_design_request_checks_its_fields(fields, message):

@@ -96,7 +96,6 @@ def test_dense_reference_scenario(ft36_catalog):
     assert layout.racks_used == 11
     assert layout_nodes(layout) == 396
     assert layout_switches(layout) == 40
-    assert layout.unplaced == ()
     assert_budgets(layout, room)
 
 

@@ -44,7 +44,7 @@ def sort_key(candidate):
     )
 
 
-def build(request, objective, kind, edge_config, split, cables, core_config=None, stage=None,
+def build(request, kind, edge_config, split, cables, core_config=None, stage=None,
           extra_cost=0, max_supported_nodes=0, **flags):
     core_count = stage.core_count if stage else 0
     mix = (core_config or designer._NO_CORE, core_count, cables)
@@ -57,16 +57,15 @@ def build(request, objective, kind, edge_config, split, cables, core_config=None
         split=split,
         core_stage=stage,
         cable_count=cables,
-        objective=metrics.cost if objective is None else objective(metrics),
         metrics=metrics,
         max_supported_nodes=max_supported_nodes,
         **flags,
     )
 
 
-def build_fat_tree(request, edge_config, core_config, split, stage, objective, uniform):
+def build_fat_tree(request, edge_config, core_config, split, stage, uniform):
     cables = cable_count(request.node_count, split.edge_count, split.ports_to_core, request.blade)
-    return build(request, objective, "fat_tree", edge_config, split, cables, core_config, stage,
+    return build(request, "fat_tree", edge_config, split, cables, core_config, stage,
                  max_supported_nodes=core_config.ports * split.ports_to_nodes, uniform_distribution=uniform)
 
 
@@ -100,7 +99,7 @@ def violations(candidate, constraints):
     return found
 
 
-def trivial_designs(request, catalog, objective):
+def trivial_designs(request, catalog):
     """The best feasible direct interconnect of two enclosures and the best feasible star, each when one exists."""
     best = []
     blades, nodes = request.form_factor, request.node_count
@@ -108,10 +107,10 @@ def trivial_designs(request, catalog, objective):
         wanted = blades.embedded_edge_switch_id
         edge = next(c for c in catalog.edge_set if wanted in (c.source_id, c.config_id))
         cables, capacity = edge.ports // 2, blades.enclosure_capacity
-        variants = [build(request, objective, "direct_connect", edge, EdgeSplit(capacity, cables, None, 2), cables,
+        variants = [build(request, "direct_connect", edge, EdgeSplit(capacity, cables, None, 2), cables,
                           max_supported_nodes=2 * capacity)]
         if blades.pass_through_cost is not None:
-            variants.append(build(request, objective, "direct_connect", edge, EdgeSplit(capacity, cables, None, 1),
+            variants.append(build(request, "direct_connect", edge, EdgeSplit(capacity, cables, None, 1),
                                   cables, extra_cost=blades.pass_through_cost, max_supported_nodes=2 * capacity,
                                   pass_through=True))
         feasible = [v for v in variants if not violations(v, request.constraints)]
@@ -119,7 +118,7 @@ def trivial_designs(request, catalog, objective):
             best.append(min(feasible, key=lambda v: (v.objective, v.edge_count)))
     cables = 0 if request.blade else nodes
     stars = [
-        build(request, objective, "star", config, EdgeSplit(nodes, 0, None, 1), cables,
+        build(request, "star", config, EdgeSplit(nodes, 0, None, 1), cables,
               max_supported_nodes=config.ports)
         for config in catalog.configs()
         if config.ports >= nodes
@@ -183,7 +182,7 @@ def reference_pairs(request, catalog):
     return pairs, reach
 
 
-def eager_design(request, catalog, objective=None):
+def eager_design(request, catalog):
     """Reference ranker: build every candidate, filter it with its own constraint check, sort all of them.
 
     A rejected trivial variant is dropped without a trace; a rejected pair
@@ -191,9 +190,9 @@ def eager_design(request, catalog, objective=None):
     design() raises.
     """
     pairs, reach = reference_pairs(request, catalog)
-    candidates, rejected = trivial_designs(request, catalog, objective), []
+    candidates, rejected = trivial_designs(request, catalog), []
     for edge, core, split, stage, uniform in pairs:
-        candidate = build_fat_tree(request, edge, core, split, stage, objective, uniform)
+        candidate = build_fat_tree(request, edge, core, split, stage, uniform)
         broken = violations(candidate, request.constraints)
         if broken:
             rejected.append(RejectedCandidate(edge.config_id, core.config_id, tuple(broken)))
@@ -204,14 +203,6 @@ def eager_design(request, catalog, objective=None):
             raise DesignInfeasibleError(sorted({v.constraint for r in rejected for v in r.violations}))
         raise InsufficientRadixError(request.node_count, reach)
     return sorted(candidates, key=sort_key), rejected
-
-
-OBJECTIVES = (
-    None,
-    lambda metrics: metrics.rack_units,
-    lambda metrics: 0,  # every candidate ties, so the rest of the key and the insertion order decide
-    lambda metrics: metrics.cost + round(100 * metrics.power),
-)
 
 
 @st.composite
@@ -287,21 +278,21 @@ def cases(draw):
         constraints=constraints if draw(st.booleans()) else ConstraintSet(),
         prefer_expandability=draw(st.booleans()),
     )
-    return request, catalog, draw(st.sampled_from(OBJECTIVES))
+    return request, catalog
 
 
 @settings(max_examples=200, deadline=None)
 @given(cases())
 def test_design_ranks_like_the_eager_reference(case):
-    request, catalog, objective = case
+    request, catalog = case
     try:
-        expected, expected_rejected = eager_design(request, catalog, objective)
+        expected, expected_rejected = eager_design(request, catalog)
     except DesignError as error:
         with pytest.raises(type(error)) as raised:
-            design(request, catalog, objective)
+            design(request, catalog)
         assert str(raised.value) == str(error)
         return
-    report = design(request, catalog, objective)
+    report = design(request, catalog)
     assert [sort_key(c) for c in report.candidates] == [sort_key(c) for c in expected]
     assert list(report.candidates) == expected
     assert report.rejected == tuple(expected_rejected)
@@ -311,19 +302,19 @@ def test_design_ranks_like_the_eager_reference(case):
 @given(cases())
 def test_search_stats_add_up(case):
     """rank()'s counters against the reference's pairs and rejects: considered = skipped + kept + rejected."""
-    request, catalog, objective = case
+    request, catalog = case
     pairs, _ = reference_pairs(request, catalog)
     baseline = sum(1 for *_, uniform in pairs if not uniform)
     plan = SearchPlan(request, catalog)
     try:
-        expected, expected_rejected = eager_design(request, catalog, objective)
+        expected, expected_rejected = eager_design(request, catalog)
     except DesignError:
         # nothing ranked: every pair (if any) was rejected
         expected, expected_rejected = [], [None] * len(pairs)
         with pytest.raises(DesignError):
-            plan.rank(request.node_count, objective)
+            plan.rank(request.node_count)
     else:
-        plan.rank(request.node_count, objective)
+        plan.rank(request.node_count)
     stats = plan.stats
     assert stats.pairs_considered == len(plan.edges) * len(catalog.core_set)
     assert stats.pairs_skipped == stats.pairs_considered - baseline
