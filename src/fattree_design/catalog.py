@@ -165,7 +165,7 @@ class ModularSwitchFamily:
 
 @dataclass(frozen=True)
 class SwitchConfig:
-    """One purchasable switch configuration, the unit the designer works with."""
+    """One purchasable switch configuration; the Catalog sets that hold it decide which layers it may serve."""
 
     source_id: str
     ports: int
@@ -173,13 +173,18 @@ class SwitchConfig:
     power: float
     rack_units: int
     weight: float
-    roles: frozenset[str]
     configured_line_cards: int | None = None
     expandable_ports: int = 0
-    name: str = ""
 
     def __post_init__(self) -> None:
+        # zero is valid in code: the empty core model, and cores that take no rack space
+        if isinstance(self.cost, bool) or not isinstance(self.cost, int):
+            raise ValueError(f"switch cost must be an integer (minor units), got {self.cost!r}")
         check_not_negative("switch cost", self.cost)
+        for name in ("power", "rack_units", "weight"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"switch {name} must be finite and not negative, got {value!r}")
 
     @property
     def config_id(self) -> str:
@@ -238,7 +243,6 @@ def expand_modular(family: ModularSwitchFamily) -> list[SwitchConfig]:
                 power=family.chassis_power + cards * family.per_line_card_power,
                 rack_units=family.chassis_rack_units,
                 weight=family.chassis_weight + cards * family.per_line_card_weight,
-                roles=family.roles,
                 configured_line_cards=cards,
                 expandable_ports=(family.max_line_cards - cards) * family.ports_per_line_card,
             )
@@ -285,8 +289,6 @@ def parse_catalog(document: Mapping[str, Any]) -> Catalog:
             power=entry["power"],
             rack_units=entry["rack_units"],
             weight=entry["weight"],
-            roles=frozenset(entry["roles"]),
-            name=entry["name"],
         )])
     for entry in document["modular"]:
         # _MODULAR holds exactly ModularSwitchFamily's fields.

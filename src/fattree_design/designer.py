@@ -99,6 +99,10 @@ class BladeFormFactor:
             if getattr(self, name) is not None:
                 check_not_negative(f"blade {name}", getattr(self, name))
 
+    def embeds(self, config: SwitchConfig) -> bool:
+        """Whether config is the embedded edge switch, named by its family or configuration id."""
+        return self.embedded_edge_switch_id in (config.source_id, config.config_id)
+
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -178,7 +182,7 @@ class SearchStats:
     A pair sized is skipped (too few core ports) or a candidate, as is each even spread kept, and a
     candidate is rejected or ranked: pairs_considered + spread_variants == pairs_skipped +
     candidates_rejected + candidates_ranked. The winner-only ranking skips a core by its cost floor
-    before sizing the group or, as the best cost drops, after; its candidates then rank as losers.
+    before sizing the group.
     """
 
     pairs_considered: int = 0
@@ -376,7 +380,7 @@ def _violations(limits: tuple, rack_units: int, spare: int, power: float, cost: 
 
 
 # Zero switches of this empty model add nothing: the core layer of a design that has none.
-_NO_CORE = SwitchConfig("", 0, 0, 0.0, 0, 0.0, frozenset())
+_NO_CORE = SwitchConfig("", 0, 0, 0.0, 0, 0.0)
 
 
 def _network_metrics(
@@ -389,10 +393,7 @@ def _network_metrics(
     """
     # Blade edge switches live inside the enclosure and occupy no rack space
     # of their own; their cost, power, and weight still count.
-    embedded = (
-        isinstance(request.form_factor, BladeFormFactor)
-        and edge_config.source_id == request.form_factor.embedded_edge_switch_id
-    )
+    embedded = isinstance(request.form_factor, BladeFormFactor) and request.form_factor.embeds(edge_config)
     edge_cost, edge_power = edge_switches * edge_config.cost + extra_cost, edge_switches * edge_config.power
     edge_units = 0 if embedded else edge_switches * edge_config.rack_units
     edge_weight, cable_cost = edge_switches * edge_config.weight, request.avg_cable_cost
@@ -411,14 +412,12 @@ def _build_design(
     split: EdgeSplit,
     layer: tuple[int, int] | None,
     cables: int,
+    metrics: tuple[Money, float, int, float],
     uniform: bool,
     pass_through: bool,
     max_supported_nodes: int,
 ) -> FatTreeDesign:
-    """The one builder of a design, for every kind, from the payload of its ranking record."""
-    extra_cost = request.form_factor.pass_through_cost if pass_through else 0
-    mix = (core_config or _NO_CORE, layer[1] if layer else 0, cables)
-    metrics = DesignMetrics(*_network_metrics(request, edge_config, split.edge_count, (mix,), extra_cost)[0])
+    """The one builder of a design, for every kind, from its ranking record's payload and the metrics it ranked on."""
     return FatTreeDesign(
         kind=kind,
         node_count=request.node_count,
@@ -427,7 +426,7 @@ def _build_design(
         split=split,
         core_stage=CoreStage(*layer) if layer else None,
         cable_count=cables,
-        metrics=metrics,
+        metrics=DesignMetrics(*metrics),
         uniform_distribution=uniform,
         pass_through=pass_through,
         max_supported_nodes=max_supported_nodes,
@@ -435,12 +434,12 @@ def _build_design(
 
 
 def _embedded_edge_config(request: DesignRequest, catalog: Catalog) -> SwitchConfig:
-    assert isinstance(request.form_factor, BladeFormFactor)
-    wanted = request.form_factor.embedded_edge_switch_id
+    blades = request.form_factor
+    assert isinstance(blades, BladeFormFactor)
     for config in catalog.edge_set:
-        if config.source_id == wanted or config.config_id == wanted:
+        if blades.embeds(config):
             return config
-    raise CatalogError(f"embedded edge switch {wanted!r} not found in the edge set")
+    raise CatalogError(f"embedded edge switch {blades.embedded_edge_switch_id!r} not found in the edge set")
 
 
 class RankedCandidates(Sequence):
@@ -550,11 +549,12 @@ class SearchPlan:
             best = None
             for tie, spare, config, split, cables, pass_through, max_nodes in variants:
                 switches, extra = split.edge_count, blades.pass_through_cost if pass_through else 0
-                (cost, power, units, _), = _network_metrics(request, config, switches, ((_NO_CORE, 0, cables),), extra)
+                metrics, = _network_metrics(request, config, switches, ((_NO_CORE, 0, cables),), extra)
+                cost, power, units, _ = metrics
                 if limits and _violations(limits, units, spare, power, cost):
                     continue
                 if best is None or (cost, *tie) < best[0]:
-                    payload = (kind, config, None, split, None, cables, False, pass_through, max_nodes)
+                    payload = (kind, config, None, split, None, cables, metrics, False, pass_through, max_nodes)
                     best = ((cost, *tie), ((cost, switches, units, config.config_id, ""), payload))
             if best is not None:
                 records.append(best[1])
@@ -574,9 +574,9 @@ class SearchPlan:
         switch) and stops at the first group whose floor exceeds the best
         cost found; inside a group it drops, before sizing any, each core
         whose price in place of the cheapest one lifts the floor above that
-        cost, and again as that cost drops. Both comparisons are strict, so
-        a pair that ties the best cost still meets the full key. The full
-        ranking makes neither check. Raises what design() raises.
+        cost. Both comparisons are strict, so a pair that ties the best cost
+        still meets the full key. The full ranking makes neither check.
+        Raises what design() raises.
         """
         request = self.request
         if node_count != request.node_count:
@@ -637,11 +637,8 @@ class SearchPlan:
             candidates += len(pairs)
             priced = _network_metrics(request, config, edges, mixes)
             edge_id = config.config_id
-            for (core, core_id, split, layer, split_cables, uniform), (cost, power, units, _) in zip(pairs, priced):
-                if winner_only and best is not None and edge_floor + core.cost > best[0][0]:
-                    if not uniform:  # the best cost dropped inside this group; count each core once
-                        stats.cores_skipped += 1
-                    continue
+            for (core, core_id, split, layer, split_cables, uniform), metrics in zip(pairs, priced):
+                cost, power, units, _ = metrics
                 core_switches = layer[1]
                 if limits:
                     spare = core_switches * (core.ports + core.expandable_ports) - edges * split.ports_to_core
@@ -651,7 +648,7 @@ class SearchPlan:
                         continue
                 key = (cost, edges + core_switches, units, edge_id, core_id)
                 max_nodes = core.ports * split.ports_to_nodes
-                record = (key, ("fat_tree", config, core, split, layer, split_cables, uniform, False, max_nodes))
+                record = key, ("fat_tree", config, core, split, layer, split_cables, metrics, uniform, False, max_nodes)
                 if not winner_only:
                     records.append(record)
                 elif best is None or key < best[0]:

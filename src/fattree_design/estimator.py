@@ -14,7 +14,7 @@ per port, hundredths of a watt per port).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import SwitchConfig, per_port_metrics
@@ -132,8 +132,7 @@ class SweepPoint:
 
 def single_model_catalog(config: SwitchConfig) -> Catalog:
     """Catalog exposing one configuration as both the edge and core candidate."""
-    both = replace(config, roles=frozenset({"edge", "core"}))
-    return Catalog(edge_set=(both,), core_set=(both,))
+    return Catalog(edge_set=(config,), core_set=(config,))
 
 
 def sweep_lower_bound(config: SwitchConfig, first: int, last: int, avg_cable_cost: Money) -> list[SweepPoint]:

@@ -5,7 +5,7 @@ from fattree_design.estimator import single_model_catalog
 
 
 def make_switch(ports, cost, *, source_id=None, power=0.0, rack_units=1, weight=0.0,
-                roles=("edge", "core"), expandable_ports=0, configured_line_cards=None):
+                expandable_ports=0, configured_line_cards=None):
     return SwitchConfig(
         source_id=source_id or f"sw{ports}",
         ports=ports,
@@ -13,7 +13,6 @@ def make_switch(ports, cost, *, source_id=None, power=0.0, rack_units=1, weight=
         power=power,
         rack_units=rack_units,
         weight=weight,
-        roles=frozenset(roles),
         expandable_ports=expandable_ports,
         configured_line_cards=configured_line_cards,
     )

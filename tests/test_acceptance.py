@@ -53,7 +53,7 @@ def test_worked_examples(ft36, ft36_catalog):
 
     catalog_108 = Catalog(
         edge_set=(ft36,),
-        core_set=(make_switch(108, 13_000_000, source_id="c108", roles=("core",)),),
+        core_set=(make_switch(108, 13_000_000, source_id="c108"),),
     )
     big = design(
         DesignRequest(node_count=1200, blocking_factor=Fraction(2)), catalog_108

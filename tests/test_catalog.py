@@ -159,11 +159,26 @@ def test_modular_family_built_in_code_is_checked(field, value, message):
     assert str(raised.value) == f"modular switch family violation at {message}"
 
 
-def test_switch_config_built_in_code_rejects_a_negative_cost():
+SW36 = {"source_id": "sw", "ports": 36, "cost": 1000, "power": 150.0, "rack_units": 1, "weight": 8.0}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        pytest.param("cost", -1, "switch cost must not be negative, got -1 (minor units)", id="cost-negative"),
+        pytest.param("cost", 1000.5, "switch cost must be an integer (minor units), got 1000.5", id="cost-float"),
+        pytest.param("cost", True, "switch cost must be an integer (minor units), got True", id="cost-bool"),
+        pytest.param("power", -500.0, "switch power must be finite and not negative, got -500.0", id="power-negative"),
+        pytest.param("power", math.nan, "switch power must be finite and not negative, got nan", id="power-nan"),
+        pytest.param("rack_units", -1, "switch rack_units must be finite and not negative, got -1", id="units-negative"),
+        pytest.param("weight", -2.0, "switch weight must be finite and not negative, got -2.0", id="weight-negative"),
+        pytest.param("weight", math.inf, "switch weight must be finite and not negative, got inf", id="weight-inf"),
+    ],
+)
+def test_switch_config_built_in_code_is_checked(field, value, message):
     with pytest.raises(ValueError) as raised:
-        SwitchConfig("sw", 36, -1, 0.0, 1, 0.0, frozenset({"edge"}))
-    assert str(raised.value) == "switch cost must not be negative, got -1 (minor units)"
-    assert SwitchConfig("sw", 36, 0, 0.0, 1, 0.0, frozenset({"edge"})).cost == 0
+        SwitchConfig(**dict(SW36, **{field: value}))
+    assert str(raised.value) == message
 
 
 def test_per_port_metrics(ft36):

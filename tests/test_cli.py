@@ -247,6 +247,43 @@ def test_expand_beyond_the_catalog_reach(capsys):
     assert document["baseline"]["nodes"] == document["expandable_plan"]["target_max_nodes"] == 1944
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["place", "--nodes", "60", "--rows", "2", "--racks-per-row", "5", "--rack-weight-budget", "5"],
+         "no rack can hold core switch 1 (1U)"),
+        (["place", "--nodes", "2", "--rows", "1", "--racks-per-row", "2",
+          "--reserve", "30", "--reserve", "30", "--reserve", "20"],
+         "no rack can hold reserved-03 (20U)"),
+        (["expand", "--current-units", "10", "--target-units", "30"],
+         "expansion planning needs a two-layer design at the target size"),
+        (["expand", "--current-units", "3", "--target-units", "100"],
+         "expansion audit applies to two-layer designs"),
+    ],
+    ids=["core-over-weight", "reserve-no-room", "plan-star-target", "audit-star-baseline"],
+)
+def test_placement_failures_exit_2(capsys, argv, message):
+    code, out, err = run_capture(capsys, argv + ["--catalog", DEMO])
+    assert (code, out, err) == (2, "", f"placement failed: {message}\n")
+
+
+def test_embedded_switch_named_by_configuration_id_takes_no_rack_space(capsys, tmp_path):
+    # a 3U modular chassis as the enclosure switch: named by its family or by one card count, it sits in the enclosure
+    core = {"id": "ft36", "name": "", "ports": 36, "cost": 1100000, "power": 152, "rack_units": 1,
+            "weight": 8.2, "roles": ["core"]}
+    family = {"id": "emod", "chassis_cost": 500000, "chassis_rack_units": 3, "chassis_power": 50,
+              "chassis_weight": 10.0, "fabric_board_cost": 0, "fabric_boards_required": 1,
+              "line_card_cost": 100000, "ports_per_line_card": 16, "max_line_cards": 2, "roles": ["edge"]}
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps({"currency": "USD", "monolithic": [core], "modular": [family]}))
+    for embedded, edges in (("emod:32p", "3x emod:32p"), ("emod", "5x emod:16p")):
+        argv = ["design", "--nodes", "40", "--blade", "16", "--embedded-switch", embedded, "--catalog", str(catalog)]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        assert f"winner: fat tree, {edges} edge + 2x ft36 core" in out
+        assert "space 2U," in out.splitlines()[4]
+
+
 # One bad flag each, with the exact line it prints: a flag read through another
 # path (the design flags go through the request reader) must word its error the same.
 OUT_OF_RANGE_FLAGS = [

@@ -151,7 +151,7 @@ def ranked_star(request, catalog):
 
 @pytest.fixture
 def blade_catalog(ft36):
-    encl = make_switch(32, 1_100_000, source_id="encl32", roles=("edge",))
+    encl = make_switch(32, 1_100_000, source_id="encl32")
     return Catalog(edge_set=(encl,), core_set=(ft36,))
 
 
@@ -229,8 +229,8 @@ def test_star_blade_needs_no_cables(blade_catalog):
 
 def uniform_candidates(node_count, edge_switches, edge_ports, core_ports, prefer_expandability=False):
     """design()'s fat-tree candidates that spread the nodes evenly, for one edge and one core model."""
-    edge = make_switch(edge_ports, 500_000, source_id="edge", roles=("edge",))
-    core = make_switch(core_ports, 300_000, source_id="core", roles=("core",))
+    edge = make_switch(edge_ports, 500_000, source_id="edge")
+    core = make_switch(core_ports, 300_000, source_id="core")
     request = DesignRequest(node_count=node_count, prefer_expandability=prefer_expandability)
     fat_trees = [c for c in design(request, Catalog(edge_set=(edge,), core_set=(core,))).candidates
                  if c.kind == "fat_tree"]
@@ -256,8 +256,8 @@ def test_uniform_variant_saves_a_core_switch():
 
 
 def test_design_flags_uniform_candidate():
-    edge = make_switch(12, 500_000, source_id="e12", roles=("edge",))
-    core = make_switch(4, 300_000, source_id="c4", roles=("core",))
+    edge = make_switch(12, 500_000, source_id="e12")
+    core = make_switch(4, 300_000, source_id="c4")
     report = design(DesignRequest(node_count=7), Catalog(edge_set=(edge,), core_set=(core,)))
     fat_trees = [c for c in report.candidates if c.kind == "fat_tree"]
     uniform = [c for c in fat_trees if c.uniform_distribution]
@@ -320,13 +320,12 @@ def test_zero_cost_catalog_objective_is_cable_cost():
 SIZE_CONSTRAINED_CORES = Catalog(
     edge_set=(make_switch(36, 1_100_000, source_id="ft36"),),
     core_set=(
-        make_switch(144, 10_000_000, source_id="m144", rack_units=10, roles=("core",)),
+        make_switch(144, 10_000_000, source_id="m144", rack_units=10),
         make_switch(
             144,
             14_000_000,
             source_id="big324",
             rack_units=16,
-            roles=("core",),
             configured_line_cards=8,
             expandable_ports=180,
         ),

@@ -123,5 +123,4 @@ def test_full_population_switch_counts(ft36_catalog):
 
 def test_single_model_catalog_has_both_roles(ft36):
     catalog = single_model_catalog(ft36)
-    assert catalog.edge_set == catalog.core_set
-    assert catalog.edge_set[0].roles == frozenset({"edge", "core"})
+    assert catalog.edge_set == catalog.core_set == (ft36,)

@@ -72,8 +72,8 @@ def test_plain_block_spread_example():
     # zero footprint so only block packing drives the rack count)
     from fattree_design.catalog import Catalog
 
-    edge = make_switch(36, 100, source_id="e", roles=("edge",))
-    core = make_switch(36, 100, source_id="c", rack_units=0, roles=("core",))
+    edge = make_switch(36, 100, source_id="e")
+    core = make_switch(36, 100, source_id="c", rack_units=0)
     target = winner_for(198, Catalog(edge_set=(edge,), core_set=(core,)))
     assert [b.rack_units for b in building_blocks(target, NodeSpec())] == [19] * 11
     room = RoomSpec(rows=1, racks_per_row=8)
@@ -127,8 +127,8 @@ def test_spread_blocks_stay_within_rack_budgets(budget):
     # a spread block's switch takes its share of a rack's budget before that rack's nodes do
     from fattree_design.catalog import Catalog
 
-    edge = make_switch(36, 100, source_id="e", weight=30.0, power=30.0, roles=("edge",))
-    core = make_switch(36, 100, source_id="c", rack_units=0, roles=("core",))
+    edge = make_switch(36, 100, source_id="e", weight=30.0, power=30.0)
+    core = make_switch(36, 100, source_id="c", rack_units=0)
     target = winner_for(198, Catalog(edge_set=(edge,), core_set=(core,)))
     node = NodeSpec(rack_units=1, weight=10.0, power=10.0)
     room = RoomSpec(rows=1, racks_per_row=12, **{budget: 330.0})
@@ -159,8 +159,8 @@ WRAP_RESERVE = (22, 22) + (33,) * 8  # racks 0 and 1 keep 20U, racks 2-9 9U, rac
 def test_core_switch_racks_per_policy(policy, nodes, rows, reserve, expected):
     from fattree_design.catalog import Catalog
 
-    edge = make_switch(24, 100, source_id="e24", roles=("edge",))
-    core = make_switch(8, 100, source_id="c8", rack_units=10, roles=("core",))
+    edge = make_switch(24, 100, source_id="e24")
+    core = make_switch(8, 100, source_id="c8", rack_units=10)
     target = winner_for(nodes, Catalog(edge_set=(edge,), core_set=(core,)))
     assert (target.edge_count, target.core_count) == (nodes // 12, len(expected))
     room = RoomSpec(rows=rows, racks_per_row=4)
@@ -289,7 +289,7 @@ def test_direct_connect_designs_are_not_placeable(ft36_catalog):
     from fattree_design.designer import BladeFormFactor
     from fattree_design.catalog import Catalog
 
-    encl = make_switch(32, 1_100_000, source_id="encl32", roles=("edge",))
+    encl = make_switch(32, 1_100_000, source_id="encl32")
     catalog = Catalog(edge_set=(encl,), core_set=(make_switch(36, 1, source_id="c"),))
     request = DesignRequest(
         node_count=32,

@@ -1,0 +1,99 @@
+"""Mutation gate: every planted bug in the search must make its guarding tests fail.
+
+Usage, from the repository root:
+
+    python3 tools/mutants.py              # run every mutant; exit 1 if one survives
+    python3 tools/mutants.py --self-test  # check that the gate reports a mutant no test can kill
+
+Each mutant names a module of src/fattree_design, a piece of its text that must
+occur there exactly once, the replacement, and the tests that guard it. For
+each one the script copies src/, tests/ and pyproject.toml into a temporary
+directory, plants the mutant in the copy and runs the guarding tests there
+under a fixed hypothesis seed. A mutant survives when those tests pass. If a
+mutant's text is missing or occurs more than once, the script stops before
+running anything: a refactor that moves the text must move the mutant too.
+"""
+
+from __future__ import annotations
+
+import argparse
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 0  # a fixed hypothesis seed, so that a run kills the same mutants every time
+PER_CORE_TEST = "tests/test_search_plan.py::test_per_core_floor_keeps_the_design_winner"
+
+# (module, exact text, replacement, guarding tests, what the mutant breaks)
+MUTANTS = [
+    ("designer.py", "edge_floor + entry[0].cost <= best[0][0]", "edge_floor + entry[0].cost < best[0][0]",
+     PER_CORE_TEST, "the per-core floor drops a core whose pair ties the best cost"),
+    ("designer.py", "cores = [entry for entry in cores if edge_floor + entry[0].cost <= best[0][0]]",
+     "cores = list(cores)", PER_CORE_TEST, "the per-core floor skips no core"),
+    ("designer.py", "if winner_only and best is not None and floor > best[0][0]:",
+     "if winner_only and best is not None and floor >= best[0][0]:",
+     PER_CORE_TEST, "the group floor cuts an edge group that ties the best cost"),
+    ("designer.py", "and request.form_factor.embeds(edge_config)",
+     "and request.form_factor.embedded_edge_switch_id == edge_config.source_id",
+     "tests/test_cli.py::test_embedded_switch_named_by_configuration_id_takes_no_rack_space",
+     "an embedded switch named by its configuration id is charged rack space"),
+]
+
+# Rounding up by a different formula changes no answer, so no test can kill it.
+EQUIVALENT = ("designer.py", "return -(-node_count // ports_to_nodes)",
+              "return (node_count + ports_to_nodes - 1) // ports_to_nodes",
+              "tests/test_designer.py", "none: the same ceiling")
+
+
+def plant(source: str, text: str, replacement: str, module: str) -> str:
+    count = source.count(text)
+    if count != 1:
+        raise SystemExit(f"mutant text occurs {count} times in {module}, not once: {text!r}")
+    return source.replace(text, replacement)
+
+
+def survives(mutant: tuple) -> bool:
+    """Whether the guarding tests pass with the mutant planted in a copy of the tree."""
+    module, text, replacement, guard, _ = mutant
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, Path(tmp) / name, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        path = Path(tmp) / "src" / "fattree_design" / module
+        path.write_text(plant(path.read_text(encoding="utf-8"), text, replacement, module), encoding="utf-8")
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                   f"--hypothesis-seed={SEED}", guard]
+        # pyproject.toml's pythonpath puts the copy's src/ first on sys.path
+        return subprocess.run(command, cwd=tmp, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode == 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--self-test", action="store_true", help="run an equivalent mutant, which must survive")
+    args = parser.parse_args(argv)
+    mutants = [EQUIVALENT] if args.self_test else MUTANTS
+    for module, text, replacement, _, _ in mutants:  # every mutant applies before any test runs
+        plant((ROOT / "src" / "fattree_design" / module).read_text(encoding="utf-8"), text, replacement, module)
+    survivors = []
+    for mutant in mutants:
+        started = time.perf_counter()
+        alive = survives(mutant)
+        print(f"{'SURVIVED' if alive else 'killed  '}  {time.perf_counter() - started:5.1f}s  {mutant[4]}")
+        if alive:
+            survivors.append(mutant)
+    if args.self_test:
+        if not survivors:
+            print("self-test failed: the gate killed a mutant that changes no answer")
+            return 1
+        print("self-test passed: the gate reports a mutant that no test kills")
+        return 0
+    print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
