@@ -41,7 +41,6 @@ from .estimator import (
 )
 from .money import Money, format_money, parse_money, parse_ratio
 from .placement import (
-    BuildingBlock,
     ExpansionAudit,
     ExpansionPlan,
     PlacementError,

@@ -36,7 +36,7 @@ _MONOLITHIC = {
     "weight": ("number", 0, True),
     "roles": ([ROLES], 1, True),
 }
-_MODULAR = {
+_FAMILY = {  # a modular family's own fields; its catalog entry adds roles
     "id": ("string", 1, True),
     "chassis_cost": ("integer", 0, True),
     "chassis_rack_units": ("integer", 1, True),
@@ -50,8 +50,8 @@ _MODULAR = {
     "max_line_cards": ("integer", (1, MAX_LINE_CARDS), True),
     "per_line_card_power": ("number", 0, False),
     "per_line_card_weight": ("number", 0, False),
-    "roles": ([ROLES], 1, True),
 }
+_MODULAR = dict(_FAMILY, roles=([ROLES], 1, True))
 _CATALOG = {
     "currency": ("string", 1, True),
     "monolithic": ([_MONOLITHIC], None, True),
@@ -154,11 +154,10 @@ class ModularSwitchFamily:
     max_line_cards: int
     per_line_card_power: float = 0.0
     per_line_card_weight: float = 0.0
-    roles: frozenset[str] = frozenset({"core"})
 
     def __post_init__(self) -> None:
         # a family built in code meets a catalog entry's bounds, the card cap among them
-        violation = field_violation(dict(vars(self), roles=sorted(self.roles)), _MODULAR)
+        violation = field_violation(vars(self), _FAMILY)
         if violation:
             raise CatalogError(f"modular switch family violation at {violation}")
 
@@ -291,8 +290,8 @@ def parse_catalog(document: Mapping[str, Any]) -> Catalog:
             weight=entry["weight"],
         )])
     for entry in document["modular"]:
-        # _MODULAR holds exactly ModularSwitchFamily's fields.
-        add(entry, expand_modular(ModularSwitchFamily(**dict(entry, roles=frozenset(entry["roles"])))))
+        # _FAMILY holds exactly ModularSwitchFamily's fields.
+        add(entry, expand_modular(ModularSwitchFamily(**{key: entry[key] for key in entry if key != "roles"})))
 
     if not seen_ids:
         raise CatalogError("catalog empty")

@@ -1,11 +1,14 @@
 """Rack placement heuristics and expansion planning.
 
 Placement packs a solved design into racks under per-rack space, weight, and
-power budgets. The unit of placement is the building block: one edge switch
-plus the nodes attached to it. Racks fill in serpentine row order; blocks go
-into the current rack until it cannot take another, and in dense mode a block
-is spread across the slack of already-visited racks as soon as that slack can
-hold it. Core switches are placed before blocks, at a configurable position.
+power budgets. Every piece of equipment is a PlacedItem: reserved space, a
+core switch, an edge switch, or a run of nodes. The unit of placement is the
+building block, the pair of items made of one edge switch and the nodes
+attached to it. Racks fill in serpentine row order; blocks go into the
+current rack until it cannot take another, and in dense mode a block is
+spread across the slack of already-visited racks as soon as that slack can
+hold it, its nodes split into one item per rack. Reserved space and core
+switches are placed before blocks, the cores at a configurable position.
 
 Expansion planning sizes the core layer for the largest anticipated node
 count so later phases only add edge switches and nodes, and the audit
@@ -76,28 +79,6 @@ class RoomSpec:
 
 
 @dataclass(frozen=True)
-class BuildingBlock:
-    """An edge switch and the nodes connected to it, placed as a unit."""
-
-    block_id: str
-    edge_switch: SwitchConfig
-    node_count: int
-    node_spec: NodeSpec
-
-    @property
-    def rack_units(self) -> int:
-        return self.edge_switch.rack_units + self.node_count * self.node_spec.rack_units
-
-    @property
-    def weight(self) -> float:
-        return self.edge_switch.weight + self.node_count * self.node_spec.weight
-
-    @property
-    def power(self) -> float:
-        return self.edge_switch.power + self.node_count * self.node_spec.power
-
-
-@dataclass(frozen=True)
 class PlacedItem:
     kind: str  # "core_switch" | "edge_switch" | "node_block" | "reserved"
     rack_units: int
@@ -159,12 +140,18 @@ def _serpentine_racks(room: RoomSpec) -> list[Rack]:
     return racks
 
 
-def _fits(rack: Rack, room: RoomSpec, item: BuildingBlock | PlacedItem) -> bool:
-    if rack.free_units < item.rack_units:
+def _fits(rack: Rack, room: RoomSpec, *items: PlacedItem) -> bool:
+    """Whether rack takes items together; their load is added up before the rack's is added to it."""
+    units = weight = power = 0
+    for item in items:
+        units += item.rack_units
+        weight += item.weight
+        power += item.power
+    if rack.free_units < units:
         return False
-    if room.rack_weight_budget is not None and rack.used_weight + item.weight > room.rack_weight_budget:
+    if room.rack_weight_budget is not None and rack.used_weight + weight > room.rack_weight_budget:
         return False
-    if room.rack_power_budget is not None and rack.used_power + item.power > room.rack_power_budget:
+    if room.rack_power_budget is not None and rack.used_power + power > room.rack_power_budget:
         return False
     return True
 
@@ -178,19 +165,20 @@ def _first_fit(racks: Sequence[Rack], room: RoomSpec, item: PlacedItem) -> int |
     return None
 
 
-def building_blocks(design_: FatTreeDesign, node_spec: NodeSpec) -> list[BuildingBlock]:
-    """One block per edge switch; the last block carries the remainder nodes."""
-    blocks = []
-    for i, nodes in enumerate(node_distribution(design_)):
-        blocks.append(
-            BuildingBlock(
-                block_id=f"block-{i + 1:02d}",
-                edge_switch=design_.edge_config,
-                node_count=nodes,
-                node_spec=node_spec,
-            )
-        )
-    return blocks
+def _switch(kind: str, label: str, config: SwitchConfig, block_id: str | None = None) -> PlacedItem:
+    """A core switch, or the edge switch of block_id."""
+    return PlacedItem(
+        kind=kind, rack_units=config.rack_units, label=label, block_id=block_id,
+        weight=config.weight, power=config.power,
+    )
+
+
+def _nodes(block_id: str, spec: NodeSpec, count: int) -> PlacedItem:
+    """count nodes of block_id: the whole block, or one rack's chunk of a spread block."""
+    return PlacedItem(
+        kind="node_block", rack_units=count * spec.rack_units, label=f"{block_id} nodes x{count}",
+        block_id=block_id, node_count=count, weight=count * spec.weight, power=count * spec.power,
+    )
 
 
 def _place_core_switches(
@@ -210,19 +198,11 @@ def _place_core_switches(
         primary = [rack for rack in racks if rack.position == column]
     elif core_placement == "distributed":
         primary = racks
-    elif core_placement == "first_racks_contiguous":
-        primary = []
     else:
-        raise ValueError(f"unknown core placement policy: {core_placement!r}")
+        primary = []
     cursor = 0
     for i in range(design_.core_count):
-        item = PlacedItem(
-            kind="core_switch",
-            rack_units=config.rack_units,
-            label=f"core-{i + 1:02d} ({config.config_id})",
-            weight=config.weight,
-            power=config.power,
-        )
+        item = _switch("core_switch", f"core-{i + 1:02d} ({config.config_id})", config)
         # the policy's racks from the cursor on, then every rack from the first
         step = _first_fit(primary[cursor:] + primary[:cursor] + racks, room, item)
         if step is None:
@@ -235,51 +215,17 @@ def _larger_than_rack(label: str, units: int, room: RoomSpec) -> PlacementError:
     return PlacementError(f"{label} ({units}U) is larger than a {room.rack_units_per_rack}U rack")
 
 
-def _place_reserved(racks: list[Rack], room: RoomSpec, units: int, label: str) -> None:
-    if units > room.rack_units_per_rack:
-        raise _larger_than_rack(label, units, room)
-    if _first_fit(racks, room, PlacedItem(kind="reserved", rack_units=units, label=label)) is None:
-        raise PlacementError(f"no rack can hold {label} ({units}U)")
-
-
-def _switch_item(block: BuildingBlock) -> PlacedItem:
-    switch = block.edge_switch
-    return PlacedItem(
-        kind="edge_switch",
-        rack_units=switch.rack_units,
-        label=f"{block.block_id} switch ({switch.config_id})",
-        block_id=block.block_id,
-        weight=switch.weight,
-        power=switch.power,
-    )
-
-
-def _node_item(block: BuildingBlock, count: int) -> PlacedItem:
-    spec = block.node_spec
-    return PlacedItem(
-        kind="node_block",
-        rack_units=count * spec.rack_units,
-        label=f"{block.block_id} nodes x{count}",
-        block_id=block.block_id,
-        node_count=count,
-        weight=count * spec.weight,
-        power=count * spec.power,
-    )
-
-
 def _try_spread(
-    block: BuildingBlock, racks: Sequence[Rack], room: RoomSpec
+    switch: PlacedItem, node_count: int, spec: NodeSpec, racks: Sequence[Rack], room: RoomSpec
 ) -> list[tuple[Rack, PlacedItem]] | None:
     """Plan piecewise placement of a block into the given racks, or None.
 
     Each rack is visited once: the switch goes into the first rack with room
     for it, and each rack's nodes fill what that rack has left.
     """
-    switch = block.edge_switch
-    spec = block.node_spec
     placements: list[tuple[Rack, PlacedItem]] = []
     switch_done = False
-    remaining = block.node_count
+    remaining = node_count
     for rack in racks:
         free = rack.free_units
         weight_left = (
@@ -294,7 +240,7 @@ def _try_spread(
             and weight_left >= switch.weight
             and power_left >= switch.power
         ):
-            placements.append((rack, _switch_item(block)))
+            placements.append((rack, switch))
             switch_done = True
             free -= switch.rack_units
             weight_left -= switch.weight
@@ -307,7 +253,7 @@ def _try_spread(
                 chunk = min(chunk, int(power_left / spec.power))
             chunk = min(remaining, max(0, chunk))
             if chunk > 0:
-                placements.append((rack, _node_item(block, chunk)))
+                placements.append((rack, _nodes(switch.block_id, spec, chunk)))
                 remaining -= chunk
         if switch_done and remaining == 0:
             return placements
@@ -315,7 +261,7 @@ def _try_spread(
 
 
 def _check_room_capacity(
-    design_: FatTreeDesign, room: RoomSpec, blocks: list[BuildingBlock], reserve: Sequence[int]
+    design_: FatTreeDesign, room: RoomSpec, blocks: list[tuple[PlacedItem, PlacedItem]], reserve: Sequence[int]
 ) -> None:
     deficits = []
     for unit, attribute, per_rack in (
@@ -325,7 +271,7 @@ def _check_room_capacity(
     ):
         if per_rack is None:
             continue
-        need = sum(getattr(block, attribute) for block in blocks)
+        need = sum(getattr(switch, attribute) + getattr(nodes, attribute) for switch, nodes in blocks)
         if unit == "U":
             need += sum(reserve)  # reserved space has no weight or power
         if design_.core_config is not None:
@@ -350,49 +296,61 @@ def plan_racks(
     """Pack a rack-mounted design into the room.
 
     Placement order: reserved space, then core switches (policy-controlled
-    position), then building blocks into successive racks. In dense mode a
-    block that no longer fits the current rack is spread across the slack of
-    the racks visited so far whenever that slack can absorb it whole.
+    position), then building blocks into successive racks. A building block
+    is two items, an edge switch and its nodes, and goes into one rack whole.
+    In dense mode a block that no longer fits the current rack is spread
+    across the slack of the racks visited so far whenever that slack can
+    absorb it whole.
     """
     for units in reserve:
         if units < 1:
             raise ValueError(f"reserved space must be at least 1U, got {units}")
+    if core_placement not in CORE_PLACEMENTS:
+        raise ValueError(f"unknown core placement policy: {core_placement!r}")
     if design_.kind == "direct_connect":
         raise PlacementError("direct-connect blade designs have no rack-mounted equipment to place")
-    blocks = building_blocks(design_, node_spec)
+    edge = design_.edge_config
+    blocks = []
+    for i, count in enumerate(node_distribution(design_)):  # the last block carries the remainder nodes
+        block_id = f"block-{i + 1:02d}"
+        switch = _switch("edge_switch", f"{block_id} switch ({edge.config_id})", edge, block_id)
+        blocks.append((switch, _nodes(block_id, node_spec, count)))
     _check_room_capacity(design_, room, blocks, reserve)
     racks = _serpentine_racks(room)
 
     for i, units in enumerate(reserve):
-        _place_reserved(racks, room, units, f"reserved-{i + 1:02d}")
+        label = f"reserved-{i + 1:02d}"
+        if units > room.rack_units_per_rack:
+            raise _larger_than_rack(label, units, room)
+        if _first_fit(racks, room, PlacedItem(kind="reserved", rack_units=units, label=label)) is None:
+            raise PlacementError(f"no rack can hold {label} ({units}U)")
     _place_core_switches(design_, room, racks, core_placement)
 
     spread_ids: list[str] = []
     cursor = 0
-    for block in blocks:
-        if not dense and block.rack_units > room.rack_units_per_rack:
-            raise _larger_than_rack(block.block_id, block.rack_units, room)
+    for switch, nodes in blocks:
+        units = switch.rack_units + nodes.rack_units
+        if not dense and units > room.rack_units_per_rack:
+            raise _larger_than_rack(switch.block_id, units, room)
         placed = False
         while not placed:
             rack = racks[cursor]
-            if _fits(rack, room, block):
-                rack.add(_switch_item(block))
-                if block.node_count:
-                    rack.add(_node_item(block, block.node_count))
+            if _fits(rack, room, switch, nodes):
+                rack.add(switch)
+                if nodes.node_count:
+                    rack.add(nodes)
                 placed = True
             elif dense:
-                plan = _try_spread(block, racks[: cursor + 1], room)
+                plan = _try_spread(switch, nodes.node_count, node_spec, racks[: cursor + 1], room)
                 if plan is not None:
                     for target, item in plan:
                         target.add(item)
-                    spread_ids.append(block.block_id)
+                    spread_ids.append(switch.block_id)
                     placed = True
             if not placed:
                 cursor += 1
                 if cursor >= len(racks):
-                    raise PlacementError(
-                        f"{block.block_id} ({block.rack_units}U) does not fit: room exhausted"
-                    )
+                    raise PlacementError(f"{switch.block_id} ({units}U) does not fit: room exhausted")
 
     last_used = max((i for i, rack in enumerate(racks) if rack.items), default=-1)
     kept = racks[: last_used + 1]
@@ -425,10 +383,6 @@ class InstallmentPlan:
     name: str
     phases: tuple[InstallPhase, ...]
 
-    @property
-    def initial_nodes(self) -> int:
-        return self.phases[0].node_count
-
 
 @dataclass(frozen=True)
 class ExpansionPlan:
@@ -444,10 +398,6 @@ class ExpansionPlan:
     spare_core_ports: int
     variants: tuple[InstallmentPlan, ...]
     baseline: CapacityFit
-
-    @property
-    def initial_nodes(self) -> int:
-        return max(variant.initial_nodes for variant in self.variants)
 
 
 @dataclass(frozen=True)

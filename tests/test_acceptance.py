@@ -164,7 +164,7 @@ def test_expansion_scenario(ft36_catalog):
     assert plan.target_max_nodes == 115
     assert plan.edge_count == 7
     assert plan.core_count == 4
-    initials = {variant.name: variant.initial_nodes for variant in plan.variants}
+    initials = {variant.name: variant.phases[0].node_count for variant in plan.variants}
     assert initials == {"all_switches_upfront": 73, "core_first": 75}
 
 

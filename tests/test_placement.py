@@ -10,7 +10,6 @@ from fattree_design.placement import (
     NodeSpec,
     PlacementError,
     RoomSpec,
-    building_blocks,
     expansion_audit,
     expansion_plan,
     fit_max_nodes,
@@ -46,11 +45,22 @@ def assert_budgets(layout, room):
             assert rack.used_power <= room.rack_power_budget + 1e-9
 
 
+def block_totals(layout, attribute):
+    """Each building block's total of an item attribute, in block order."""
+    totals = {}
+    for rack in layout.racks:
+        for item in rack.items:
+            if item.block_id is not None:
+                totals[item.block_id] = totals.get(item.block_id, 0) + getattr(item, attribute)
+    return [totals[block_id] for block_id in sorted(totals)]
+
+
 def test_building_blocks_last_one_underfilled(ft36_catalog):
-    blocks = building_blocks(winner_for(60, ft36_catalog), NodeSpec())
-    assert [b.node_count for b in blocks] == [18, 18, 18, 6]
-    assert blocks[0].rack_units == 19
-    assert blocks[-1].rack_units == 7
+    layout = plan_racks(winner_for(60, ft36_catalog), RoomSpec(rows=1, racks_per_row=4))
+    assert block_totals(layout, "node_count") == [18, 18, 18, 6]
+    assert block_totals(layout, "rack_units") == [19, 19, 19, 7]
+    block_01 = [(item.kind, item.label) for item in layout.racks[0].items if item.block_id == "block-01"]
+    assert block_01 == [("edge_switch", "block-01 switch (ft36)"), ("node_block", "block-01 nodes x18")]
 
 
 def test_two_blocks_per_rack_then_spread(ft36_catalog):
@@ -75,12 +85,12 @@ def test_plain_block_spread_example():
     edge = make_switch(36, 100, source_id="e")
     core = make_switch(36, 100, source_id="c", rack_units=0)
     target = winner_for(198, Catalog(edge_set=(edge,), core_set=(core,)))
-    assert [b.rack_units for b in building_blocks(target, NodeSpec())] == [19] * 11
     room = RoomSpec(rows=1, racks_per_row=8)
     dense = plan_racks(target, room, NodeSpec(), dense=True)
     assert dense.racks_used == 5
     assert len(dense.spread_blocks) == 1
     relaxed = plan_racks(target, room, NodeSpec(), dense=False)
+    assert block_totals(relaxed, "rack_units") == [19] * 11
     assert relaxed.racks_used == 6
     assert relaxed.spread_blocks == ()
 
@@ -168,6 +178,28 @@ def test_core_switch_racks_per_policy(policy, nodes, rows, reserve, expected):
     cores = {item.label: rack.index for rack in layout.racks for item in rack.items if item.kind == "core_switch"}
     assert [cores[f"core-{i + 1:02d} (c8)"] for i in range(len(expected))] == expected
     assert layout_nodes(layout) == nodes
+
+
+def test_block_that_fills_the_weight_budget_exactly_fits():
+    # a 10 kg switch and 18 nodes of 5 kg weigh 100 kg: one block per 100 kg rack
+    from fattree_design.catalog import Catalog
+
+    edge = make_switch(36, 100, source_id="e", weight=10.0)
+    core = make_switch(36, 100, source_id="c", rack_units=0)
+    target = winner_for(54, Catalog(edge_set=(edge,), core_set=(core,)))
+    room = RoomSpec(rows=1, racks_per_row=3, rack_weight_budget=100.0)
+    layout = plan_racks(target, room, NodeSpec(weight=5.0))
+    assert [rack.used_weight for rack in layout.racks] == [100.0, 100.0, 100.0]
+
+
+@pytest.mark.parametrize("nodes", [20, 60])  # the demo catalog's star and fat-tree winners
+def test_unknown_core_placement_rejected(nodes):
+    from fattree_design.catalog import bundled_catalog_path, load_catalog_file
+
+    target = winner_for(nodes, load_catalog_file(bundled_catalog_path("demo_catalog")))
+    assert target.kind == ("star" if nodes == 20 else "fat_tree")
+    with pytest.raises(ValueError, match="^unknown core placement policy: 'bogus'$"):
+        plan_racks(target, RoomSpec(rows=1, racks_per_row=2), core_placement="bogus")
 
 
 def test_non_dense_uses_twelve_racks(ft36_catalog):
@@ -352,13 +384,13 @@ def test_expansion_plan_two_to_three_racks(ft36_catalog):
     assert plan.spare_core_ports == 18
     upfront, deferred = plan.variants
     assert upfront.name == "all_switches_upfront"
-    assert upfront.initial_nodes == 73
+    assert upfront.phases[0].node_count == 73
     assert deferred.name == "core_first"
-    assert deferred.initial_nodes == 75
+    assert deferred.phases[0].node_count == 75
     assert deferred.phases[0].edge_switches == 5
     # deferring edge switches never hosts fewer initial nodes
-    assert deferred.initial_nodes >= upfront.initial_nodes
-    assert plan.initial_nodes == 75
+    assert deferred.phases[0].node_count >= upfront.phases[0].node_count
+    assert max(variant.phases[0].node_count for variant in plan.variants) == 75
     assert plan.baseline.node_count == 76
 
 

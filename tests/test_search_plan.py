@@ -150,9 +150,9 @@ def many_core_catalogs(draw):
         line_card_cost=price(400000) if pricing == "spread" else 0,
         ports_per_line_card=draw(st.sampled_from((4, 8, 12))),
         max_line_cards=draw(st.integers(2, 8)),
-        roles=frozenset(draw(st.sampled_from((("core",), ("edge", "core"))))),
     )
-    switches = [(config, family.roles) for config in expand_modular(family)]
+    roles = frozenset(draw(st.sampled_from((("core",), ("edge", "core")))))
+    switches = [(config, roles) for config in expand_modular(family)]
     for i in range(draw(st.integers(max(1, 10 - len(switches)), 40 - len(switches)))):
         # the first monolith is an edge switch, so every catalog has an edge group
         roles = ("edge",) if i == 0 else draw(st.sampled_from((("core",), ("core",), ("edge",), ("edge", "core"))))

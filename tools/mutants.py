@@ -1,4 +1,4 @@
-"""Mutation gate: every planted bug in the search must make its guarding tests fail.
+"""Mutation gate: every planted bug in the search or placement must make its guarding tests fail.
 
 Usage, from the repository root:
 
@@ -27,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0  # a fixed hypothesis seed, so that a run kills the same mutants every time
 PER_CORE_TEST = "tests/test_search_plan.py::test_per_core_floor_keeps_the_design_winner"
+RANKING_TESTS = "tests/test_ranking.py"
 
 # (module, exact text, replacement, guarding tests, what the mutant breaks)
 MUTANTS = [
@@ -41,6 +42,21 @@ MUTANTS = [
      "and request.form_factor.embedded_edge_switch_id == edge_config.source_id",
      "tests/test_cli.py::test_embedded_switch_named_by_configuration_id_takes_no_rack_space",
      "an embedded switch named by its configuration id is charged rack space"),
+    ("designer.py", "spread_layer[1] < layer[1]", "spread_layer[1] <= layer[1]",
+     RANKING_TESTS, "the even spread is kept when it needs as many cores as the baseline"),
+    ("designer.py", "width = ports // edge_switches if ports < edge_switches * ports_to_core else ports_to_core",
+     "width = ports // edge_switches", RANKING_TESTS, "a bundle is wider than an edge switch's uplinks"),
+    ("designer.py", "nodes_per_switch = -(-node_count // edge_switches)",
+     "nodes_per_switch = node_count // edge_switches", RANKING_TESTS,
+     "the even spread rounds nodes per switch down and leaves nodes out"),
+    ("designer.py", "ports_to_nodes = blades.enclosure_capacity", "pass",
+     RANKING_TESTS, "an edge switch serves more blades than its enclosure has bays"),
+    ("designer.py", "None if request.prefer_expandability else ", "",
+     RANKING_TESTS, "the even spread is tried although expandability is preferred"),
+    ("placement.py", "rack.used_weight + weight > room.rack_weight_budget",
+     "rack.used_weight + weight >= room.rack_weight_budget",
+     "tests/test_placement.py::test_block_that_fills_the_weight_budget_exactly_fits",
+     "a block that fills a rack's weight budget exactly does not fit"),
 ]
 
 # Rounding up by a different formula changes no answer, so no test can kill it.
