@@ -26,7 +26,6 @@ from .designer import (
     NodeSpec,
     cable_count,
     cluster_cost,
-    core_stage,
     design,
     edge_count,
     edge_port_split,

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from .money import Money, check_not_negative
+from .money import Money, check_money
 
 ROLES = ("edge", "core")
 MAX_LINE_CARDS = 1024
@@ -174,23 +174,19 @@ class SwitchConfig:
     weight: float
     configured_line_cards: int | None = None
     expandable_ports: int = 0
+    # Stable identifier; modular expansions are distinguished by port count. Set once, as the search reads it
+    # per pair; a cached_property would write the instance __dict__, slowing every attribute read on 3.11.
+    config_id: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # zero is valid in code: the empty core model, and cores that take no rack space
-        if isinstance(self.cost, bool) or not isinstance(self.cost, int):
-            raise ValueError(f"switch cost must be an integer (minor units), got {self.cost!r}")
-        check_not_negative("switch cost", self.cost)
+        check_money("switch cost", self.cost)
         for name in ("power", "rack_units", "weight"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"switch {name} must be finite and not negative, got {value!r}")
-
-    @property
-    def config_id(self) -> str:
-        """Stable identifier; modular expansions are distinguished by port count."""
-        if self.configured_line_cards is None:
-            return self.source_id
-        return f"{self.source_id}:{self.ports}p"
+        modular = self.configured_line_cards is not None
+        object.__setattr__(self, "config_id", f"{self.source_id}:{self.ports}p" if modular else self.source_id)
 
 
 @dataclass(frozen=True)

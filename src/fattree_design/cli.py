@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable
 
-from .catalog import CatalogError, load_catalog_file
+from .catalog import load_catalog_file
 from .designer import DesignError, DesignRequest, NodeSpec, design, request_from_document
 from .estimator import lower_bound_estimate, sweep_lower_bound
 from .money import parse_money, parse_ratio
@@ -262,7 +262,7 @@ def run(argv: list[str] | None = None) -> int:
     except PlacementError as exc:
         print(f"placement failed: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (CatalogError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # CatalogError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

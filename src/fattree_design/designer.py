@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .catalog import Catalog, CatalogError, SwitchConfig, field_violation
-from .money import Money, check_not_negative, parse_ratio
+from .money import Money, check_money, parse_ratio
 
 DEFAULT_CABLE_COST: Money = 8000  # average cable price, minor units
 
@@ -95,9 +95,9 @@ class BladeFormFactor:
         capacity = self.enclosure_capacity
         if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
             raise ValueError(f"blade enclosure_capacity must be an integer of at least 1, got {capacity!r}")
-        for name in ("enclosure_cost", "pass_through_cost"):
-            if getattr(self, name) is not None:
-                check_not_negative(f"blade {name}", getattr(self, name))
+        check_money("blade enclosure_cost", self.enclosure_cost)
+        if self.pass_through_cost is not None:
+            check_money("blade pass_through_cost", self.pass_through_cost)
 
     def embeds(self, config: SwitchConfig) -> bool:
         """Whether config is the embedded edge switch, named by its family or configuration id."""
@@ -118,6 +118,8 @@ class NodeSpec:
             # NaN passes every range check below, and neither NaN nor inf is a JSON number
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"node {name} must be a finite number, got {value!r}")
+        if isinstance(self.rack_units, bool) or not isinstance(self.rack_units, int):
+            raise ValueError(f"node rack_units must be an integer, got {self.rack_units!r}")
         if self.rack_units < 1:
             raise ValueError(f"node rack_units must be at least 1, got {self.rack_units}")
         for name in ("weight", "power"):
@@ -148,13 +150,17 @@ class DesignRequest:
             raise ValueError(f"blocking factor must be a Fraction, got {self.blocking_factor!r}")
         if self.blocking_factor <= 0:
             raise ValueError("blocking factor must be positive")
-        if isinstance(self.avg_cable_cost, bool) or not isinstance(self.avg_cable_cost, int):
-            raise ValueError(f"avg_cable_cost must be an integer (minor units), got {self.avg_cable_cost!r}")
-        check_not_negative("avg_cable_cost", self.avg_cable_cost)
+        check_money("avg_cable_cost", self.avg_cable_cost)
+        if not isinstance(self.form_factor, FormFactor):
+            raise ValueError(f"form_factor must be a BladeFormFactor or a NodeSpec, got {self.form_factor!r}")
+        if not isinstance(self.constraints, ConstraintSet):
+            raise ValueError(f"constraints must be a ConstraintSet, got {self.constraints!r}")
+        if not isinstance(self.prefer_expandability, bool):
+            raise ValueError(f"prefer_expandability must be a boolean, got {self.prefer_expandability!r}")
 
     @property
-    def blade(self) -> bool:
-        return isinstance(self.form_factor, BladeFormFactor)
+    def blades(self) -> BladeFormFactor | None:
+        return self.form_factor if isinstance(self.form_factor, BladeFormFactor) else None
 
 
 @dataclass(frozen=True)
@@ -297,7 +303,8 @@ def core_layers(edge_switches: int, ports_to_core: int, core_ports: Iterable[int
     """(bundle width, core switch count) of one edge group's core layer per core port count; None where too few.
 
     Every edge switch reaches every core switch, so a core switch needs a port per edge switch; bundling
-    then packs as many rounds of edge-to-core links as fit. core_stage() sizes one pair by this rule.
+    then packs as many rounds of edge-to-core links as fit. This is the one core-sizing rule: a design's
+    CoreStage is one of these layers.
     """
     if edge_switches < 1:
         raise ValueError("edge_switches must be positive")
@@ -308,12 +315,6 @@ def core_layers(edge_switches: int, ports_to_core: int, core_ports: Iterable[int
         width = ports // edge_switches if ports < edge_switches * ports_to_core else ports_to_core
         layers.append((width, -(-ports_to_core // width)) if ports >= edge_switches else None)
     return layers
-
-
-def core_stage(edge_switches: int, ports_to_core: int, core_ports: int) -> CoreStage | None:
-    """Size the core layer for one core switch model, or None when it has too few ports (see core_layers)."""
-    layer, = core_layers(edge_switches, ports_to_core, (core_ports,))
-    return CoreStage(*layer) if layer else None
 
 
 def bundle_widths(ports_to_core: int, stage: CoreStage) -> tuple[int, ...]:
@@ -352,15 +353,14 @@ def fewest_uplinks(nodes: int, blocking: Fraction) -> int:
     return -(-nodes * blocking.denominator // blocking.numerator)
 
 
-def _even_split(node_count: int, edge_switches: int, blocking: Fraction, ports_to_core: int) -> EdgeSplit | None:
-    """Nodes spread evenly over the edge switches, each with the fewest uplinks the blocking allows."""
+def _even_split(node_count: int, edge_switches: int, blocking: Fraction, ports_to_core: int) -> tuple | None:
+    """(nodes per switch, uplinks, switches): nodes spread evenly, each switch with the fewest uplinks allowed."""
     nodes_per_switch = -(-node_count // edge_switches)
     uplinks = fewest_uplinks(nodes_per_switch, blocking)
     if uplinks >= ports_to_core:
         return None  # the baseline's uplinks give the same core layer
-    resulting = Fraction(nodes_per_switch, uplinks)
-    assert resulting <= blocking
-    return EdgeSplit(nodes_per_switch, uplinks, resulting, edge_switches)
+    assert nodes_per_switch * blocking.denominator <= uplinks * blocking.numerator
+    return nodes_per_switch, uplinks, edge_switches
 
 
 def _active_limits(constraints: ConstraintSet) -> tuple[tuple[int, str, float], ...]:
@@ -393,7 +393,7 @@ def _network_metrics(
     """
     # Blade edge switches live inside the enclosure and occupy no rack space
     # of their own; their cost, power, and weight still count.
-    embedded = isinstance(request.form_factor, BladeFormFactor) and request.form_factor.embeds(edge_config)
+    embedded = request.blades is not None and request.blades.embeds(edge_config)
     edge_cost, edge_power = edge_switches * edge_config.cost + extra_cost, edge_switches * edge_config.power
     edge_units = 0 if embedded else edge_switches * edge_config.rack_units
     edge_weight, cable_cost = edge_switches * edge_config.weight, request.avg_cable_cost
@@ -409,7 +409,7 @@ def _build_design(
     kind: str,
     edge_config: SwitchConfig,
     core_config: SwitchConfig | None,
-    split: EdgeSplit,
+    split: tuple[int, int, int],  # ports to nodes, ports to core, edge switches
     layer: tuple[int, int] | None,
     cables: int,
     metrics: tuple[Money, float, int, float],
@@ -418,12 +418,13 @@ def _build_design(
     max_supported_nodes: int,
 ) -> FatTreeDesign:
     """The one builder of a design, for every kind, from its ranking record's payload and the metrics it ranked on."""
+    to_nodes, to_core, edges = split
     return FatTreeDesign(
         kind=kind,
         node_count=request.node_count,
         edge_config=edge_config,
         core_config=core_config,
-        split=split,
+        split=EdgeSplit(to_nodes, to_core, Fraction(to_nodes, to_core) if kind == "fat_tree" else None, edges),
         core_stage=CoreStage(*layer) if layer else None,
         cable_count=cables,
         metrics=DesignMetrics(*metrics),
@@ -431,15 +432,6 @@ def _build_design(
         pass_through=pass_through,
         max_supported_nodes=max_supported_nodes,
     )
-
-
-def _embedded_edge_config(request: DesignRequest, catalog: Catalog) -> SwitchConfig:
-    blades = request.form_factor
-    assert isinstance(blades, BladeFormFactor)
-    for config in catalog.edge_set:
-        if blades.embeds(config):
-            return config
-    raise CatalogError(f"embedded edge switch {blades.embedded_edge_switch_id!r} not found in the edge set")
 
 
 class RankedCandidates(Sequence):
@@ -468,45 +460,45 @@ class RankedCandidates(Sequence):
 class SearchPlan:
     """Search state shared by every node count of one request shape.
 
-    Built once per call of design(), fit_max_nodes() or sweep_lower_bound()
-    from a request whose node count it ignores; nothing outlives that call.
-    It holds each edge configuration's port split as a plain (config,
-    ports to nodes, ports to core, resulting blocking) tuple, with the
-    blade-bay cap applied, the core list and the config union (the star
-    switches), each computed once, plus the largest node count any design
-    reaches. rank() is the one loop over edge configurations x cores for one
-    node count: it sizes and prices each edge group's pairs in one call each,
-    filters and orders them with the star and direct-connect variants, and
-    counts what it did in ``stats``, for design() in full and for the
-    node-count scans as the winner alone. For the winner alone it also holds
-    the cheapest core switch, from which rank() works out the cost floors
-    that let it skip edge groups and single cores.
+    Built once per call of design(), fit_max_nodes() or sweep_lower_bound() from
+    a request whose node count it ignores; nothing outlives that call. It holds
+    each edge configuration's port split as a plain (config, ports to nodes,
+    ports to core) tuple, with the blade-bay cap applied, the catalog's core set
+    and the config union (the star switches), each computed once, plus the
+    largest node count any design reaches. rank() is the one loop over edge
+    configurations x cores for one node count: it sizes and prices each edge
+    group's pairs in one call each, filters and orders them with the star and
+    direct-connect variants, and counts what it did in ``stats``, for design()
+    in full and for the node-count scans as the winner alone. For the winner
+    alone it also holds the cheapest core switch, from which rank() works out
+    the cost floors that let it skip edge groups and single cores.
     """
 
     def __init__(self, request: DesignRequest, catalog: Catalog) -> None:
         self.request = request
         self.configs = catalog.configs()
-        self.cores = tuple((config, config.config_id) for config in catalog.core_set)
+        self.cores = catalog.core_set
         self.stats = SearchStats()
         reach = max((config.ports for config in self.configs), default=0)
-        widest_core = max((config.ports for config in catalog.core_set), default=0)
-        blades = request.form_factor if isinstance(request.form_factor, BladeFormFactor) else None
+        widest_core = max((config.ports for config in self.cores), default=0)
+        blades = request.blades
         edge_configs = catalog.edge_set
         if blades is not None:
             reach = max(reach, 2 * blades.enclosure_capacity)
-            edge_configs = (_embedded_edge_config(request, catalog),)
+            edge_configs = [config for config in catalog.edge_set if blades.embeds(config)][:1]
+            if not edge_configs:
+                raise CatalogError(f"embedded edge switch {blades.embedded_edge_switch_id!r} not found in the edge set")
         self.embedded = edge_configs[0] if blades is not None else None
         edges = []
         for config in edge_configs:
             split_parts = edge_port_split(config.ports, request.blocking_factor)
             if split_parts is None:
                 continue
-            ports_to_nodes, ports_to_core, resulting = split_parts
+            ports_to_nodes, ports_to_core, _ = split_parts
             if blades is not None and blades.enclosure_capacity < ports_to_nodes:
                 # an enclosure cannot hold more blades than it has bays
                 ports_to_nodes = blades.enclosure_capacity
-                resulting = Fraction(ports_to_nodes, ports_to_core)
-            edges.append((config, ports_to_nodes, ports_to_core, resulting))
+            edges.append((config, ports_to_nodes, ports_to_core))
             reach = max(reach, widest_core * ports_to_nodes)
         self.edges = tuple(edges)
         self.max_reachable = reach
@@ -516,7 +508,7 @@ class SearchPlan:
         # floor with the core's price in place of the cheapest one; a
         # winner-only rank() skips what lies above the best cost found. With
         # no core there is no pair, and the empty core model stands in.
-        self.cheapest_core = min((core for core, _ in self.cores), key=lambda core: core.cost, default=_NO_CORE)
+        self.cheapest_core = min(self.cores, key=lambda core: core.cost, default=_NO_CORE)
 
     def _trivial_records(self, request: DesignRequest, limits: tuple) -> list:
         """Records of the best direct-connect variant and the best star that pass the constraints.
@@ -526,7 +518,7 @@ class SearchPlan:
         rejects is dropped silently: it never enters the rejected list.
         """
         node_count = request.node_count
-        blades = request.form_factor if isinstance(request.form_factor, BladeFormFactor) else None
+        blades = request.blades
         # (tie-break, spare ports, switch, split, cables, pass-through, max nodes) per variant
         direct, stars = [], []
         if blades is not None and blades.enclosure_capacity < node_count <= 2 * blades.enclosure_capacity:
@@ -536,9 +528,9 @@ class SearchPlan:
             for switches in (2, 1) if blades.pass_through_cost is not None else (2,):
                 # every port faces a node or a cross cable, and a cross cable uses a port on each switch
                 spare = max(0, switches * config.ports - node_count - switches * cables)
-                split = EdgeSplit(capacity, cables, None, switches)
+                split = (capacity, cables, switches)
                 direct.append(((switches,), spare, config, split, cables, switches == 1, 2 * capacity))
-        split = EdgeSplit(node_count, 0, None, 1)
+        split = (node_count, 0, 1)
         cables = 0 if blades is not None else node_count
         for config in self.configs:
             if config.ports >= node_count:
@@ -548,7 +540,7 @@ class SearchPlan:
         for kind, variants in (("direct_connect", direct), ("star", stars)):
             best = None
             for tie, spare, config, split, cables, pass_through, max_nodes in variants:
-                switches, extra = split.edge_count, blades.pass_through_cost if pass_through else 0
+                switches, extra = split[2], blades.pass_through_cost if pass_through else 0
                 metrics, = _network_metrics(request, config, switches, ((_NO_CORE, 0, cables),), extra)
                 cost, power, units, _ = metrics
                 if limits and _violations(limits, units, spare, power, cost):
@@ -586,17 +578,18 @@ class SearchPlan:
             raise ValueError("the winner-only ranking serves unconstrained requests only")
         records = self._trivial_records(request, limits)
         best = min(records, key=itemgetter(0), default=None)
-        blade, blocking = request.blade, request.blocking_factor
+        blade, blocking = request.blades is not None, request.blocking_factor
         # One group per edge configuration: the baseline split packs each edge
         # switch full, and the even spread over as many switches is a variant
-        # only when it needs fewer uplinks per switch.
+        # only when it needs fewer uplinks per switch. A split is (ports to
+        # nodes, ports to core, edge switches), as a ranking record holds it.
         groups = []
-        for config, ports_to_nodes, ports_to_core, resulting in self.edges:
+        for config, ports_to_nodes, ports_to_core in self.edges:
             edges = edge_count(node_count, ports_to_nodes)
-            baseline = EdgeSplit(ports_to_nodes, ports_to_core, resulting, edges)
+            baseline = (ports_to_nodes, ports_to_core, edges)
             spread = None if request.prefer_expandability else _even_split(node_count, edges, blocking, ports_to_core)
             cables = cable_count(node_count, edges, ports_to_core, blade)
-            spread_cables = cable_count(node_count, edges, spread.ports_to_core, blade) if spread else cables
+            spread_cables = cable_count(node_count, edges, spread[1], blade) if spread else cables
             cheapest_mix = ((self.cheapest_core, 1, spread_cables),)
             floor = _network_metrics(request, config, edges, cheapest_mix)[0][0] if winner_only else 0
             groups.append((floor, config, edges, baseline, cables, spread, spread_cables))
@@ -614,21 +607,21 @@ class SearchPlan:
             edge_floor = floor - self.cheapest_core.cost
             cores = self.cores
             if winner_only and best is not None:
-                cores = [entry for entry in cores if edge_floor + entry[0].cost <= best[0][0]]
+                cores = [core for core in cores if edge_floor + core.cost <= best[0][0]]
                 stats.cores_skipped += len(self.cores) - len(cores)
-            ports = [core.ports for core, _ in cores]
-            layers = core_layers(edges, baseline.ports_to_core, ports)
-            spread_layers = core_layers(edges, spread.ports_to_core, ports) if spread else (None,) * len(ports)
-            # (core, core id, split, core layer, cables, uniform) per candidate, and what it is priced from
+            ports = [core.ports for core in cores]
+            layers = core_layers(edges, baseline[1], ports)
+            spread_layers = core_layers(edges, spread[1], ports) if spread else (None,) * len(ports)
+            # (core, split, core layer, cables, uniform) per candidate, and what it is priced from
             pairs, mixes = [], []
-            for (core, core_id), layer, spread_layer in zip(cores, layers, spread_layers):
+            for core, layer, spread_layer in zip(cores, layers, spread_layers):
                 if layer is None:
                     continue
-                pairs.append((core, core_id, baseline, layer, cables, False))
+                pairs.append((core, baseline, layer, cables, False))
                 mixes.append((core, layer[1], cables))
                 if spread_layer is not None and spread_layer[1] < layer[1]:
                     # the even spread is kept only when it frees a core switch
-                    pairs.append((core, core_id, spread, spread_layer, spread_cables, True))
+                    pairs.append((core, spread, spread_layer, spread_cables, True))
                     mixes.append((core, spread_layer[1], spread_cables))
             skipped = layers.count(None)
             stats.pairs_considered += len(layers)
@@ -637,17 +630,17 @@ class SearchPlan:
             candidates += len(pairs)
             priced = _network_metrics(request, config, edges, mixes)
             edge_id = config.config_id
-            for (core, core_id, split, layer, split_cables, uniform), metrics in zip(pairs, priced):
+            for (core, split, layer, split_cables, uniform), metrics in zip(pairs, priced):
                 cost, power, units, _ = metrics
-                core_switches = layer[1]
+                core_switches, core_id = layer[1], core.config_id
                 if limits:
-                    spare = core_switches * (core.ports + core.expandable_ports) - edges * split.ports_to_core
+                    spare = core_switches * (core.ports + core.expandable_ports) - edges * split[1]
                     violations = _violations(limits, units, spare, power, cost)
                     if violations:
                         rejected.append(RejectedCandidate(edge_id, core_id, tuple(violations)))
                         continue
                 key = (cost, edges + core_switches, units, edge_id, core_id)
-                max_nodes = core.ports * split.ports_to_nodes
+                max_nodes = core.ports * split[0]
                 record = key, ("fat_tree", config, core, split, layer, split_cables, metrics, uniform, False, max_nodes)
                 if not winner_only:
                     records.append(record)
@@ -682,9 +675,9 @@ def design(request: DesignRequest, catalog: Catalog) -> DesignReport:
 def cluster_cost(design_: FatTreeDesign, request: DesignRequest, server_unit_cost: Money) -> Money:
     """Acquisition cost of the whole cluster: network, servers, and enclosures."""
     total = design_.metrics.cost + request.node_count * server_unit_cost
-    if isinstance(request.form_factor, BladeFormFactor):
-        enclosures = -(-request.node_count // request.form_factor.enclosure_capacity)
-        total += enclosures * request.form_factor.enclosure_cost
+    if request.blades is not None:
+        enclosures = -(-request.node_count // request.blades.enclosure_capacity)
+        total += enclosures * request.blades.enclosure_cost
     return total
 
 

@@ -24,7 +24,7 @@ from .designer import (
     SearchPlan,
 )
 from .catalog import Catalog
-from .money import Money, check_not_negative, round_half_up
+from .money import Money, check_money, round_half_up
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def lower_bound_estimate(
     """
     if node_count < 1:
         raise ValueError("node_count must be positive")
-    check_not_negative("avg_cable_cost", avg_cable_cost)
+    check_money("avg_cable_cost", avg_cable_cost)
     # an edge switch gives nodes half its ports, rounded down, and a core switch reaches one edge switch per port
     capacity = config.ports * (config.ports // 2)
     if node_count > capacity:

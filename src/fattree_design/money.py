@@ -29,8 +29,10 @@ def format_money(amount: Money, currency: str = "USD") -> str:
     return f"{prefix}{units:,}"
 
 
-def check_not_negative(name: str, amount: Money) -> None:
-    """Raise ValueError for a negative price: money that enters the program is never below zero."""
+def check_money(name: str, amount: Money) -> None:
+    """Raise ValueError unless amount is money: an int (never a bool) of minor units, never below zero."""
+    if isinstance(amount, bool) or not isinstance(amount, int):
+        raise ValueError(f"{name} must be an integer (minor units), got {amount!r}")
     if amount < 0:
         raise ValueError(f"{name} must not be negative, got {amount} (minor units)")
 

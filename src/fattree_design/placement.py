@@ -62,8 +62,11 @@ class RoomSpec:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"room {name} must be a finite number, got {value!r}")
         for name in ("rows", "racks_per_row", "rack_units_per_rack"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"room {name} must be at least 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"room {name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"room {name} must be at least 1, got {value}")
         if self.rack_count > MAX_RACK_POSITIONS:
             raise ValueError(
                 f"room rows x racks_per_row must be at most {MAX_RACK_POSITIONS} rack positions, got {self.rack_count}"
@@ -424,6 +427,8 @@ def fit_max_nodes(
     ranking as design(), asking it for the winner alone, and the first N
     whose winner fits returns that winner.
     """
+    if capacity_units < 0:
+        raise ValueError(f"capacity must not be negative, got {capacity_units}U")
     most = capacity_units // node_spec.rack_units
     template = DesignRequest(
         node_count=max(2, most),
@@ -459,6 +464,8 @@ def expansion_plan(
     """
     if target_capacity_units < current_capacity_units:
         raise ValueError("target capacity must not shrink")
+    if current_capacity_units < 0:
+        raise ValueError(f"current capacity must not be negative, got {current_capacity_units}U")
     target = fit_max_nodes(target_capacity_units, catalog, blocking, node_spec, avg_cable_cost)
     baseline = fit_max_nodes(current_capacity_units, catalog, blocking, node_spec, avg_cable_cost)
     final = target.design

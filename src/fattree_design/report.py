@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Any
 
 from .designer import (
-    BladeFormFactor,
     DesignReport,
     FatTreeDesign,
     bundle_widths,
@@ -71,11 +70,11 @@ def candidate_document(candidate: FatTreeDesign, currency: str) -> dict[str, Any
 def design_report_document(report: DesignReport, currency: str, top: int | None = None) -> dict[str, Any]:
     request = report.request
     form: dict[str, Any]
-    if isinstance(request.form_factor, BladeFormFactor):
+    if request.blades is not None:
         form = {
             "kind": "blade",
-            "enclosure_capacity": request.form_factor.enclosure_capacity,
-            "embedded_edge_switch_id": request.form_factor.embedded_edge_switch_id,
+            "enclosure_capacity": request.blades.enclosure_capacity,
+            "embedded_edge_switch_id": request.blades.embedded_edge_switch_id,
         }
     else:
         form = {"kind": "rack_mounted", "node_rack_units": request.form_factor.rack_units}

@@ -13,10 +13,11 @@ from fractions import Fraction
 from fattree_design.catalog import Catalog, bundled_catalog_path, load_catalog_file
 from fattree_design.designer import (
     BladeFormFactor,
+    CoreStage,
     DesignRequest,
     bundle_widths,
     cluster_cost,
-    core_stage,
+    core_layers,
     design,
     edge_count,
     edge_port_split,
@@ -312,11 +313,12 @@ def test_port_split_invariants():
         assert (edges - 1) * down < nodes
 
         core_ports = rng.randint(2, 1024)
-        stage = core_stage(edges, up, core_ports)
+        layer, = core_layers(edges, up, (core_ports,))
         if core_ports < edges:
-            assert stage is None
+            assert layer is None
             continue
-        assert stage is not None
+        assert layer is not None
+        stage = CoreStage(*layer)
         assert stage.bundle_width >= 1
         assert stage.bundle_width * edges <= core_ports
         assert stage.core_count * stage.bundle_width >= up

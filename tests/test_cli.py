@@ -375,6 +375,8 @@ OUT_OF_RANGE_FLAGS = [
      "avg_cable_cost must not be negative, got -8000 (minor units)"),
     (["expand", "--current-units", "84", "--target-units", "126", "--cable-cost=-80"],
      "avg_cable_cost must not be negative, got -8000 (minor units)"),
+    (["expand", "--current-units", "-5", "--target-units", "10"],
+     "current capacity must not be negative, got -5U"),
 ]
 
 

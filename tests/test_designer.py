@@ -14,7 +14,6 @@ from fattree_design.designer import (
     InsufficientRadixError,
     cable_count,
     core_layers,
-    core_stage,
     design,
     edge_count,
     edge_port_split,
@@ -66,36 +65,24 @@ def test_edge_count(nodes, ports_to_nodes, expected):
     ],
 )
 def test_core_stage(edges, uplinks, core_ports, bundle, cores):
-    stage = core_stage(edges, uplinks, core_ports)
-    assert stage is not None
+    layer, = core_layers(edges, uplinks, (core_ports,))
+    assert layer is not None
+    stage = CoreStage(*layer)
     assert (stage.bundle_width, stage.core_count) == (bundle, cores)
 
 
 def test_core_stage_unsuitable_switch():
-    assert core_stage(37, 18, 36) is None
+    assert core_layers(37, 18, (36,)) == [None]
 
 
-def test_core_layers_agree_with_core_stage():
-    """One batch call sizes each core port count as core_stage() sizes that pair alone."""
-    port_counts = (1, 2, 3, 7, 12, 36, 48, 90, 108, 324)
-    for edges in (1, 2, 5, 9, 14, 37, 50):
-        for uplinks in (1, 2, 3, 16, 18, 40):
-            layers = core_layers(edges, uplinks, port_counts)
-            assert len(layers) == len(port_counts)
-            for core_ports, layer in zip(port_counts, layers):
-                assert core_layers(edges, uplinks, (core_ports,)) == [layer]
-                stage = core_stage(edges, uplinks, core_ports)
-                if core_ports < edges:
-                    assert (layer, stage) == (None, None)
-                else:
-                    assert stage == CoreStage(*layer)
+def test_core_layers_validates_inputs():
     for uplinks in (0, -3):
         with pytest.raises(ValueError, match="ports_to_core must be positive"):
             core_layers(4, uplinks, ())
         with pytest.raises(ValueError, match="ports_to_core must be positive"):
-            core_stage(4, uplinks, 36)
+            core_layers(4, uplinks, (36,))
     with pytest.raises(ValueError, match="edge_switches must be positive"):
-        core_stage(0, 18, 36)
+        core_layers(0, 18, (36,))
 
 
 @pytest.mark.parametrize(
@@ -114,8 +101,9 @@ def test_bundle_widths_cover_all_uplinks():
     for edges in range(1, 40):
         for uplinks in range(1, 40):
             for core_ports in range(edges, 130, 7):
-                stage = core_stage(edges, uplinks, core_ports)
-                assert stage is not None
+                layer, = core_layers(edges, uplinks, (core_ports,))
+                assert layer is not None
+                stage = CoreStage(*layer)
                 widths = bundle_widths(uplinks, stage)
                 assert sum(widths) == uplinks
                 assert all(1 <= w <= stage.bundle_width for w in widths)
@@ -449,6 +437,9 @@ def test_design_validates_request(ft36_catalog):
         ({"avg_cable_cost": 1.5}, r"avg_cable_cost must be an integer \(minor units\), got 1.5"),
         ({"avg_cable_cost": False}, r"avg_cable_cost must be an integer \(minor units\), got False"),
         ({"avg_cable_cost": -1}, r"avg_cable_cost must not be negative, got -1 \(minor units\)"),
+        ({"constraints": None}, "constraints must be a ConstraintSet, got None"),
+        ({"form_factor": "x"}, "form_factor must be a BladeFormFactor or a NodeSpec, got 'x'"),
+        ({"prefer_expandability": "no"}, "prefer_expandability must be a boolean, got 'no'"),
     ],
 )
 def test_design_request_checks_its_fields(fields, message):
@@ -464,6 +455,11 @@ def test_design_request_checks_its_fields(fields, message):
         ({"enclosure_capacity": 16.0}, "blade enclosure_capacity must be an integer of at least 1, got 16.0"),
         ({"enclosure_cost": -1}, r"blade enclosure_cost must not be negative, got -1 \(minor units\)"),
         ({"pass_through_cost": -1}, r"blade pass_through_cost must not be negative, got -1 \(minor units\)"),
+        ({"enclosure_cost": 1.5}, r"blade enclosure_cost must be an integer \(minor units\), got 1.5"),
+        ({"enclosure_cost": True}, r"blade enclosure_cost must be an integer \(minor units\), got True"),
+        ({"enclosure_cost": "x"}, r"blade enclosure_cost must be an integer \(minor units\), got 'x'"),
+        ({"enclosure_cost": None}, r"blade enclosure_cost must be an integer \(minor units\), got None"),
+        ({"pass_through_cost": 0.5}, r"blade pass_through_cost must be an integer \(minor units\), got 0.5"),
     ],
 )
 def test_blade_form_factor_checks_its_fields(fields, message):
@@ -495,11 +491,11 @@ def test_request_document_round_trip():
     }
     request = request_from_document(document)
     assert request.node_count == 224
-    assert request.blade
+    assert request.blades == request.form_factor
     assert request.constraints.max_network_rack_units == 20
     assert request.prefer_expandability
     plain = request_from_document({"nodes": 60})
-    assert not plain.blade and plain.blocking_factor == Fraction(1)
+    assert plain.blades is None and plain.blocking_factor == Fraction(1)
     with pytest.raises(ValueError, match="form factor"):
         request_from_document({"nodes": 3, "form_factor": {"kind": "mainframe"}})
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fattree_design import placement
 from fattree_design.designer import DesignRequest, design
 from fattree_design.estimator import single_model_catalog
 from fattree_design.placement import (
@@ -299,6 +300,22 @@ def test_footprint_and_room_reject_out_of_range_values(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: NodeSpec(rack_units=1.5), "node rack_units must be an integer, got 1.5"),
+        (lambda: NodeSpec(rack_units=True), "node rack_units must be an integer, got True"),
+        (lambda: RoomSpec(rows=1.5, racks_per_row=3), "room rows must be an integer, got 1.5"),
+        (lambda: RoomSpec(rows=1, racks_per_row="3"), "room racks_per_row must be an integer, got '3'"),
+        (lambda: RoomSpec(rows=1, racks_per_row=3, rack_units_per_rack=42.0),
+         "room rack_units_per_rack must be an integer, got 42.0"),
+    ],
+)
+def test_footprint_and_room_counts_are_integers(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_room_of_the_largest_size_is_accepted():
     assert RoomSpec(rows=100, racks_per_row=100).rack_count == MAX_RACK_POSITIONS
 
@@ -374,6 +391,14 @@ def test_fit_max_nodes_impossible():
 def test_fit_max_nodes_below_two_nodes(ft36_catalog, capacity, node_units):
     with pytest.raises(PlacementError, match=f"^no node count fits in {capacity}U$"):
         fit_max_nodes(capacity, ft36_catalog, Fraction(1), NodeSpec(rack_units=node_units))
+
+
+def test_negative_capacity_is_bad_input(ft36_catalog, monkeypatch):
+    monkeypatch.setattr(placement, "SearchPlan", None)  # a search would end in a TypeError
+    with pytest.raises(ValueError, match="^capacity must not be negative, got -1U$"):
+        fit_max_nodes(-1, ft36_catalog, Fraction(1))
+    with pytest.raises(ValueError, match="^current capacity must not be negative, got -5U$"):
+        expansion_plan(-5, 10, ft36_catalog, Fraction(1))
 
 
 def test_expansion_plan_two_to_three_racks(ft36_catalog):

@@ -64,7 +64,7 @@ def build(request, kind, edge_config, split, cables, core_config=None, stage=Non
 
 
 def build_fat_tree(request, edge_config, core_config, split, stage, uniform):
-    cables = cable_count(request.node_count, split.edge_count, split.ports_to_core, request.blade)
+    cables = cable_count(request.node_count, split.edge_count, split.ports_to_core, request.blades is not None)
     return build(request, "fat_tree", edge_config, split, cables, core_config, stage,
                  max_supported_nodes=core_config.ports * split.ports_to_nodes, uniform_distribution=uniform)
 
@@ -102,8 +102,8 @@ def violations(candidate, constraints):
 def trivial_designs(request, catalog):
     """The best feasible direct interconnect of two enclosures and the best feasible star, each when one exists."""
     best = []
-    blades, nodes = request.form_factor, request.node_count
-    if request.blade and blades.enclosure_capacity < nodes <= 2 * blades.enclosure_capacity:
+    blades, nodes = request.blades, request.node_count
+    if blades and blades.enclosure_capacity < nodes <= 2 * blades.enclosure_capacity:
         wanted = blades.embedded_edge_switch_id
         edge = next(c for c in catalog.edge_set if wanted in (c.source_id, c.config_id))
         cables, capacity = edge.ports // 2, blades.enclosure_capacity
@@ -116,7 +116,7 @@ def trivial_designs(request, catalog):
         feasible = [v for v in variants if not violations(v, request.constraints)]
         if feasible:
             best.append(min(feasible, key=lambda v: (v.objective, v.edge_count)))
-    cables = 0 if request.blade else nodes
+    cables = 0 if blades else nodes
     stars = [
         build(request, "star", config, EdgeSplit(nodes, 0, None, 1), cables,
               max_supported_nodes=config.ports)
@@ -146,7 +146,7 @@ def reference_pairs(request, catalog):
     nodes, blocking = request.node_count, request.blocking_factor
     edge_configs = catalog.edge_set
     reach = max(config.ports for config in catalog.configs())
-    if request.blade:
+    if request.blades:
         capacity, wanted = request.form_factor.enclosure_capacity, request.form_factor.embedded_edge_switch_id
         edge_configs = [next(c for c in catalog.edge_set if wanted in (c.source_id, c.config_id))]
         reach = max(reach, 2 * capacity)
@@ -161,7 +161,7 @@ def reference_pairs(request, catalog):
         if to_nodes is None:
             continue
         uplinks = edge.ports - to_nodes
-        if request.blade:
+        if request.blades:
             to_nodes = min(to_nodes, capacity)
         reach = max(reach, max(core.ports for core in catalog.core_set) * to_nodes)
         edges = -(-nodes // to_nodes)
@@ -344,14 +344,25 @@ def builds(monkeypatch):
     return calls
 
 
-def test_candidates_are_built_when_read(builds):
+def test_candidates_are_built_when_read(builds, monkeypatch):
+    """Ranking records hold plain numbers: each design, and its one EdgeSplit, is built when it is read."""
+    splits = []
+    edge_split = designer.EdgeSplit
+
+    def counting(*args, **kwargs):
+        splits.append(args)
+        return edge_split(*args, **kwargs)
+
+    monkeypatch.setattr(designer, "EdgeSplit", counting)
     report = design(DesignRequest(node_count=60), DEMO)
     assert report.winner.kind == "fat_tree"
-    assert len(builds) == 1
+    assert len(builds) == len(splits) == 1
     assert len(report.candidates) > 5
-    assert len(builds) == 1
+    assert len(builds) == len(splits) == 1
     assert report.winner is report.candidates[0]
-    assert len(builds) == 1
+    assert len(builds) == len(splits) == 1
+    list(report.candidates)
+    assert len(builds) == len(splits) == len(report.candidates)
 
 
 @pytest.mark.parametrize("render", [

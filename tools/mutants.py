@@ -31,15 +31,15 @@ RANKING_TESTS = "tests/test_ranking.py"
 
 # (module, exact text, replacement, guarding tests, what the mutant breaks)
 MUTANTS = [
-    ("designer.py", "edge_floor + entry[0].cost <= best[0][0]", "edge_floor + entry[0].cost < best[0][0]",
+    ("designer.py", "edge_floor + core.cost <= best[0][0]", "edge_floor + core.cost < best[0][0]",
      PER_CORE_TEST, "the per-core floor drops a core whose pair ties the best cost"),
-    ("designer.py", "cores = [entry for entry in cores if edge_floor + entry[0].cost <= best[0][0]]",
+    ("designer.py", "cores = [core for core in cores if edge_floor + core.cost <= best[0][0]]",
      "cores = list(cores)", PER_CORE_TEST, "the per-core floor skips no core"),
     ("designer.py", "if winner_only and best is not None and floor > best[0][0]:",
      "if winner_only and best is not None and floor >= best[0][0]:",
      PER_CORE_TEST, "the group floor cuts an edge group that ties the best cost"),
-    ("designer.py", "and request.form_factor.embeds(edge_config)",
-     "and request.form_factor.embedded_edge_switch_id == edge_config.source_id",
+    ("designer.py", "and request.blades.embeds(edge_config)",
+     "and request.blades.embedded_edge_switch_id == edge_config.source_id",
      "tests/test_cli.py::test_embedded_switch_named_by_configuration_id_takes_no_rack_space",
      "an embedded switch named by its configuration id is charged rack space"),
     ("designer.py", "spread_layer[1] < layer[1]", "spread_layer[1] <= layer[1]",
@@ -53,6 +53,9 @@ MUTANTS = [
      RANKING_TESTS, "an edge switch serves more blades than its enclosure has bays"),
     ("designer.py", "None if request.prefer_expandability else ", "",
      RANKING_TESTS, "the even spread is tried although expandability is preferred"),
+    ("designer.py", 'if kind == "fat_tree" else None', "if to_core else None",
+     "tests/test_goldens.py::test_trivial_topology_output_matches_golden",
+     "a direct-connect design reports a resulting blocking"),
     ("placement.py", "rack.used_weight + weight > room.rack_weight_budget",
      "rack.used_weight + weight >= room.rack_weight_budget",
      "tests/test_placement.py::test_block_that_fills_the_weight_budget_exactly_fits",
