@@ -181,8 +181,10 @@ class SwitchConfig:
     def __post_init__(self) -> None:
         # zero is valid in code: the empty core model, and cores that take no rack space
         check_money("switch cost", self.cost)
-        for name in ("power", "rack_units", "weight"):
+        for name in ("ports", "power", "rack_units", "weight"):
             value = getattr(self, name)
+            if name in ("ports", "rack_units") and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"switch {name} must be an integer, got {value!r}")
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"switch {name} must be finite and not negative, got {value!r}")
         modular = self.configured_line_cards is not None

@@ -245,6 +245,12 @@ class FatTreeDesign:
         return self.edge_count + self.core_count
 
 
+def violation_text(constraint: str, limit: float, actual: float) -> str:
+    """The one wording of a broken limit, for ConstraintViolation and the JSON report alike."""
+    relation = "below minimum" if constraint == "min_spare_core_ports" else "exceeds limit"
+    return f"{constraint}: {actual:g} {relation} {limit:g}"
+
+
 @dataclass(frozen=True)
 class ConstraintViolation:
     constraint: str
@@ -252,8 +258,7 @@ class ConstraintViolation:
     actual: float
 
     def __str__(self) -> str:
-        relation = "below minimum" if self.constraint == "min_spare_core_ports" else "exceeds limit"
-        return f"{self.constraint}: {self.actual:g} {relation} {self.limit:g}"
+        return violation_text(self.constraint, self.limit, self.actual)
 
 
 @dataclass(frozen=True)
@@ -270,7 +275,7 @@ class DesignReport:
     request: DesignRequest
     winner: FatTreeDesign
     candidates: Sequence[FatTreeDesign]
-    rejected: tuple[RejectedCandidate, ...] = ()
+    rejected: RejectedCandidates
 
 
 def edge_port_split(edge_ports: int, blocking: Fraction) -> tuple[int, int, Fraction] | None:
@@ -369,11 +374,11 @@ def _active_limits(constraints: ConstraintSet) -> tuple[tuple[int, str, float], 
     return tuple(limit for limit in named if limit[2] is not None)
 
 
-def _violations(limits: tuple, rack_units: int, spare: int, power: float, cost: Money) -> list[ConstraintViolation]:
-    """The limits, from _active_limits, that a network with these numbers breaks, in field order."""
+def _violations(limits: tuple, rack_units: int, spare: int, power: float, cost: Money) -> list[tuple]:
+    """(constraint, limit, actual) of each limit, from _active_limits, that these numbers break, in field order."""
     actuals = (rack_units, spare, power, cost)
     return [
-        ConstraintViolation(name, limit, actuals[at])
+        (name, limit, actuals[at])
         for at, name, limit in limits
         if (actuals[at] < limit if name == "min_spare_core_ports" else actuals[at] > limit)
     ]
@@ -455,6 +460,32 @@ class RankedCandidates(Sequence):
             item = _build_design(self._request, *item)
             self._records[index] = (key, item)
         return item
+
+
+class RejectedCandidates(Sequence):
+    """design()'s rejected pairs, each built from its plain (edge id, core id, violations) record when read.
+
+    A record's violations are (constraint, limit, actual) tuples. ``len()`` builds nothing, and the
+    sequence equals a tuple of the same RejectedCandidates.
+    """
+
+    def __init__(self, records: tuple) -> None:
+        self.records = records
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self.records))))
+        edge_id, core_id, violations = self.records[index]
+        return RejectedCandidate(edge_id, core_id, tuple(ConstraintViolation(*v) for v in violations))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (tuple, RejectedCandidates)) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 class SearchPlan:
@@ -554,7 +585,7 @@ class SearchPlan:
 
     def rank(
         self, node_count: int, winner_only: bool = False
-    ) -> tuple[RankedCandidates, tuple[RejectedCandidate, ...]]:
+    ) -> tuple[RankedCandidates, RejectedCandidates]:
         """Every design for node_count, ranked, plus the pairs the constraints rejected.
 
         Records of the direct-connect and star designs, then of each kept
@@ -637,7 +668,7 @@ class SearchPlan:
                     spare = core_switches * (core.ports + core.expandable_ports) - edges * split[1]
                     violations = _violations(limits, units, spare, power, cost)
                     if violations:
-                        rejected.append(RejectedCandidate(edge_id, core_id, tuple(violations)))
+                        rejected.append((edge_id, core_id, tuple(violations)))
                         continue
                 key = (cost, edges + core_switches, units, edge_id, core_id)
                 max_nodes = core.ports * split[0]
@@ -648,16 +679,17 @@ class SearchPlan:
                     best = record
         stats.candidates_rejected += len(rejected)
         stats.candidates_ranked += candidates - len(rejected)
-        stats.rejections.update(violation.constraint for candidate in rejected for violation in candidate.violations)
+        broken = [name for *_, violations in rejected for name, _, _ in violations]
+        stats.rejections.update(broken)
 
         if winner_only:
             records = [best] if best is not None else []
         if not records:
             if rejected:
-                raise DesignInfeasibleError(sorted({v.constraint for r in rejected for v in r.violations}))
+                raise DesignInfeasibleError(sorted(set(broken)))
             raise InsufficientRadixError(node_count, self.max_reachable)
         records.sort(key=itemgetter(0))
-        return RankedCandidates(request, records), tuple(rejected)
+        return RankedCandidates(request, records), RejectedCandidates(tuple(rejected))
 
 
 def design(request: DesignRequest, catalog: Catalog) -> DesignReport:

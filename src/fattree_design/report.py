@@ -9,14 +9,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .designer import (
-    DesignReport,
-    FatTreeDesign,
-    bundle_widths,
-    node_distribution,
-)
+from .designer import DesignReport, FatTreeDesign, RejectedCandidates, bundle_widths, node_distribution, violation_text
 from .estimator import PerPortEstimate, SweepPoint, median_gap
 from .money import format_money, fraction_text
 from .placement import ExpansionAudit, ExpansionPlan, RackLayout
@@ -89,14 +85,8 @@ def design_report_document(report: DesignReport, currency: str, top: int | None 
         "winner": candidate_document(report.winner, currency),
         "candidates": [candidate_document(c, currency) for c in report.candidates[:top]],
         "feasible_candidates": len(report.candidates),
-        "rejected_candidates": [
-            {
-                "edge": r.edge_id,
-                "core": r.core_id,
-                "violations": [str(v) for v in r.violations],
-            }
-            for r in report.rejected
-        ],
+        # to_json writes each {"core", "edge", "violations"} entry from these records
+        "rejected_candidates": report.rejected,
     }
 
 
@@ -396,4 +386,17 @@ def render_expansion_text(plan: ExpansionPlan, audit: ExpansionAudit) -> str:
 
 
 def to_json(document: dict[str, Any]) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """The document as indent-2, sorted-key JSON; a design report's rejected pairs are written from a fixed template."""
+    rejected = document.get("rejected_candidates")
+    if not isinstance(rejected, RejectedCandidates):
+        return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    quote = encode_basestring_ascii
+    entries = ",".join(
+        f'\n    {{\n      "core": {quote(core_id)},\n      "edge": {quote(edge_id)},\n      "violations": [\n        '
+        + ",\n        ".join([quote(violation_text(*violation)) for violation in violations]) + "\n      ]\n    }"
+        for edge_id, core_id, violations in rejected.records
+    )
+    text = json.dumps({**document, "rejected_candidates": []}, indent=2, sort_keys=True) + "\n"
+    # no string holds the key's text unescaped, and no nested object has the key
+    key = '\n  "rejected_candidates": ['
+    return text.replace(key + "]", f"{key}{entries}\n  ]", 1) if entries else text

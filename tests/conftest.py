@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import Phase, settings
 
 from fattree_design import SwitchConfig
 from fattree_design.estimator import single_model_catalog
+
+# tools/mutants.py only needs a guarding test to fail, not a minimal failing example
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
 def make_switch(ports, cost, *, source_id=None, power=0.0, rack_units=1, weight=0.0,

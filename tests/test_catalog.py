@@ -171,6 +171,11 @@ SW36 = {"source_id": "sw", "ports": 36, "cost": 1000, "power": 150.0, "rack_unit
         pytest.param("power", -500.0, "switch power must be finite and not negative, got -500.0", id="power-negative"),
         pytest.param("power", math.nan, "switch power must be finite and not negative, got nan", id="power-nan"),
         pytest.param("rack_units", -1, "switch rack_units must be finite and not negative, got -1", id="units-negative"),
+        pytest.param("rack_units", 1.5, "switch rack_units must be an integer, got 1.5", id="units-fractional"),
+        pytest.param("rack_units", True, "switch rack_units must be an integer, got True", id="units-bool"),
+        pytest.param("ports", 36.0, "switch ports must be an integer, got 36.0", id="ports-float"),
+        pytest.param("ports", True, "switch ports must be an integer, got True", id="ports-bool"),
+        pytest.param("ports", -1, "switch ports must be finite and not negative, got -1", id="ports-negative"),
         pytest.param("weight", -2.0, "switch weight must be finite and not negative, got -2.0", id="weight-negative"),
         pytest.param("weight", math.inf, "switch weight must be finite and not negative, got inf", id="weight-inf"),
     ],
@@ -179,6 +184,11 @@ def test_switch_config_built_in_code_is_checked(field, value, message):
     with pytest.raises(ValueError) as raised:
         SwitchConfig(**dict(SW36, **{field: value}))
     assert str(raised.value) == message
+
+
+def test_switch_config_allows_the_empty_model():
+    # zero ports and zero rack units: the search's stand-in for a design with no core layer
+    assert SwitchConfig("", 0, 0, 0.0, 0, 0.0).ports == 0
 
 
 def test_per_port_metrics(ft36):

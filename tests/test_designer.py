@@ -360,10 +360,14 @@ def test_check_constraints_reports_both_values(ft36_catalog):
         design(replace(request, constraints=power_limit), ft36_catalog)
     metrics = winner.metrics
     limits = designer._active_limits(power_limit)
+    # a plain (constraint, limit, actual) record, worded by the one violation text
     violations = designer._violations(limits, metrics.rack_units, 0, metrics.power, metrics.cost)
     assert len(violations) == 1
-    assert violations[0].actual == winner.metrics.power
-    assert "max_network_power" in str(violations[0])
+    constraint, limit, actual = violations[0]
+    assert (constraint, limit) == ("max_network_power", 100)
+    assert actual == winner.metrics.power
+    assert "max_network_power" in designer.violation_text(*violations[0])
+    assert str(designer.ConstraintViolation(*violations[0])) == designer.violation_text(*violations[0])
     assert report.rejected == ()
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fattree_design import designer
-from fattree_design.catalog import bundled_catalog_path, load_catalog, load_catalog_file
+from fattree_design.catalog import Catalog, bundled_catalog_path, load_catalog, load_catalog_file
 from fattree_design.designer import (
     BladeFormFactor,
     ConstraintSet,
@@ -29,7 +30,7 @@ from fattree_design.designer import (
     cable_count,
     design,
 )
-from fattree_design.report import design_report_document, render_design_text
+from fattree_design.report import design_report_document, render_design_text, to_json
 
 DEMO = load_catalog_file(bundled_catalog_path("demo_catalog"))
 
@@ -393,3 +394,89 @@ def test_repeated_reads_return_the_same_objects():
         candidates[count]
     with pytest.raises(IndexError):
         candidates[-count - 1]
+
+
+# Characters that JSON escapes, or writes as \uXXXX under ensure_ascii: quote, backslash, controls, non-ASCII.
+ODD_ID_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\n/ aé✓\u2028\U0001f600'), max_size=3)
+
+
+@st.composite
+def rejecting_cases(draw):
+    """cases() with limits at one ranked design's numbers, so that most draws reject pairs, and odd config ids."""
+    request, catalog = draw(cases())
+    names = {}
+
+    def rename(config):
+        if config.source_id not in names:
+            names[config.source_id] = draw(ODD_ID_TEXT) + config.source_id + draw(ODD_ID_TEXT)
+        return replace(config, source_id=names[config.source_id])
+
+    catalog = Catalog(tuple(map(rename, catalog.edge_set)), tuple(map(rename, catalog.core_set)))
+    form_factor = request.form_factor
+    if request.blades:
+        form_factor = replace(form_factor, embedded_edge_switch_id=names[request.blades.embedded_edge_switch_id])
+    request = replace(request, form_factor=form_factor, constraints=ConstraintSet())
+    try:
+        ranked = design(request, catalog).candidates
+    except DesignError:
+        return request, catalog
+    # that design meets these limits (unless it lacks the spare ports), and what costs or takes more is rejected
+    metrics = ranked[draw(st.integers(0, min(3, len(ranked) - 1)))].metrics
+    maybe = lambda value: draw(st.sampled_from((None, value, value, value)))  # noqa: E731
+    constraints = ConstraintSet(
+        max_network_rack_units=maybe(metrics.rack_units),
+        min_spare_core_ports=draw(st.sampled_from((None, 0, 8))),
+        max_network_power=maybe(metrics.power),
+        max_network_cost=maybe(metrics.cost),
+    )
+    return replace(request, constraints=constraints), catalog
+
+
+def reference_json(report, currency, top):
+    """The report's JSON as json.dumps writes it with one dict per rejected pair."""
+    document = design_report_document(report, currency, top)
+    document["rejected_candidates"] = [
+        {"edge": r.edge_id, "core": r.core_id, "violations": [str(v) for v in r.violations]}
+        for r in report.rejected
+    ]
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(rejecting_cases(), st.sampled_from((None, 0, 3)))
+def test_rejected_pairs_are_written_as_json_dumps_writes_them(case, top):
+    request, catalog = case
+    try:
+        report = design(request, catalog)
+    except DesignError:
+        return
+    assert to_json(design_report_document(report, "USD", top)) == reference_json(report, "USD", top)
+
+
+@pytest.fixture
+def rejected_builds(monkeypatch):
+    """Counts the RejectedCandidate and ConstraintViolation objects built from rejected-pair records."""
+    calls = []
+
+    def counting(kind):
+        def build_one(*args):
+            calls.append(kind.__name__)
+            return kind(*args)
+        return build_one
+
+    for kind in (designer.RejectedCandidate, designer.ConstraintViolation):
+        monkeypatch.setattr(designer, kind.__name__, counting(kind))
+    return calls
+
+
+def test_rejected_pairs_are_built_when_read(rejected_builds):
+    """Counting, the text report and the JSON write read the plain records; an item is built when it is read."""
+    constraints = ConstraintSet(max_network_rack_units=140, min_spare_core_ports=64)
+    report = design(DesignRequest(node_count=1000, blocking_factor=Fraction(3, 2), constraints=constraints), DEMO)
+    assert len(report.rejected) == 6
+    assert "rejected by constraints: 6 candidate(s)" in render_design_text(report, "USD")
+    assert to_json(design_report_document(report, "USD", top=5)).count('"violations"') == 6
+    assert rejected_builds == []
+    rejected = report.rejected[-1]
+    assert Counter(rejected_builds) == {"RejectedCandidate": 1, "ConstraintViolation": len(rejected.violations)}
+    assert report.rejected == tuple(report.rejected) and report.rejected[-1] == rejected

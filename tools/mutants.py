@@ -1,4 +1,4 @@
-"""Mutation gate: every planted bug in the search or placement must make its guarding tests fail.
+"""Mutation gate: every planted bug in the search, placement or report writer must make its guarding tests fail.
 
 Usage, from the repository root:
 
@@ -9,9 +9,11 @@ Each mutant names a module of src/fattree_design, a piece of its text that must
 occur there exactly once, the replacement, and the tests that guard it. For
 each one the script copies src/, tests/ and pyproject.toml into a temporary
 directory, plants the mutant in the copy and runs the guarding tests there
-under a fixed hypothesis seed. A mutant survives when those tests pass. If a
-mutant's text is missing or occurs more than once, the script stops before
-running anything: a refactor that moves the text must move the mutant too.
+under a fixed hypothesis seed and the tests' "mutants" hypothesis profile,
+which does not shrink a failing example. A mutant survives when those tests
+pass. If a mutant's text is missing or occurs more than once, the script
+stops before running anything: a refactor that moves the text must move the
+mutant too.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 0  # a fixed hypothesis seed, so that a run kills the same mutants every time
 PER_CORE_TEST = "tests/test_search_plan.py::test_per_core_floor_keeps_the_design_winner"
 RANKING_TESTS = "tests/test_ranking.py"
+WRITER_TEST = "tests/test_ranking.py::test_rejected_pairs_are_written_as_json_dumps_writes_them"
 
 # (module, exact text, replacement, guarding tests, what the mutant breaks)
 MUTANTS = [
@@ -56,6 +59,11 @@ MUTANTS = [
     ("designer.py", 'if kind == "fat_tree" else None', "if to_core else None",
      "tests/test_goldens.py::test_trivial_topology_output_matches_golden",
      "a direct-connect design reports a resulting blocking"),
+    ("report.py", "quote = encode_basestring_ascii", """quote = '"{}"'.format""", WRITER_TEST,
+     "a config id in a rejected entry is written without JSON escapes"),
+    ("report.py", r'"core": {quote(core_id)},\n      "edge": {quote(edge_id)}',
+     r'"edge": {quote(edge_id)},\n      "core": {quote(core_id)}', WRITER_TEST,
+     "a rejected entry's keys are written unsorted"),
     ("placement.py", "rack.used_weight + weight > room.rack_weight_budget",
      "rack.used_weight + weight >= room.rack_weight_budget",
      "tests/test_placement.py::test_block_that_fills_the_weight_budget_exactly_fits",
@@ -85,7 +93,7 @@ def survives(mutant: tuple) -> bool:
         path = Path(tmp) / "src" / "fattree_design" / module
         path.write_text(plant(path.read_text(encoding="utf-8"), text, replacement, module), encoding="utf-8")
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                   f"--hypothesis-seed={SEED}", guard]
+                   f"--hypothesis-seed={SEED}", "--hypothesis-profile=mutants", guard]
         # pyproject.toml's pythonpath puts the copy's src/ first on sys.path
         return subprocess.run(command, cwd=tmp, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode == 0
 
