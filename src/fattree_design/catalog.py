@@ -183,12 +183,19 @@ class SwitchConfig:
         check_money("switch cost", self.cost)
         for name in ("ports", "power", "rack_units", "weight"):
             value = getattr(self, name)
-            if name in ("ports", "rack_units") and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ValueError(f"switch {name} must be an integer, got {value!r}")
+            integral = name in ("ports", "rack_units")
+            # as in catalog documents, a bool is not a number
+            if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+                raise ValueError(f"switch {name} must be {'an integer' if integral else 'a number'}, got {value!r}")
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"switch {name} must be finite and not negative, got {value!r}")
-        modular = self.configured_line_cards is not None
-        object.__setattr__(self, "config_id", f"{self.source_id}:{self.ports}p" if modular else self.source_id)
+        spare = self.expandable_ports
+        if isinstance(spare, bool) or not isinstance(spare, int) or spare < 0:
+            raise ValueError(f"switch expandable_ports must be a non-negative integer, got {spare!r}")
+        cards = self.configured_line_cards
+        if cards is not None and (isinstance(cards, bool) or not isinstance(cards, int) or cards < 1):
+            raise ValueError(f"switch configured_line_cards must be None or an integer of at least 1, got {cards!r}")
+        object.__setattr__(self, "config_id", self.source_id if cards is None else f"{self.source_id}:{self.ports}p")
 
 
 @dataclass(frozen=True)
@@ -225,6 +232,11 @@ class Catalog:
         if family:
             raise CatalogError(f"{config_id!r} is a modular family; pick one of {', '.join(family)}")
         raise CatalogError(f"no switch configuration with id {config_id!r}")
+
+
+def config_order(config: SwitchConfig) -> tuple[str, int]:
+    """A loaded catalog's order of its configurations: by id, then a family's expansions by port count."""
+    return config.source_id, config.ports
 
 
 def expand_modular(family: ModularSwitchFamily) -> list[SwitchConfig]:
@@ -297,10 +309,9 @@ def parse_catalog(document: Mapping[str, Any]) -> Catalog:
         missing = "edge" if not edge_set else "core"
         raise CatalogError(f"catalog has no {missing} switches")
 
-    order = lambda config: (config.source_id, config.ports)
     return Catalog(
-        edge_set=tuple(sorted(edge_set, key=order)),
-        core_set=tuple(sorted(core_set, key=order)),
+        edge_set=tuple(sorted(edge_set, key=config_order)),
+        core_set=tuple(sorted(core_set, key=config_order)),
         currency=document["currency"],
     )
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from operator import itemgetter
 
-from .catalog import Catalog, CatalogError, SwitchConfig, field_violation
+from .catalog import Catalog, CatalogError, SwitchConfig, config_order, field_violation
 from .money import Money, check_money, parse_ratio
 
 DEFAULT_CABLE_COST: Money = 8000  # average cable price, minor units
@@ -123,8 +123,11 @@ class NodeSpec:
         if self.rack_units < 1:
             raise ValueError(f"node rack_units must be at least 1, got {self.rack_units}")
         for name in ("weight", "power"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"node {name} must not be negative, got {getattr(self, name):g}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"node {name} must be a number, got {value!r}")
+            if value < 0:
+                raise ValueError(f"node {name} must not be negative, got {value:g}")
 
 
 FormFactor = BladeFormFactor | NodeSpec
@@ -246,36 +249,23 @@ class FatTreeDesign:
 
 
 def violation_text(constraint: str, limit: float, actual: float) -> str:
-    """The one wording of a broken limit, for ConstraintViolation and the JSON report alike."""
+    """The one wording of a broken limit, from its (constraint, limit, actual) record."""
     relation = "below minimum" if constraint == "min_spare_core_ports" else "exceeds limit"
     return f"{constraint}: {actual:g} {relation} {limit:g}"
 
 
 @dataclass(frozen=True)
-class ConstraintViolation:
-    constraint: str
-    limit: float
-    actual: float
-
-    def __str__(self) -> str:
-        return violation_text(self.constraint, self.limit, self.actual)
-
-
-@dataclass(frozen=True)
-class RejectedCandidate:
-    edge_id: str
-    core_id: str | None
-    violations: tuple[ConstraintViolation, ...]
-
-
-@dataclass(frozen=True)
 class DesignReport:
-    """Winner plus the full ranked list of feasible alternatives."""
+    """Winner plus the full ranked list of feasible alternatives.
+
+    ``rejected`` holds each pair the constraints ruled out as a plain
+    (edge id, core id, ((constraint, limit, actual), ...)) record, in edge x core order.
+    """
 
     request: DesignRequest
     winner: FatTreeDesign
     candidates: Sequence[FatTreeDesign]
-    rejected: RejectedCandidates
+    rejected: tuple
 
 
 def edge_port_split(edge_ports: int, blocking: Fraction) -> tuple[int, int, Fraction] | None:
@@ -462,32 +452,6 @@ class RankedCandidates(Sequence):
         return item
 
 
-class RejectedCandidates(Sequence):
-    """design()'s rejected pairs, each built from its plain (edge id, core id, violations) record when read.
-
-    A record's violations are (constraint, limit, actual) tuples. ``len()`` builds nothing, and the
-    sequence equals a tuple of the same RejectedCandidates.
-    """
-
-    def __init__(self, records: tuple) -> None:
-        self.records = records
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self.records))))
-        edge_id, core_id, violations = self.records[index]
-        return RejectedCandidate(edge_id, core_id, tuple(ConstraintViolation(*v) for v in violations))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, (tuple, RejectedCandidates)) and tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-
 class SearchPlan:
     """Search state shared by every node count of one request shape.
 
@@ -516,7 +480,8 @@ class SearchPlan:
         edge_configs = catalog.edge_set
         if blades is not None:
             reach = max(reach, 2 * blades.enclosure_capacity)
-            edge_configs = [config for config in catalog.edge_set if blades.embeds(config)][:1]
+            # a family id names its smallest expansion, whatever order a catalog built in code lists them in
+            edge_configs = sorted(filter(blades.embeds, catalog.edge_set), key=config_order)[:1]
             if not edge_configs:
                 raise CatalogError(f"embedded edge switch {blades.embedded_edge_switch_id!r} not found in the edge set")
         self.embedded = edge_configs[0] if blades is not None else None
@@ -583,10 +548,8 @@ class SearchPlan:
                 records.append(best[1])
         return records
 
-    def rank(
-        self, node_count: int, winner_only: bool = False
-    ) -> tuple[RankedCandidates, RejectedCandidates]:
-        """Every design for node_count, ranked, plus the pairs the constraints rejected.
+    def rank(self, node_count: int, winner_only: bool = False) -> tuple[RankedCandidates, tuple]:
+        """Every design for node_count, ranked, plus the pairs the constraints rejected, as DesignReport holds them.
 
         Records of the direct-connect and star designs, then of each kept
         pair in edge x core order (baseline before uniform variant), are stably
@@ -689,7 +652,7 @@ class SearchPlan:
                 raise DesignInfeasibleError(sorted(set(broken)))
             raise InsufficientRadixError(node_count, self.max_reachable)
         records.sort(key=itemgetter(0))
-        return RankedCandidates(request, records), RejectedCandidates(tuple(rejected))
+        return RankedCandidates(request, records), tuple(rejected)
 
 
 def design(request: DesignRequest, catalog: Catalog) -> DesignReport:

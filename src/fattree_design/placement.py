@@ -73,7 +73,11 @@ class RoomSpec:
             )
         for name in ("rack_weight_budget", "rack_power_budget"):
             budget = getattr(self, name)
-            if budget is not None and budget < 0:
+            if budget is None:
+                continue
+            if isinstance(budget, bool) or not isinstance(budget, (int, float)):
+                raise ValueError(f"room {name} must be a number, got {budget!r}")
+            if budget < 0:
                 raise ValueError(f"room {name} must not be negative, got {budget:g}")
 
     @property

@@ -12,7 +12,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .designer import DesignReport, FatTreeDesign, RejectedCandidates, bundle_widths, node_distribution, violation_text
+from .designer import DesignReport, FatTreeDesign, bundle_widths, node_distribution, violation_text
 from .estimator import PerPortEstimate, SweepPoint, median_gap
 from .money import format_money, fraction_text
 from .placement import ExpansionAudit, ExpansionPlan, RackLayout
@@ -387,14 +387,13 @@ def render_expansion_text(plan: ExpansionPlan, audit: ExpansionAudit) -> str:
 
 def to_json(document: dict[str, Any]) -> str:
     """The document as indent-2, sorted-key JSON; a design report's rejected pairs are written from a fixed template."""
-    rejected = document.get("rejected_candidates")
-    if not isinstance(rejected, RejectedCandidates):
+    if "rejected_candidates" not in document:
         return json.dumps(document, indent=2, sort_keys=True) + "\n"
     quote = encode_basestring_ascii
     entries = ",".join(
         f'\n    {{\n      "core": {quote(core_id)},\n      "edge": {quote(edge_id)},\n      "violations": [\n        '
         + ",\n        ".join([quote(violation_text(*violation)) for violation in violations]) + "\n      ]\n    }"
-        for edge_id, core_id, violations in rejected.records
+        for edge_id, core_id, violations in document["rejected_candidates"]
     )
     text = json.dumps({**document, "rejected_candidates": []}, indent=2, sort_keys=True) + "\n"
     # no string holds the key's text unescaped, and no nested object has the key

@@ -178,6 +178,21 @@ SW36 = {"source_id": "sw", "ports": 36, "cost": 1000, "power": 150.0, "rack_unit
         pytest.param("ports", -1, "switch ports must be finite and not negative, got -1", id="ports-negative"),
         pytest.param("weight", -2.0, "switch weight must be finite and not negative, got -2.0", id="weight-negative"),
         pytest.param("weight", math.inf, "switch weight must be finite and not negative, got inf", id="weight-inf"),
+        pytest.param("power", "1", "switch power must be a number, got '1'", id="power-str"),
+        pytest.param("power", None, "switch power must be a number, got None", id="power-none"),
+        pytest.param("weight", True, "switch weight must be a number, got True", id="weight-bool"),
+        pytest.param("expandable_ports", -30, "switch expandable_ports must be a non-negative integer, got -30",
+                     id="spare-negative"),
+        pytest.param("expandable_ports", 2.5, "switch expandable_ports must be a non-negative integer, got 2.5",
+                     id="spare-fractional"),
+        pytest.param("expandable_ports", True, "switch expandable_ports must be a non-negative integer, got True",
+                     id="spare-bool"),
+        pytest.param("configured_line_cards", 0,
+                     "switch configured_line_cards must be None or an integer of at least 1, got 0", id="cards-zero"),
+        pytest.param("configured_line_cards", 2.0,
+                     "switch configured_line_cards must be None or an integer of at least 1, got 2.0", id="cards-float"),
+        pytest.param("configured_line_cards", True,
+                     "switch configured_line_cards must be None or an integer of at least 1, got True", id="cards-bool"),
     ],
 )
 def test_switch_config_built_in_code_is_checked(field, value, message):
@@ -189,6 +204,11 @@ def test_switch_config_built_in_code_is_checked(field, value, message):
 def test_switch_config_allows_the_empty_model():
     # zero ports and zero rack units: the search's stand-in for a design with no core layer
     assert SwitchConfig("", 0, 0, 0.0, 0, 0.0).ports == 0
+
+
+def test_switch_config_takes_whole_numbers_and_line_card_counts():
+    switch = SwitchConfig(**dict(SW36, power=150, weight=8, configured_line_cards=1, expandable_ports=36))
+    assert (switch.power, switch.weight, switch.config_id) == (150, 8, "sw:36p")
 
 
 def test_per_port_metrics(ft36):

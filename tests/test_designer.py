@@ -330,7 +330,7 @@ def test_constraint_filter_on_equipment_size():
     report = design(request, SIZE_CONSTRAINED_CORES)
     core_ids = {c.core_config.source_id for c in report.candidates if c.core_config}
     assert core_ids == {"m144"}
-    assert any(r.core_id == "big324:144p" for r in report.rejected)
+    assert any(core_id == "big324:144p" for _, core_id, _ in report.rejected)
 
 
 def test_constraint_filter_on_spare_ports():
@@ -367,7 +367,6 @@ def test_check_constraints_reports_both_values(ft36_catalog):
     assert (constraint, limit) == ("max_network_power", 100)
     assert actual == winner.metrics.power
     assert "max_network_power" in designer.violation_text(*violations[0])
-    assert str(designer.ConstraintViolation(*violations[0])) == designer.violation_text(*violations[0])
     assert report.rejected == ()
 
 

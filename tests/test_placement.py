@@ -309,11 +309,22 @@ def test_footprint_and_room_reject_out_of_range_values(build):
         (lambda: RoomSpec(rows=1, racks_per_row="3"), "room racks_per_row must be an integer, got '3'"),
         (lambda: RoomSpec(rows=1, racks_per_row=3, rack_units_per_rack=42.0),
          "room rack_units_per_rack must be an integer, got 42.0"),
+        # weights, powers and budgets are numbers, and a bool is not one
+        (lambda: NodeSpec(weight="x"), "node weight must be a number, got 'x'"),
+        (lambda: NodeSpec(weight=None), "node weight must be a number, got None"),
+        (lambda: NodeSpec(power=True), "node power must be a number, got True"),
+        (lambda: RoomSpec(1, 1, rack_weight_budget="x"), "room rack_weight_budget must be a number, got 'x'"),
+        (lambda: RoomSpec(1, 1, rack_power_budget=True), "room rack_power_budget must be a number, got True"),
     ],
 )
 def test_footprint_and_room_counts_are_integers(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+def test_footprint_and_room_take_whole_numbers():
+    assert NodeSpec(weight=30, power=400).weight == 30
+    assert RoomSpec(1, 1, rack_weight_budget=900, rack_power_budget=0).rack_weight_budget == 900
 
 
 def test_room_of_the_largest_size_is_accepted():

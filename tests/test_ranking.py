@@ -1,4 +1,4 @@
-"""design()'s shared ranking against an eager reference ranker, and the lazy candidates contract."""
+"""design()'s shared ranking against an eager reference ranker and a reordered catalog, and the lazy candidates."""
 
 import json
 import math
@@ -15,7 +15,6 @@ from fattree_design.catalog import Catalog, bundled_catalog_path, load_catalog, 
 from fattree_design.designer import (
     BladeFormFactor,
     ConstraintSet,
-    ConstraintViolation,
     CoreStage,
     DesignError,
     DesignInfeasibleError,
@@ -25,10 +24,10 @@ from fattree_design.designer import (
     FatTreeDesign,
     InsufficientRadixError,
     NodeSpec,
-    RejectedCandidate,
     SearchPlan,
     cable_count,
     design,
+    violation_text,
 )
 from fattree_design.report import design_report_document, render_design_text, to_json
 
@@ -86,6 +85,7 @@ def spare_ports(candidate):
 
 
 def violations(candidate, constraints):
+    """(constraint, limit, actual) of each limit the candidate breaks, in field order."""
     metrics = candidate.metrics
     found = []
     for name, actual, broken in (
@@ -96,7 +96,7 @@ def violations(candidate, constraints):
     ):
         limit = getattr(constraints, name)
         if limit is not None and broken(actual, limit):
-            found.append(ConstraintViolation(name, limit, actual))
+            found.append((name, limit, actual))
     return found
 
 
@@ -187,8 +187,8 @@ def eager_design(request, catalog):
     """Reference ranker: build every candidate, filter it with its own constraint check, sort all of them.
 
     A rejected trivial variant is dropped without a trace; a rejected pair
-    is listed. Returns (ranked candidates, rejected) and raises what
-    design() raises.
+    is listed as an (edge id, core id, violations) record. Returns (ranked
+    candidates, rejected) and raises what design() raises.
     """
     pairs, reach = reference_pairs(request, catalog)
     candidates, rejected = trivial_designs(request, catalog), []
@@ -196,12 +196,12 @@ def eager_design(request, catalog):
         candidate = build_fat_tree(request, edge, core, split, stage, uniform)
         broken = violations(candidate, request.constraints)
         if broken:
-            rejected.append(RejectedCandidate(edge.config_id, core.config_id, tuple(broken)))
+            rejected.append((edge.config_id, core.config_id, tuple(broken)))
         else:
             candidates.append(candidate)
     if not candidates:
         if rejected:
-            raise DesignInfeasibleError(sorted({v.constraint for r in rejected for v in r.violations}))
+            raise DesignInfeasibleError(sorted({name for *_, broken in rejected for name, _, _ in broken}))
         raise InsufficientRadixError(request.node_count, reach)
     return sorted(candidates, key=sort_key), rejected
 
@@ -323,7 +323,7 @@ def test_search_stats_add_up(case):
     assert stats.candidates_ranked == sum(candidate.kind == "fat_tree" for candidate in expected)
     assert stats.candidates_rejected == len(expected_rejected)
     if expected:
-        assert stats.rejections == Counter(v.constraint for r in expected_rejected for v in r.violations)
+        assert stats.rejections == Counter(name for *_, broken in expected_rejected for name, _, _ in broken)
     assert (
         stats.pairs_considered + stats.spread_variants
         == stats.pairs_skipped + stats.candidates_rejected + stats.candidates_ranked
@@ -436,8 +436,8 @@ def reference_json(report, currency, top):
     """The report's JSON as json.dumps writes it with one dict per rejected pair."""
     document = design_report_document(report, currency, top)
     document["rejected_candidates"] = [
-        {"edge": r.edge_id, "core": r.core_id, "violations": [str(v) for v in r.violations]}
-        for r in report.rejected
+        {"edge": edge_id, "core": core_id, "violations": [violation_text(*v) for v in violations]}
+        for edge_id, core_id, violations in report.rejected
     ]
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
@@ -453,30 +453,68 @@ def test_rejected_pairs_are_written_as_json_dumps_writes_them(case, top):
     assert to_json(design_report_document(report, "USD", top)) == reference_json(report, "USD", top)
 
 
-@pytest.fixture
-def rejected_builds(monkeypatch):
-    """Counts the RejectedCandidate and ConstraintViolation objects built from rejected-pair records."""
-    calls = []
+@st.composite
+def reordered_cases(draw):
+    """(request, catalog, the same catalog reordered) from cases() or rejecting_cases().
 
-    def counting(kind):
-        def build_one(*args):
-            calls.append(kind.__name__)
-            return kind(*args)
-        return build_one
+    Half the catalogs give every switch one price, so that costs tie and the ranking rests on its tie-breaks.
+    """
+    request, catalog = draw(st.one_of(cases(), rejecting_cases()))
+    if draw(st.booleans()):
+        price = draw(st.sampled_from((0, 100000)))
+        priced = lambda configs: tuple(replace(config, cost=price) for config in configs)  # noqa: E731
+        catalog = Catalog(priced(catalog.edge_set), priced(catalog.core_set))
+    edges, cores = draw(st.permutations(catalog.edge_set)), draw(st.permutations(catalog.core_set))
+    reordered = Catalog(tuple(edges), tuple(cores))
+    return request, catalog, reordered
 
-    for kind in (designer.RejectedCandidate, designer.ConstraintViolation):
-        monkeypatch.setattr(designer, kind.__name__, counting(kind))
-    return calls
+
+@settings(max_examples=150, deadline=None)
+@given(reordered_cases())
+def test_catalog_order_does_not_change_the_answer(case):
+    """Metamorphic: the same switches listed in another order give the same ranking, winner and rejected pairs."""
+    request, catalog, reordered = case
+    try:
+        report = design(request, catalog)
+    except DesignError as error:
+        with pytest.raises(type(error)) as raised:
+            design(request, reordered)
+        assert str(raised.value) == str(error)
+        return
+    other = design(request, reordered)
+    assert [sort_key(c) for c in other.candidates] == [sort_key(c) for c in report.candidates]
+    assert other.winner == report.winner
+    # rejected pairs are listed in edge x core order, so only the multiset stays the same
+    assert Counter(other.rejected) == Counter(report.rejected)
 
 
-def test_rejected_pairs_are_built_when_read(rejected_builds):
-    """Counting, the text report and the JSON write read the plain records; an item is built when it is read."""
+def test_embedded_family_names_its_smallest_expansion():
+    """A blade's embedded switch named by its family is the family's fewest-port expansion in any catalog order."""
+    family = {
+        "id": "enc", "chassis_cost": 0, "chassis_rack_units": 1, "chassis_power": 0, "chassis_weight": 0,
+        "fabric_board_cost": 0, "fabric_boards_required": 1, "line_card_cost": 100000,
+        "ports_per_line_card": 8, "max_line_cards": 3, "roles": ["edge"],
+    }
+    core = {"id": "core", "name": "", "ports": 48, "cost": 100000, "power": 0, "rack_units": 1, "weight": 0,
+            "roles": ["core"]}
+    catalog = load_catalog({"currency": "USD", "monolithic": [core], "modular": [family]})
+    reversed_catalog = Catalog(catalog.edge_set[::-1], catalog.core_set)
+    blades = BladeFormFactor(enclosure_capacity=8, enclosure_cost=0, embedded_edge_switch_id="enc")
+    request = DesignRequest(node_count=12, form_factor=blades)
+    for listed in (catalog, reversed_catalog):
+        report = design(request, listed)
+        assert {c.kind for c in report.candidates} == {"direct_connect", "fat_tree", "star"}
+        assert {c.edge_config.config_id for c in report.candidates if c.kind != "star"} == {"enc:8p"}
+
+
+def test_rejected_pairs_are_plain_records():
+    """The count, the text report and the JSON write all read the one tuple of plain records."""
     constraints = ConstraintSet(max_network_rack_units=140, min_spare_core_ports=64)
     report = design(DesignRequest(node_count=1000, blocking_factor=Fraction(3, 2), constraints=constraints), DEMO)
     assert len(report.rejected) == 6
     assert "rejected by constraints: 6 candidate(s)" in render_design_text(report, "USD")
     assert to_json(design_report_document(report, "USD", top=5)).count('"violations"') == 6
-    assert rejected_builds == []
-    rejected = report.rejected[-1]
-    assert Counter(rejected_builds) == {"RejectedCandidate": 1, "ConstraintViolation": len(rejected.violations)}
-    assert report.rejected == tuple(report.rejected) and report.rejected[-1] == rejected
+    assert type(report.rejected) is tuple
+    for edge_id, core_id, broken in report.rejected:
+        assert isinstance(edge_id, str) and isinstance(core_id, str) and broken
+        assert all(name in ("max_network_rack_units", "min_spare_core_ports") for name, _, _ in broken)

@@ -31,6 +31,7 @@ SEED = 0  # a fixed hypothesis seed, so that a run kills the same mutants every 
 PER_CORE_TEST = "tests/test_search_plan.py::test_per_core_floor_keeps_the_design_winner"
 RANKING_TESTS = "tests/test_ranking.py"
 WRITER_TEST = "tests/test_ranking.py::test_rejected_pairs_are_written_as_json_dumps_writes_them"
+ORDER_TEST = "tests/test_ranking.py::test_catalog_order_does_not_change_the_answer"
 
 # (module, exact text, replacement, guarding tests, what the mutant breaks)
 MUTANTS = [
@@ -56,6 +57,13 @@ MUTANTS = [
      RANKING_TESTS, "an edge switch serves more blades than its enclosure has bays"),
     ("designer.py", "None if request.prefer_expandability else ", "",
      RANKING_TESTS, "the even spread is tried although expandability is preferred"),
+    ("designer.py", "key = (cost, edges + core_switches, units, edge_id, core_id)",
+     'key = (cost, edges + core_switches, units, "", "")', ORDER_TEST,
+     "pairs that tie on cost, switches and rack units are ranked in catalog order"),
+    ("designer.py", "sorted(filter(blades.embeds, catalog.edge_set), key=config_order)[:1]",
+     "list(filter(blades.embeds, catalog.edge_set))[:1]",
+     "tests/test_ranking.py::test_embedded_family_names_its_smallest_expansion",
+     "a blade's embedded switch named by its family is the family's first expansion in catalog order"),
     ("designer.py", 'if kind == "fat_tree" else None', "if to_core else None",
      "tests/test_goldens.py::test_trivial_topology_output_matches_golden",
      "a direct-connect design reports a resulting blocking"),
