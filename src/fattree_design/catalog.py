@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from .money import Money, check_money
+from .money import Money, check_money, check_number
 
 ROLES = ("edge", "core")
 MAX_LINE_CARDS = 1024
@@ -183,10 +183,7 @@ class SwitchConfig:
         check_money("switch cost", self.cost)
         for name in ("ports", "power", "rack_units", "weight"):
             value = getattr(self, name)
-            integral = name in ("ports", "rack_units")
-            # as in catalog documents, a bool is not a number
-            if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
-                raise ValueError(f"switch {name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+            check_number(f"switch {name}", value, integral=name in ("ports", "rack_units"))
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"switch {name} must be finite and not negative, got {value!r}")
         spare = self.expandable_ports
@@ -195,6 +192,8 @@ class SwitchConfig:
         cards = self.configured_line_cards
         if cards is not None and (isinstance(cards, bool) or not isinstance(cards, int) or cards < 1):
             raise ValueError(f"switch configured_line_cards must be None or an integer of at least 1, got {cards!r}")
+        if not isinstance(self.source_id, str):  # "" is valid: the empty core model has no id
+            raise ValueError(f"switch source_id must be a string, got {self.source_id!r}")
         object.__setattr__(self, "config_id", self.source_id if cards is None else f"{self.source_id}:{self.ports}p")
 
 

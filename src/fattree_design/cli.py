@@ -17,7 +17,7 @@ from typing import Any, Callable
 from .catalog import load_catalog_file
 from .designer import DesignError, DesignRequest, NodeSpec, design, request_from_document
 from .estimator import lower_bound_estimate, sweep_lower_bound
-from .money import parse_money, parse_ratio
+from .money import check_number, parse_money, parse_ratio
 from .placement import (
     CORE_PLACEMENTS,
     PlacementError,
@@ -155,8 +155,7 @@ def _write(args: argparse.Namespace, document: Callable[[], dict[str, Any]], tex
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
-    if args.top < 1:
-        raise ValueError(f"--top must be at least 1, got {args.top}")
+    check_number("--top", args.top, minimum=1)
     catalog = load_catalog_file(args.catalog)
     request = _design_request(args)
     result = design(request, catalog)

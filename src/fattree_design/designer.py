@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .catalog import Catalog, CatalogError, SwitchConfig, config_order, field_violation
-from .money import Money, check_money, parse_ratio
+from .money import Money, check_finite, check_money, check_number, parse_ratio
 
 DEFAULT_CABLE_COST: Money = 8000  # average cable price, minor units
 
@@ -98,6 +98,8 @@ class BladeFormFactor:
         check_money("blade enclosure_cost", self.enclosure_cost)
         if self.pass_through_cost is not None:
             check_money("blade pass_through_cost", self.pass_through_cost)
+        if not isinstance(self.embedded_edge_switch_id, str):
+            raise ValueError(f"blade embedded_edge_switch_id must be a string, got {self.embedded_edge_switch_id!r}")
 
     def embeds(self, config: SwitchConfig) -> bool:
         """Whether config is the embedded edge switch, named by its family or configuration id."""
@@ -113,21 +115,10 @@ class NodeSpec:
     power: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("rack_units", "weight", "power"):
-            value = getattr(self, name)
-            # NaN passes every range check below, and neither NaN nor inf is a JSON number
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"node {name} must be a finite number, got {value!r}")
-        if isinstance(self.rack_units, bool) or not isinstance(self.rack_units, int):
-            raise ValueError(f"node rack_units must be an integer, got {self.rack_units!r}")
-        if self.rack_units < 1:
-            raise ValueError(f"node rack_units must be at least 1, got {self.rack_units}")
-        for name in ("weight", "power"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"node {name} must be a number, got {value!r}")
-            if value < 0:
-                raise ValueError(f"node {name} must not be negative, got {value:g}")
+        check_finite("node", self)  # first, as NaN passes every range check
+        check_number("node rack_units", self.rack_units, minimum=1)
+        check_number("node weight", self.weight, minimum=0, integral=False)
+        check_number("node power", self.power, minimum=0, integral=False)
 
 
 FormFactor = BladeFormFactor | NodeSpec
@@ -145,8 +136,7 @@ class DesignRequest:
     prefer_expandability: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.node_count, bool) or not isinstance(self.node_count, int):
-            raise ValueError(f"node_count must be an integer, got {self.node_count!r}")
+        check_number("node_count", self.node_count)
         if self.node_count < 2:
             raise ValueError("node_count must be at least 2")
         if not isinstance(self.blocking_factor, Fraction):

@@ -1,4 +1,4 @@
-"""Money and rational-number helpers shared across the package.
+"""Money, rational-number and number-check helpers shared across the package.
 
 Money is carried everywhere as an integer count of minor currency units
 (cents for USD) so that cost arithmetic is exact. Ratios that must survive
@@ -8,6 +8,7 @@ carried as ``fractions.Fraction``.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -35,6 +36,22 @@ def check_money(name: str, amount: Money) -> None:
         raise ValueError(f"{name} must be an integer (minor units), got {amount!r}")
     if amount < 0:
         raise ValueError(f"{name} must not be negative, got {amount} (minor units)")
+
+
+def check_finite(owner: str, record: object) -> None:
+    """Raise ValueError naming the first field of record that holds NaN or an infinity, neither a JSON number."""
+    for name, value in vars(record).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{owner} {name} must be a finite number, got {value!r}")
+
+
+def check_number(label: str, value: object, minimum: int | None = None, integral: bool = True) -> None:
+    """Raise ValueError unless value is an int (a number if not integral), no bool, at least minimum (0 for numbers)."""
+    if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+        raise ValueError(f"{label} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{label} must be at least {minimum}, got {value}" if integral
+                         else f"{label} must not be negative, got {value:g}")
 
 
 def parse_money(text: str) -> Money:

@@ -17,7 +17,6 @@ quantifies how far a network built without that foresight can grow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -35,7 +34,7 @@ from .designer import (
     fewest_uplinks,
     node_distribution,
 )
-from .money import Money
+from .money import Money, check_finite, check_number
 
 CORE_PLACEMENTS = ("first_racks_contiguous", "center", "distributed")
 MAX_RACK_POSITIONS = 10_000  # placement builds one Rack per position
@@ -56,29 +55,17 @@ class RoomSpec:
     rack_power_budget: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("rows", "racks_per_row", "rack_units_per_rack", "rack_weight_budget", "rack_power_budget"):
-            value = getattr(self, name)
-            # a NaN budget compares false with every load, so it would apply no budget
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"room {name} must be a finite number, got {value!r}")
+        # a NaN budget compares false with every load, so it would apply no budget
+        check_finite("room", self)
         for name in ("rows", "racks_per_row", "rack_units_per_rack"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"room {name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"room {name} must be at least 1, got {value}")
+            check_number(f"room {name}", getattr(self, name), minimum=1)
         if self.rack_count > MAX_RACK_POSITIONS:
             raise ValueError(
                 f"room rows x racks_per_row must be at most {MAX_RACK_POSITIONS} rack positions, got {self.rack_count}"
             )
         for name in ("rack_weight_budget", "rack_power_budget"):
-            budget = getattr(self, name)
-            if budget is None:
-                continue
-            if isinstance(budget, bool) or not isinstance(budget, (int, float)):
-                raise ValueError(f"room {name} must be a number, got {budget!r}")
-            if budget < 0:
-                raise ValueError(f"room {name} must not be negative, got {budget:g}")
+            if (budget := getattr(self, name)) is not None:
+                check_number(f"room {name}", budget, minimum=0, integral=False)
 
     @property
     def rack_count(self) -> int:

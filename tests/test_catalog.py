@@ -193,6 +193,9 @@ SW36 = {"source_id": "sw", "ports": 36, "cost": 1000, "power": 150.0, "rack_unit
                      "switch configured_line_cards must be None or an integer of at least 1, got 2.0", id="cards-float"),
         pytest.param("configured_line_cards", True,
                      "switch configured_line_cards must be None or an integer of at least 1, got True", id="cards-bool"),
+        # the search sorts configurations by id, so a non-string id ended in a bare TypeError
+        pytest.param("source_id", 5, "switch source_id must be a string, got 5", id="id-int"),
+        pytest.param("source_id", None, "switch source_id must be a string, got None", id="id-none"),
     ],
 )
 def test_switch_config_built_in_code_is_checked(field, value, message):

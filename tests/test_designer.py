@@ -463,6 +463,11 @@ def test_design_request_checks_its_fields(fields, message):
         ({"enclosure_cost": "x"}, r"blade enclosure_cost must be an integer \(minor units\), got 'x'"),
         ({"enclosure_cost": None}, r"blade enclosure_cost must be an integer \(minor units\), got None"),
         ({"pass_through_cost": 0.5}, r"blade pass_through_cost must be an integer \(minor units\), got 0.5"),
+        ({"embedded_edge_switch_id": 5}, "blade embedded_edge_switch_id must be a string, got 5"),
+        ({"embedded_edge_switch_id": None}, "blade embedded_edge_switch_id must be a string, got None"),
+        # the id is checked last, so an input with several faults keeps its first message
+        ({"enclosure_capacity": 0, "embedded_edge_switch_id": 5},
+         "blade enclosure_capacity must be an integer of at least 1, got 0"),
     ],
 )
 def test_blade_form_factor_checks_its_fields(fields, message):

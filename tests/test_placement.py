@@ -315,6 +315,13 @@ def test_footprint_and_room_reject_out_of_range_values(build):
         (lambda: NodeSpec(power=True), "node power must be a number, got True"),
         (lambda: RoomSpec(1, 1, rack_weight_budget="x"), "room rack_weight_budget must be a number, got 'x'"),
         (lambda: RoomSpec(1, 1, rack_power_budget=True), "room rack_power_budget must be a number, got True"),
+        # with several faults, the finiteness pass comes first and the rack-count bound before the budgets
+        (lambda: NodeSpec(rack_units=0, weight=float("nan")), "node weight must be a finite number, got nan"),
+        (lambda: NodeSpec(rack_units=float("nan")), "node rack_units must be a finite number, got nan"),
+        (lambda: RoomSpec(rows=300, racks_per_row=300, rack_weight_budget=-5),
+         "room rows x racks_per_row must be at most 10000 rack positions, got 90000"),
+        (lambda: RoomSpec(rows=0, racks_per_row=1, rack_power_budget=float("inf")),
+         "room rack_power_budget must be a finite number, got inf"),
     ],
 )
 def test_footprint_and_room_counts_are_integers(build, message):

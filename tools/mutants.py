@@ -1,4 +1,4 @@
-"""Mutation gate: every planted bug in the search, placement or report writer must make its guarding tests fail.
+"""Mutation gate: each planted bug in the search, placement, reports or number checks must make its guarding tests fail.
 
 Usage, from the repository root:
 
@@ -32,6 +32,7 @@ PER_CORE_TEST = "tests/test_search_plan.py::test_per_core_floor_keeps_the_design
 RANKING_TESTS = "tests/test_ranking.py"
 WRITER_TEST = "tests/test_ranking.py::test_rejected_pairs_are_written_as_json_dumps_writes_them"
 ORDER_TEST = "tests/test_ranking.py::test_catalog_order_does_not_change_the_answer"
+FIELD_TESTS = "tests/test_field_checks.py"
 
 # (module, exact text, replacement, guarding tests, what the mutant breaks)
 MUTANTS = [
@@ -76,6 +77,10 @@ MUTANTS = [
      "rack.used_weight + weight >= room.rack_weight_budget",
      "tests/test_placement.py::test_block_that_fills_the_weight_budget_exactly_fits",
      "a block that fills a rack's weight budget exactly does not fit"),
+    ("money.py", "if isinstance(value, bool) or not isinstance(value, int if integral",
+     "if not isinstance(value, int if integral", FIELD_TESTS, "a bool passes as a library dataclass number"),
+    ("money.py", "if isinstance(value, float) and not math.isfinite(value):", "if False:",
+     FIELD_TESTS, "a NaN or infinite library dataclass number is accepted"),
 ]
 
 # Rounding up by a different formula changes no answer, so no test can kill it.
