@@ -6,14 +6,19 @@ single-switch star) plus the full edge-model x core-model grid. Every
 candidate that survives the constraint filter is kept and ranked, so callers
 can present alternatives instead of just the winner. A SearchPlan holds the
 per-catalog state (edge splits, core list, star switches) once, and its
-rank() is the one search loop and the one ranking for every kind of network:
-for each edge model it counts the edge switches and the even spread, sizes
-the core layer against every core model in one call and prices the pairs in
-one more, then filters them as plain numbers, next to the star and
-direct-connect variants, and sorts plain records. design() keeps the whole
-ranking and builds each candidate design, through one builder, only when it
-is read; fit_max_nodes and sweep_lower_bound ask the same ranking for the
-winner alone.
+rank() is the one full ranking for every kind of network: for each edge
+model it counts the edge switches and the even spread, sizes the core layer
+against every core model in one call and prices the pairs in one more, then
+filters them as plain numbers, next to the star and direct-connect variants,
+and sorts plain records. design() keeps that whole ranking and builds each
+candidate design, through one builder, only when it is read.
+
+fit_max_nodes and sweep_lower_bound ask the plan for the winner alone at
+each node count. That ranking has its own loop, which finds the same winner
+from per-plan tables built on its first call: the cores in price order, a
+table of core layers per (edge switches, uplinks) in that order, and a star
+table. It skips what its cost floors rule out, and it prices in full and
+builds only the winner.
 
 All port arithmetic is exact integer/Fraction math; all money is integer
 minor units.
@@ -24,9 +29,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .catalog import Catalog, CatalogError, SwitchConfig, config_order, field_violation
 from .money import Money, check_finite, check_money, check_number, parse_ratio
@@ -390,7 +395,7 @@ def _network_metrics(
 
 
 def _build_design(
-    request: DesignRequest,
+    node_count: int,
     kind: str,
     edge_config: SwitchConfig,
     core_config: SwitchConfig | None,
@@ -406,7 +411,7 @@ def _build_design(
     to_nodes, to_core, edges = split
     return FatTreeDesign(
         kind=kind,
-        node_count=request.node_count,
+        node_count=node_count,
         edge_config=edge_config,
         core_config=core_config,
         split=EdgeSplit(to_nodes, to_core, Fraction(to_nodes, to_core) if kind == "fat_tree" else None, edges),
@@ -420,13 +425,13 @@ def _build_design(
 
 
 class RankedCandidates(Sequence):
-    """design()'s ranked designs, each built from its record's payload when first read and then cached.
+    """A ranking's designs for one node count, each built from its record's payload when first read and then cached.
 
     ``len()`` builds nothing, and ``report.winner is report.candidates[0]``.
     """
 
-    def __init__(self, request: DesignRequest, records: list) -> None:
-        self._request = request
+    def __init__(self, node_count: int, records: list) -> None:
+        self._node_count = node_count
         self._records = records  # (key, FatTreeDesign or payload), in rank order
 
     def __len__(self) -> int:
@@ -437,9 +442,28 @@ class RankedCandidates(Sequence):
             return tuple(self[i] for i in range(*index.indices(len(self._records))))
         key, item = self._records[index]
         if not isinstance(item, FatTreeDesign):
-            item = _build_design(self._request, *item)
+            item = _build_design(self._node_count, *item)
             self._records[index] = (key, item)
         return item
+
+
+def _group_pairs(cores: Sequence, layers: Sequence, spread_layers: Sequence, baseline: tuple, cables: int,
+                 spread: tuple | None, spread_cables: int):
+    """(core, split, core layer, cables, uniform) of each pair of one edge group, baseline before even spread.
+
+    ``layers`` and ``spread_layers`` hold the core layer of each of ``cores``, in the same order.
+    """
+    for core, layer, spread_layer in zip(cores, layers, spread_layers):
+        if layer is None:
+            continue
+        yield core, baseline, layer, cables, False
+        if spread_layer is not None and spread_layer[1] < layer[1]:
+            # the even spread is kept only when it frees a core switch
+            yield core, spread, spread_layer, spread_cables, True
+
+
+# The winner-only ranking's best record before it has one: its infinite cost cuts nothing.
+_NO_WINNER = ((math.inf,), None)
 
 
 class SearchPlan:
@@ -450,13 +474,19 @@ class SearchPlan:
     each edge configuration's port split as a plain (config, ports to nodes,
     ports to core) tuple, with the blade-bay cap applied, the catalog's core set
     and the config union (the star switches), each computed once, plus the
-    largest node count any design reaches. rank() is the one loop over edge
-    configurations x cores for one node count: it sizes and prices each edge
-    group's pairs in one call each, filters and orders them with the star and
-    direct-connect variants, and counts what it did in ``stats``, for design()
-    in full and for the node-count scans as the winner alone. For the winner
-    alone it also holds the cheapest core switch, from which rank() works out
-    the cost floors that let it skip edge groups and single cores.
+    largest node count any design reaches. rank() is the full ranking's loop
+    over edge configurations x cores for one node count: it sizes and prices
+    each edge group's pairs in one call each, filters and orders them with the
+    star and direct-connect variants, and counts what it did in ``stats``.
+
+    The node-count scans ask for the winner alone, and that ranking has its own
+    loop, which counts into the same ``stats``. It works from per-plan tables
+    that its first call builds, so a design() plan builds none: the cores in
+    price order, each edge group's core layers per (edge switches, uplinks) in
+    that order, and the star table, which holds for each port count the best
+    star among the configurations with at least that many ports. From the
+    cheapest core switch it works out the cost floors that let it skip edge
+    groups and, as a prefix of the price order, single cores.
     """
 
     def __init__(self, request: DesignRequest, catalog: Catalog) -> None:
@@ -491,19 +521,20 @@ class SearchPlan:
         # Every pairing has at least one core switch and no price is negative,
         # so an edge group costs at least its edges, its fewest cables and one
         # cheapest core switch, and a pair with a given core at least that
-        # floor with the core's price in place of the cheapest one; a
-        # winner-only rank() skips what lies above the best cost found. With
+        # floor with the core's price in place of the cheapest one; the
+        # winner-only ranking skips what lies above the best cost found. With
         # no core there is no pair, and the empty core model stands in.
         self.cheapest_core = min(self.cores, key=lambda core: core.cost, default=_NO_CORE)
+        self._tables = None  # the winner-only ranking's, built by its first call
 
-    def _trivial_records(self, request: DesignRequest, limits: tuple) -> list:
+    def _trivial_records(self, node_count: int, limits: tuple) -> list:
         """Records of the best direct-connect variant and the best star that pass the constraints.
 
         Direct connect keeps the lowest (cost, switch count), the star the
         lowest (cost, ports, config id). A variant that a constraint
         rejects is dropped silently: it never enters the rejected list.
         """
-        node_count = request.node_count
+        request = self.request
         blades = request.blades
         # (tie-break, spare ports, switch, split, cables, pass-through, max nodes) per variant
         direct, stars = [], []
@@ -538,6 +569,23 @@ class SearchPlan:
                 records.append(best[1])
         return records
 
+    def _edge_groups(self, node_count: int):
+        """(config, edge switches, baseline split, cables, even spread or None, its cables) per edge configuration.
+
+        The baseline split packs each edge switch full, and the even spread
+        over as many switches is a variant only when it needs fewer uplinks
+        per switch. A split is (ports to nodes, ports to core, edge switches),
+        as a ranking record holds it.
+        """
+        request = self.request
+        blade, blocking = request.blades is not None, request.blocking_factor
+        for config, ports_to_nodes, ports_to_core in self.edges:
+            edges = edge_count(node_count, ports_to_nodes)
+            spread = None if request.prefer_expandability else _even_split(node_count, edges, blocking, ports_to_core)
+            cables = cable_count(node_count, edges, ports_to_core, blade)
+            spread_cables = cable_count(node_count, edges, spread[1], blade) if spread else cables
+            yield config, edges, (ports_to_nodes, ports_to_core, edges), cables, spread, spread_cables
+
     def rank(self, node_count: int, winner_only: bool = False) -> tuple[RankedCandidates, tuple]:
         """Every design for node_count, ranked, plus the pairs the constraints rejected, as DesignReport holds them.
 
@@ -545,68 +593,25 @@ class SearchPlan:
         pair in edge x core order (baseline before uniform variant), are stably
         sorted on (cost, switch count, rack units, edge id, core id);
         designs are built when read. ``winner_only`` (unconstrained requests
-        only) keeps the winner alone. It also visits the edge groups in
-        order of their cost floor (edges, fewest cables, one cheapest core
-        switch) and stops at the first group whose floor exceeds the best
-        cost found; inside a group it drops, before sizing any, each core
-        whose price in place of the cheapest one lifts the floor above that
-        cost. Both comparisons are strict, so a pair that ties the best cost
-        still meets the full key. The full ranking makes neither check.
+        only) returns the winner alone, from its own loop (see _rank_winner).
         Raises what design() raises.
         """
-        request = self.request
-        if node_count != request.node_count:
-            request = replace(request, node_count=node_count)
-        limits = _active_limits(request.constraints)
-        if winner_only and limits:
-            raise ValueError("the winner-only ranking serves unconstrained requests only")
-        records = self._trivial_records(request, limits)
-        best = min(records, key=itemgetter(0), default=None)
-        blade, blocking = request.blades is not None, request.blocking_factor
-        # One group per edge configuration: the baseline split packs each edge
-        # switch full, and the even spread over as many switches is a variant
-        # only when it needs fewer uplinks per switch. A split is (ports to
-        # nodes, ports to core, edge switches), as a ranking record holds it.
-        groups = []
-        for config, ports_to_nodes, ports_to_core in self.edges:
-            edges = edge_count(node_count, ports_to_nodes)
-            baseline = (ports_to_nodes, ports_to_core, edges)
-            spread = None if request.prefer_expandability else _even_split(node_count, edges, blocking, ports_to_core)
-            cables = cable_count(node_count, edges, ports_to_core, blade)
-            spread_cables = cable_count(node_count, edges, spread[1], blade) if spread else cables
-            cheapest_mix = ((self.cheapest_core, 1, spread_cables),)
-            floor = _network_metrics(request, config, edges, cheapest_mix)[0][0] if winner_only else 0
-            groups.append((floor, config, edges, baseline, cables, spread, spread_cables))
         if winner_only:
-            groups.sort(key=itemgetter(0))
-
+            return self._rank_winner(node_count)
+        request = self.request
+        limits = _active_limits(request.constraints)
+        records = self._trivial_records(node_count, limits)
         stats = self.stats
         rejected = []
         candidates = 0
-        for index, (floor, config, edges, baseline, cables, spread, spread_cables) in enumerate(groups):
-            if winner_only and best is not None and floor > best[0][0]:
-                stats.groups_cut += len(groups) - index
-                break
-            # the floor less its core switch: each core adds back its own price
-            edge_floor = floor - self.cheapest_core.cost
-            cores = self.cores
-            if winner_only and best is not None:
-                cores = [core for core in cores if edge_floor + core.cost <= best[0][0]]
-                stats.cores_skipped += len(self.cores) - len(cores)
-            ports = [core.ports for core in cores]
+        cores = self.cores
+        ports = [core.ports for core in cores]
+        for config, edges, baseline, cables, spread, spread_cables in self._edge_groups(node_count):
             layers = core_layers(edges, baseline[1], ports)
             spread_layers = core_layers(edges, spread[1], ports) if spread else (None,) * len(ports)
             # (core, split, core layer, cables, uniform) per candidate, and what it is priced from
-            pairs, mixes = [], []
-            for core, layer, spread_layer in zip(cores, layers, spread_layers):
-                if layer is None:
-                    continue
-                pairs.append((core, baseline, layer, cables, False))
-                mixes.append((core, layer[1], cables))
-                if spread_layer is not None and spread_layer[1] < layer[1]:
-                    # the even spread is kept only when it frees a core switch
-                    pairs.append((core, spread, spread_layer, spread_cables, True))
-                    mixes.append((core, spread_layer[1], spread_cables))
+            pairs = list(_group_pairs(cores, layers, spread_layers, baseline, cables, spread, spread_cables))
+            mixes = [(core, layer[1], split_cables) for core, _, layer, split_cables, _ in pairs]
             skipped = layers.count(None)
             stats.pairs_considered += len(layers)
             stats.pairs_skipped += skipped
@@ -625,24 +630,124 @@ class SearchPlan:
                         continue
                 key = (cost, edges + core_switches, units, edge_id, core_id)
                 max_nodes = core.ports * split[0]
-                record = key, ("fat_tree", config, core, split, layer, split_cables, metrics, uniform, False, max_nodes)
-                if not winner_only:
-                    records.append(record)
-                elif best is None or key < best[0]:
-                    best = record
+                records.append(
+                    (key, ("fat_tree", config, core, split, layer, split_cables, metrics, uniform, False, max_nodes))
+                )
         stats.candidates_rejected += len(rejected)
         stats.candidates_ranked += candidates - len(rejected)
         broken = [name for *_, violations in rejected for name, _, _ in violations]
         stats.rejections.update(broken)
 
-        if winner_only:
-            records = [best] if best is not None else []
         if not records:
             if rejected:
                 raise DesignInfeasibleError(sorted(set(broken)))
             raise InsufficientRadixError(node_count, self.max_reachable)
         records.sort(key=itemgetter(0))
-        return RankedCandidates(request, records), tuple(rejected)
+        return RankedCandidates(node_count, records), tuple(rejected)
+
+    def _winner_tables(self) -> tuple:
+        """(cores in price order, their prices, core layers per (edge switches, uplinks), star ports, stars).
+
+        A layer table entry holds core_layers() of every core, in price order.
+        The stars are the configurations' best star from each place on in
+        port-count order, next to those port counts.
+        """
+        by_price = sorted(self.cores, key=attrgetter("cost"))
+        by_ports = sorted(self.configs, key=attrgetter("ports"))
+        # at each place, the best star, on the star's own tie-break, among the configurations from there on
+        stars, best = [], None
+        for config in reversed(by_ports):
+            best = config if best is None else min(best, config, key=attrgetter("cost", "ports", "config_id"))
+            stars.append(best)
+        stars.reverse()
+        return by_price, [core.cost for core in by_price], {}, [config.ports for config in by_ports], stars
+
+    def _rank_winner(self, node_count: int) -> tuple[RankedCandidates, tuple]:
+        """rank(node_count, winner_only=True): design()'s winner alone, and no rejected pairs.
+
+        Blade requests start from the direct-connect and star records,
+        other requests from the star table. The edge groups are visited in
+        order of their cost floor (edges, fewest cables, one cheapest core
+        switch), and the walk stops at the first group whose floor exceeds
+        the best cost found; inside a group it keeps, before sizing any, the
+        prefix of the cores in price order whose price in place of the
+        cheapest one keeps the floor within that cost. Both comparisons are
+        strict, so a pair that ties the best cost still meets the full key.
+        A pair's rack units and key are worked out only when its cost can
+        still win, and only the winner is priced in full and built.
+        """
+        from bisect import bisect_left, bisect_right  # here, so that importing the package never loads it
+
+        request = self.request
+        if self._tables is None:
+            if _active_limits(request.constraints):
+                raise ValueError("the winner-only ranking serves unconstrained requests only")
+            self._tables = self._winner_tables()
+        by_price, core_costs, layer_table, star_ports, stars = self._tables
+        blades, cable_cost, cheapest = request.blades, request.avg_cable_cost, self.cheapest_core.cost
+        # the best record so far, as (key, payload); a payload whose metrics are None is priced when it wins
+        best = _NO_WINNER
+        if blades is not None:
+            best = min(self._trivial_records(node_count, ()), key=itemgetter(0), default=best)
+        elif (at := bisect_left(star_ports, node_count)) < len(stars):
+            star = stars[at]
+            key = (star.cost + node_count * cable_cost, 1, star.rack_units, star.config_id, "")
+            best = key, ("star", star, None, (node_count, 0, 1), None, node_count, None, False, False, star.ports)
+
+        def layers_of(edges: int, uplinks: int, count: int) -> list:
+            """The core layers of the first count cores in price order."""
+            layers = layer_table.get((edges, uplinks))
+            if layers is None:
+                layers = layer_table[edges, uplinks] = core_layers(edges, uplinks, [core.ports for core in by_price])
+            return layers[:count]
+
+        groups = sorted(
+            (
+                (edges * config.cost + spread_cables * cable_cost + cheapest, config, edges, baseline, cables, spread,
+                 spread_cables)
+                for config, edges, baseline, cables, spread, spread_cables in self._edge_groups(node_count)
+            ),
+            key=itemgetter(0),
+        )
+        stats = self.stats
+        for index, (floor, config, edges, baseline, cables, spread, spread_cables) in enumerate(groups):
+            if floor > best[0][0]:
+                stats.groups_cut += len(groups) - index
+                break
+            # the floor less its core switch: each core adds back its own price
+            edge_floor = floor - cheapest
+            count = bisect_right(core_costs, best[0][0] - edge_floor)
+            layers = layers_of(edges, baseline[1], count)
+            spread_layers = layers_of(edges, spread[1], count) if spread else (None,) * count
+            edge_units = 0 if blades is not None and blades.embeds(config) else edges * config.rack_units
+            edge_cost, edge_id, ranked = edges * config.cost, config.config_id, 0
+            for core, split, layer, split_cables, uniform in _group_pairs(
+                by_price[:count], layers, spread_layers, baseline, cables, spread, spread_cables
+            ):
+                ranked += 1
+                cost = edge_cost + layer[1] * core.cost + split_cables * cable_cost
+                if cost > best[0][0]:
+                    continue
+                key = (cost, edges + layer[1], edge_units + layer[1] * core.rack_units, edge_id, core.config_id)
+                if key < best[0]:
+                    max_nodes = core.ports * split[0]
+                    best = key, ("fat_tree", config, core, split, layer, split_cables, None, uniform, False, max_nodes)
+            skipped = layers.count(None)
+            stats.cores_skipped += len(by_price) - count
+            stats.pairs_considered += count
+            stats.pairs_skipped += skipped
+            stats.spread_variants += ranked - count + skipped
+            stats.candidates_ranked += ranked
+
+        key, payload = best
+        if payload is None:
+            raise InsufficientRadixError(node_count, self.max_reachable)
+        kind, config, core, split, layer, cables, metrics, *flags = payload
+        if metrics is None:
+            mix = (core or _NO_CORE, layer[1] if layer else 0, cables)
+            metrics, = _network_metrics(request, config, split[2], (mix,))
+            assert (metrics[0], metrics[2]) == (key[0], key[2]), "the winner-only ranking priced a pair otherwise"
+        return RankedCandidates(node_count, [(key, (kind, config, core, split, layer, cables, metrics, *flags))]), ()
 
 
 def design(request: DesignRequest, catalog: Catalog) -> DesignReport:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalog import SwitchConfig, per_port_metrics
+from .catalog import PerPortMetrics, SwitchConfig, per_port_metrics
 from .designer import (
     DesignRequest,
     InsufficientRadixError,
@@ -92,12 +92,27 @@ def lower_bound_estimate(
     capacity = config.ports * (config.ports // 2)
     if node_count > capacity:
         raise InsufficientRadixError(node_count, capacity)
+    return _estimate(node_count, config, avg_cable_cost, blade, _per_port_figures(config))
+
+
+def _per_port_figures(config: SwitchConfig) -> tuple[PerPortMetrics, Fraction, Fraction]:
+    """A switch's exact per-port metrics and its quoted per-port cost and power: what no node count changes."""
     metrics = per_port_metrics(config)
+    return (
+        metrics,
+        round_half_up(metrics.cost_per_port, Fraction(100)),
+        round_half_up(metrics.power_per_port, Fraction(1, 100)),
+    )
+
+
+def _estimate(
+    node_count: int, config: SwitchConfig, avg_cable_cost: Money, blade: bool, figures: tuple
+) -> PerPortEstimate:
+    """lower_bound_estimate() of checked inputs, from the switch's _per_port_figures()."""
+    metrics, quoted_cost_per_port, quoted_power_per_port = figures
     total_ports = 3 * node_count
     cables = node_count if blade else 2 * node_count
     factor = exactness_condition(node_count, config.ports) if config.ports >= 4 and config.ports % 2 == 0 else None
-    quoted_cost_per_port = round_half_up(metrics.cost_per_port, Fraction(100))
-    quoted_power_per_port = round_half_up(metrics.power_per_port, Fraction(1, 100))
     return PerPortEstimate(
         node_count=node_count,
         total_ports=total_ports,
@@ -139,16 +154,19 @@ def sweep_lower_bound(config: SwitchConfig, first: int, last: int, avg_cable_cos
     """Estimate vs. designed cost for every node count in [first, last].
 
     The designed cost is design()'s winning cost, from one search plan
-    whose ranking is asked for each node count's winner alone.
+    whose ranking is asked for each node count's winner alone. The switch's
+    per-port figures are worked out once for every point.
     """
     if first < 2 or last < first:
         raise ValueError("sweep range must satisfy 2 <= first <= last")
     request = DesignRequest(node_count=first, avg_cable_cost=avg_cable_cost)
     plan = SearchPlan(request, single_model_catalog(config))
+    figures = _per_port_figures(config)
     points = []
     for nodes in range(first, last + 1):
+        # past the switch's reach, which is the estimate's capacity, the ranking raises what the estimate would
         candidates, _ = plan.rank(nodes, winner_only=True)
-        estimate = lower_bound_estimate(nodes, config, avg_cable_cost)
+        estimate = _estimate(nodes, config, avg_cable_cost, False, figures)
         points.append(
             SweepPoint(
                 node_count=nodes,

@@ -1,4 +1,4 @@
-"""The winner-only ranking against design(), and fit_max_nodes against a full-search oracle."""
+"""The winner-only ranking against design(), and fit_max_nodes and the sweep against full-search oracles."""
 
 import json
 from fractions import Fraction
@@ -26,6 +26,7 @@ from fattree_design.designer import (
     SearchPlan,
     design,
 )
+from fattree_design.estimator import single_model_catalog, sweep_lower_bound
 from fattree_design.placement import CapacityFit, PlacementError, fit_max_nodes
 
 DEMO = load_catalog_file(bundled_catalog_path("demo_catalog"))
@@ -310,3 +311,104 @@ def test_fit_max_nodes_matches_full_search(name, node_units):
                     fit_max_nodes(capacity, catalog, blocking, node_spec)
                 continue
             assert fit_max_nodes(capacity, catalog, blocking, node_spec) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(tied_catalogs(), many_core_catalogs()),
+    st.integers(0, 160),
+    st.sampled_from(BLOCKINGS),
+    st.sampled_from((1, 2)),
+)
+def test_fit_max_nodes_matches_full_search_on_random_catalogs(catalog, capacity, blocking, node_units):
+    """The whole CapacityFit, winner design included, equals the plain walk of design() searches."""
+    node_spec = NodeSpec(rack_units=node_units)
+    try:
+        expected = reference_fit_max_nodes(capacity, catalog, blocking, node_spec)
+    except PlacementError:
+        with pytest.raises(PlacementError):
+            fit_max_nodes(capacity, catalog, blocking, node_spec)
+        return
+    assert fit_max_nodes(capacity, catalog, blocking, node_spec) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(tied_catalogs(), many_core_catalogs()),
+    st.sampled_from((0, DEFAULT_CABLE_COST, 40000)),
+    st.data(),
+)
+def test_sweep_matches_design_on_random_switches(catalog, cable_cost, data):
+    """Every sweep point's designed cost is design()'s winning cost for that node count."""
+    config = data.draw(st.sampled_from(catalog.configs()))
+    reach = config.ports * (config.ports // 2)  # the largest node count the estimate takes
+    first = data.draw(st.integers(2, reach))
+    last = data.draw(st.integers(first, min(reach, first + 30)))
+    points = sweep_lower_bound(config, first, last, cable_cost)
+    assert [point.node_count for point in points] == list(range(first, last + 1))
+    for point in points:
+        request = DesignRequest(node_count=point.node_count, avg_cable_cost=cable_cost)
+        assert point.actual_cost == design(request, single_model_catalog(config)).winner.objective
+
+
+def test_star_table_keeps_the_cheapest_star():
+    """A wider switch that costs less is the star, not the narrowest switch that holds the nodes."""
+    narrow = SwitchConfig("s8", 8, 500000, 0.0, 1, 0.0)
+    wide = SwitchConfig("s16", 16, 200000, 0.0, 1, 0.0)
+    catalog = Catalog(edge_set=(narrow, wide), core_set=(narrow,))
+    for nodes in range(2, 17):
+        request = DesignRequest(node_count=nodes)
+        assert design(request, catalog).winner.edge_config == wide
+        assert_scan_matches_design(request, catalog)
+
+
+def test_core_layers_pair_with_their_cores_in_price_order():
+    """Each core meets its own layer although the catalog lists the cores out of price order.
+
+    The 8-port core is too narrow for ten edge switches and the 32-port one
+    is not; paired with the other's layer, the cheap core would win.
+    """
+    catalog = Catalog(
+        edge_set=(SwitchConfig("e8", 8, 100000, 0.0, 1, 0.0),),
+        core_set=(SwitchConfig("c32", 32, 900000, 0.0, 2, 0.0), SwitchConfig("c8", 8, 100000, 0.0, 1, 0.0)),
+    )
+    for nodes in range(33, 61):
+        request = DesignRequest(node_count=nodes)
+        assert design(request, catalog).winner.core_config.config_id == "c32"
+        assert_scan_matches_design(request, catalog)
+
+
+# (catalog, blocking, prefer expandability, blade form factor, last node count, SearchStats counters)
+PINNED_SCANS = [
+    ("demo", Fraction(1), False, None, 699, (4209, 477, 46, 0, 3778, 35, 432)),
+    ("demo", Fraction(3), True, None, 699, (4308, 213, 0, 0, 4095, 35, 333)),
+    ("small", Fraction(1), False, None, 169, (2888, 2696, 4, 0, 196, 244, 92)),
+    ("small", Fraction(3, 2), True, None, 169, (2636, 2417, 0, 0, 219, 296, 84)),
+    ("small", Fraction(1), False, BladeFormFactor(8, 0, "e12", 0), 169, (765, 617, 5, 0, 153, 15, 0)),
+]
+
+
+@pytest.mark.parametrize("name, blocking, expandable, blades, last, counters", PINNED_SCANS)
+def test_scan_stats_are_pinned(name, blocking, expandable, blades, last, counters):
+    """SearchStats after a winner-only scan of 2..last nodes, as commit 18c77958bc58 counted them.
+
+    The counters were recorded at that commit, before the winner-only ranking
+    got its own loop over price-ordered cores, so that any rewrite of the
+    ranking keeps what each counter counts.
+    """
+    catalog, _ = CATALOGS[name]
+    request = DesignRequest(
+        node_count=2, blocking_factor=blocking, form_factor=blades or NodeSpec(), prefer_expandability=expandable
+    )
+    plan = SearchPlan(request, catalog)
+    for nodes in range(2, last + 1):
+        try:
+            plan.rank(nodes, winner_only=True)
+        except DesignError:
+            pass
+    stats = plan.stats
+    assert (
+        stats.pairs_considered, stats.pairs_skipped, stats.spread_variants, stats.candidates_rejected,
+        stats.candidates_ranked, stats.groups_cut, stats.cores_skipped,
+    ) == counters
+    assert not stats.rejections

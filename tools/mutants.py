@@ -36,13 +36,19 @@ FIELD_TESTS = "tests/test_field_checks.py"
 
 # (module, exact text, replacement, guarding tests, what the mutant breaks)
 MUTANTS = [
-    ("designer.py", "edge_floor + core.cost <= best[0][0]", "edge_floor + core.cost < best[0][0]",
+    ("designer.py", "count = bisect_right(core_costs, best[0][0] - edge_floor)",
+     "count = bisect_left(core_costs, best[0][0] - edge_floor)",
      PER_CORE_TEST, "the per-core floor drops a core whose pair ties the best cost"),
-    ("designer.py", "cores = [core for core in cores if edge_floor + core.cost <= best[0][0]]",
-     "cores = list(cores)", PER_CORE_TEST, "the per-core floor skips no core"),
-    ("designer.py", "if winner_only and best is not None and floor > best[0][0]:",
-     "if winner_only and best is not None and floor >= best[0][0]:",
+    ("designer.py", "count = bisect_right(core_costs, best[0][0] - edge_floor)", "count = len(by_price)",
+     PER_CORE_TEST, "the per-core floor skips no core"),
+    ("designer.py", "if floor > best[0][0]:", "if floor >= best[0][0]:",
      PER_CORE_TEST, "the group floor cuts an edge group that ties the best cost"),
+    ("designer.py", "by_price[:count], layers, spread_layers", "self.cores[:count], layers, spread_layers",
+     "tests/test_search_plan.py::test_core_layers_pair_with_their_cores_in_price_order",
+     "the winner-only ranking walks the cores in catalog order against price-ordered core layers"),
+    ("designer.py", 'key=attrgetter("cost", "ports", "config_id")', 'key=attrgetter("ports", "cost", "config_id")',
+     "tests/test_search_plan.py::test_star_table_keeps_the_cheapest_star",
+     "the star table keeps the star with the fewest ports instead of the cheapest"),
     ("designer.py", "and request.blades.embeds(edge_config)",
      "and request.blades.embedded_edge_switch_id == edge_config.source_id",
      "tests/test_cli.py::test_embedded_switch_named_by_configuration_id_takes_no_rack_space",
