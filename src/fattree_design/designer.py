@@ -13,12 +13,12 @@ filters them as plain numbers, next to the star and direct-connect variants,
 and sorts plain records. design() keeps that whole ranking and builds each
 candidate design, through one builder, only when it is read.
 
-fit_max_nodes and sweep_lower_bound ask the plan for the winner alone at
-each node count. That ranking has its own loop, which finds the same winner
-from per-plan tables built on its first call: the cores in price order, a
-table of core layers per (edge switches, uplinks) in that order, and a star
-table. It skips what its cost floors rule out, and it prices in full and
-builds only the winner.
+fit_max_nodes and sweep_lower_bound ask the plan's winner() for the winner
+alone at each node count. That ranking has its own loop, which finds the
+same winner from per-plan tables built on its first call: the cores in price
+order, a table of core layers per (edge switches, uplinks) in that order, and
+a star table. It skips what its cost floors rule out, and it prices in full
+and builds only the winner.
 
 All port arithmetic is exact integer/Fraction math; all money is integer
 minor units.
@@ -470,27 +470,29 @@ class SearchPlan:
     """Search state shared by every node count of one request shape.
 
     Built once per call of design(), fit_max_nodes() or sweep_lower_bound() from
-    a request whose node count it ignores; nothing outlives that call. It holds
+    a request whose node count only rank() reads; nothing outlives that call. It holds
     each edge configuration's port split as a plain (config, ports to nodes,
     ports to core) tuple, with the blade-bay cap applied, the catalog's core set
-    and the config union (the star switches), each computed once, plus the
-    largest node count any design reaches. rank() is the full ranking's loop
-    over edge configurations x cores for one node count: it sizes and prices
-    each edge group's pairs in one call each, filters and orders them with the
-    star and direct-connect variants, and counts what it did in ``stats``.
+    and the config union (the star switches), the limits the request sets,
+    each computed once, plus the largest node count any design reaches. rank()
+    is the full ranking's loop over edge configurations x cores for the
+    request's node count: it sizes and prices each edge group's pairs in one
+    call each, filters and orders them with the star and direct-connect
+    variants, and counts what it did in ``stats``.
 
-    The node-count scans ask for the winner alone, and that ranking has its own
-    loop, which counts into the same ``stats``. It works from per-plan tables
-    that its first call builds, so a design() plan builds none: the cores in
-    price order, each edge group's core layers per (edge switches, uplinks) in
-    that order, and the star table, which holds for each port count the best
-    star among the configurations with at least that many ports. From the
-    cheapest core switch it works out the cost floors that let it skip edge
+    The node-count scans ask winner(N) for the winner alone, and that ranking
+    has its own loop, which counts into the same ``stats``. It works from
+    per-plan tables that its first call builds, so a design() plan builds none:
+    the cores in price order, each edge group's core layers per (edge switches,
+    uplinks) in that order, and the star table, which holds for each port count
+    the best star among the configurations with at least that many ports. From
+    the cheapest core switch it works out the cost floors that let it skip edge
     groups and, as a prefix of the price order, single cores.
     """
 
     def __init__(self, request: DesignRequest, catalog: Catalog) -> None:
         self.request = request
+        self.limits = _active_limits(request.constraints)
         self.configs = catalog.configs()
         self.cores = catalog.core_set
         self.stats = SearchStats()
@@ -525,16 +527,16 @@ class SearchPlan:
         # winner-only ranking skips what lies above the best cost found. With
         # no core there is no pair, and the empty core model stands in.
         self.cheapest_core = min(self.cores, key=lambda core: core.cost, default=_NO_CORE)
-        self._tables = None  # the winner-only ranking's, built by its first call
+        self._tables = None  # winner()'s, built by its first call
 
-    def _trivial_records(self, node_count: int, limits: tuple) -> list:
+    def _trivial_records(self, node_count: int) -> list:
         """Records of the best direct-connect variant and the best star that pass the constraints.
 
         Direct connect keeps the lowest (cost, switch count), the star the
         lowest (cost, ports, config id). A variant that a constraint
         rejects is dropped silently: it never enters the rejected list.
         """
-        request = self.request
+        request, limits = self.request, self.limits
         blades = request.blades
         # (tie-break, spare ports, switch, split, cables, pass-through, max nodes) per variant
         direct, stars = [], []
@@ -586,21 +588,17 @@ class SearchPlan:
             spread_cables = cable_count(node_count, edges, spread[1], blade) if spread else cables
             yield config, edges, (ports_to_nodes, ports_to_core, edges), cables, spread, spread_cables
 
-    def rank(self, node_count: int, winner_only: bool = False) -> tuple[RankedCandidates, tuple]:
-        """Every design for node_count, ranked, plus the pairs the constraints rejected, as DesignReport holds them.
+    def rank(self) -> tuple[RankedCandidates, tuple]:
+        """Every design for the request's node count, ranked, plus the pairs the constraints rejected.
 
         Records of the direct-connect and star designs, then of each kept
         pair in edge x core order (baseline before uniform variant), are stably
         sorted on (cost, switch count, rack units, edge id, core id);
-        designs are built when read. ``winner_only`` (unconstrained requests
-        only) returns the winner alone, from its own loop (see _rank_winner).
-        Raises what design() raises.
+        designs are built when read. Raises what design() raises.
         """
-        if winner_only:
-            return self._rank_winner(node_count)
-        request = self.request
-        limits = _active_limits(request.constraints)
-        records = self._trivial_records(node_count, limits)
+        request, limits = self.request, self.limits
+        node_count = request.node_count
+        records = self._trivial_records(node_count)
         stats = self.stats
         rejected = []
         candidates = 0
@@ -662,8 +660,8 @@ class SearchPlan:
         stars.reverse()
         return by_price, [core.cost for core in by_price], {}, [config.ports for config in by_ports], stars
 
-    def _rank_winner(self, node_count: int) -> tuple[RankedCandidates, tuple]:
-        """rank(node_count, winner_only=True): design()'s winner alone, and no rejected pairs.
+    def winner(self, node_count: int) -> FatTreeDesign:
+        """design()'s winner for node_count, for unconstrained requests; raises what design() raises.
 
         Blade requests start from the direct-connect and star records,
         other requests from the star table. The edge groups are visited in
@@ -680,7 +678,7 @@ class SearchPlan:
 
         request = self.request
         if self._tables is None:
-            if _active_limits(request.constraints):
+            if self.limits:
                 raise ValueError("the winner-only ranking serves unconstrained requests only")
             self._tables = self._winner_tables()
         by_price, core_costs, layer_table, star_ports, stars = self._tables
@@ -688,7 +686,7 @@ class SearchPlan:
         # the best record so far, as (key, payload); a payload whose metrics are None is priced when it wins
         best = _NO_WINNER
         if blades is not None:
-            best = min(self._trivial_records(node_count, ()), key=itemgetter(0), default=best)
+            best = min(self._trivial_records(node_count), key=itemgetter(0), default=best)
         elif (at := bisect_left(star_ports, node_count)) < len(stars):
             star = stars[at]
             key = (star.cost + node_count * cable_cost, 1, star.rack_units, star.config_id, "")
@@ -747,7 +745,7 @@ class SearchPlan:
             mix = (core or _NO_CORE, layer[1] if layer else 0, cables)
             metrics, = _network_metrics(request, config, split[2], (mix,))
             assert (metrics[0], metrics[2]) == (key[0], key[2]), "the winner-only ranking priced a pair otherwise"
-        return RankedCandidates(node_count, [(key, (kind, config, core, split, layer, cables, metrics, *flags))]), ()
+        return _build_design(node_count, kind, config, core, split, layer, cables, metrics, *flags)
 
 
 def design(request: DesignRequest, catalog: Catalog) -> DesignReport:
@@ -758,7 +756,7 @@ def design(request: DesignRequest, catalog: Catalog) -> DesignReport:
     reject them all. Ties are broken deterministically: fewer switches, then
     fewer rack units, then config ids.
     """
-    candidates, rejected = SearchPlan(request, catalog).rank(request.node_count)
+    candidates, rejected = SearchPlan(request, catalog).rank()
     return DesignReport(request=request, winner=candidates[0], candidates=candidates, rejected=rejected)
 
 

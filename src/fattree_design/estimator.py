@@ -154,7 +154,7 @@ def sweep_lower_bound(config: SwitchConfig, first: int, last: int, avg_cable_cos
     """Estimate vs. designed cost for every node count in [first, last].
 
     The designed cost is design()'s winning cost, from one search plan
-    whose ranking is asked for each node count's winner alone. The switch's
+    whose winner() is asked for each node count. The switch's
     per-port figures are worked out once for every point.
     """
     if first < 2 or last < first:
@@ -165,13 +165,13 @@ def sweep_lower_bound(config: SwitchConfig, first: int, last: int, avg_cable_cos
     points = []
     for nodes in range(first, last + 1):
         # past the switch's reach, which is the estimate's capacity, the ranking raises what the estimate would
-        candidates, _ = plan.rank(nodes, winner_only=True)
+        actual_cost = plan.winner(nodes).objective
         estimate = _estimate(nodes, config, avg_cable_cost, False, figures)
         points.append(
             SweepPoint(
                 node_count=nodes,
                 estimate_cost=estimate.est_cost,
-                actual_cost=candidates[0].objective,
+                actual_cost=actual_cost,
                 exact=estimate.exact,
             )
         )

@@ -414,15 +414,14 @@ def fit_max_nodes(
 
     N walks down from the nodes the capacity holds, or from the largest
     node count any design of the catalog reaches if that is lower: every
-    larger N has no design. One search plan ranks each N through the same
-    ranking as design(), asking it for the winner alone, and the first N
-    whose winner fits returns that winner.
+    larger N has no design. One search plan's winner() gives design()'s
+    winner for each N, and the first N whose winner fits returns it.
     """
     if capacity_units < 0:
         raise ValueError(f"capacity must not be negative, got {capacity_units}U")
     most = capacity_units // node_spec.rack_units
     template = DesignRequest(
-        node_count=max(2, most),
+        node_count=2,  # winner() takes each N itself
         blocking_factor=blocking,
         form_factor=node_spec,
         avg_cable_cost=avg_cable_cost,
@@ -430,10 +429,9 @@ def fit_max_nodes(
     plan = SearchPlan(template, catalog)
     for nodes in range(min(most, plan.max_reachable), 1, -1):
         try:
-            candidates, _ = plan.rank(nodes, winner_only=True)
+            winner = plan.winner(nodes)
         except DesignError:
             continue
-        winner = candidates[0]
         if nodes * node_spec.rack_units + winner.metrics.rack_units <= capacity_units:
             return CapacityFit(capacity_units=capacity_units, node_count=nodes, design=winner)
     raise PlacementError(f"no node count fits in {capacity_units}U")
@@ -471,12 +469,10 @@ def expansion_plan(
     )
     if nodes_v1 < 0:
         nodes_v1 = 0
+    final_phase = InstallPhase(target_capacity_units, final.edge_count, target.node_count)
     all_upfront = InstallmentPlan(
         name="all_switches_upfront",
-        phases=(
-            InstallPhase(current_capacity_units, final.edge_count, nodes_v1),
-            InstallPhase(target_capacity_units, final.edge_count, target.node_count),
-        ),
+        phases=(InstallPhase(current_capacity_units, final.edge_count, nodes_v1), final_phase),
     )
 
     core_units = final.core_count * final.core_config.rack_units
@@ -492,10 +488,7 @@ def expansion_plan(
             break
     core_first = InstallmentPlan(
         name="core_first",
-        phases=(
-            InstallPhase(current_capacity_units, best_edges, best_nodes),
-            InstallPhase(target_capacity_units, final.edge_count, target.node_count),
-        ),
+        phases=(InstallPhase(current_capacity_units, best_edges, best_nodes), final_phase),
     )
 
     spare = final.core_count * final.core_config.ports - final.edge_count * final.split.ports_to_core

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from fattree_design import designer
-from fattree_design.catalog import Catalog
+from fattree_design.catalog import Catalog, bundled_catalog_path, load_catalog_file
 from fattree_design.designer import (
+    DEFAULT_CABLE_COST,
     BladeFormFactor,
     ConstraintSet,
     CoreStage,
@@ -579,3 +580,25 @@ def test_every_pair_uses_the_fewest_edge_switches():
             if candidate.kind == "fat_tree" and not candidate.uniform_distribution:
                 assert candidate.edge_count == -(-nodes // candidate.split.ports_to_nodes)
     assert found == {140: (6_528_000, 5, 3, False), 141: (6_504_000, 6, 2, True)}
+
+
+def test_even_spread_that_frees_no_core_switch_is_dropped():
+    """Current behaviour, pinned: the even spread is kept only when it frees a core switch.
+
+    On the demo catalog 37 nodes win with 3x ft36 edge + 2x ft36 core, 18
+    uplinks per edge switch and 91 cables, at $62,280. The even spread over the
+    same 3 switches (13, 12 and 12 nodes, 13 uplinks each) needs the same 2
+    cores and only 76 cables, so it would cost $61,080, but it saves no core
+    switch and is never listed.
+    """
+    report = design(DesignRequest(node_count=37), load_catalog_file(bundled_catalog_path("demo_catalog")))
+    winner = report.winner
+    assert (winner.edge_config.config_id, winner.core_config.config_id) == ("ft36", "ft36")
+    assert (winner.edge_count, winner.core_count, winner.split.ports_to_core, winner.cable_count) == (3, 2, 18, 91)
+    assert (winner.metrics.cost, winner.uniform_distribution) == (6_228_000, False)
+    assert not any(candidate.uniform_distribution for candidate in report.candidates)
+    ft36 = winner.edge_config
+    assert core_layers(3, 13, [ft36.ports]) == core_layers(3, 18, [ft36.ports]) == [(12, 2)]
+    spread_cables = cable_count(37, 3, 13, blade=False)
+    assert spread_cables == 76
+    assert 5 * ft36.cost + spread_cables * DEFAULT_CABLE_COST == 6_108_000

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fattree_design.designer import DesignRequest, InsufficientRadixError, design
 from fattree_design.estimator import (
@@ -124,3 +126,50 @@ def test_full_population_switch_counts(ft36_catalog):
 def test_single_model_catalog_has_both_roles(ft36):
     catalog = single_model_catalog(ft36)
     assert catalog.edge_set == catalog.core_set == (ft36,)
+
+
+FT36 = make_switch(36, 1_100_000, source_id="ft36", power=152, rack_units=1, weight=8.2)
+
+
+@st.composite
+def switches_and_node_counts(draw):
+    """A random switch and a node count above its star range, up to its reach; one in two is an exact point."""
+    ports = draw(st.integers(4, 36))
+    switch = make_switch(
+        ports,
+        draw(st.integers(0, 3_000_000)),
+        power=draw(st.integers(0, 3000)) / 10,  # one decimal, like catalog figures, so float sums can round
+        rack_units=draw(st.integers(1, 4)),
+        weight=draw(st.integers(0, 300)) / 10,
+    )
+    capacity, half = ports * (ports // 2), ports // 2
+    exact = [capacity // factor for factor in range(1, half) if factor == 1 or half % factor == 0]
+    if ports % 2 == 0 and draw(st.booleans()):
+        return switch, draw(st.sampled_from(exact))
+    return switch, draw(st.integers(ports + 1, capacity))
+
+
+@settings(max_examples=150, deadline=None)
+@example((FT36, 162), 8000)  # capacity / 4, but 4 does not divide half the ports: not exact
+@example((FT36, 216), 8000)  # capacity / 3: exact
+@given(switches_and_node_counts(), st.sampled_from((0, 8000, 40000)))
+def test_estimate_bounds_the_design_above_the_star_range(case, cable_cost):
+    """For ports < N <= reach, 3N x per-port metrics is at most the design's; at an exact point it equals it.
+
+    Compared as exact numbers: the design's float metrics can read one ulp low.
+    """
+    switch, nodes = case
+    estimate = lower_bound_estimate(nodes, switch, cable_cost)
+    winner = design(DesignRequest(node_count=nodes, avg_cable_cost=cable_cost), single_model_catalog(switch)).winner
+    switches = winner.switch_count
+    designed = (
+        winner.metrics.cost,
+        switches * Fraction(switch.power),
+        switches * switch.rack_units,
+        switches * Fraction(switch.weight),
+    )
+    estimated = (estimate.est_cost, estimate.power_watts, estimate.rack_units, estimate.weight_kg)
+    assert all(low <= high for low, high in zip(estimated, designed)), (estimated, designed)
+    if estimate.exact:
+        assert estimated == designed
+        assert estimate.cable_count == winner.cable_count

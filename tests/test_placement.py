@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from fattree_design import placement
-from fattree_design.designer import DesignRequest, design
+from fattree_design.catalog import Catalog
+from fattree_design.designer import DesignRequest, design, fewest_uplinks, node_distribution
 from fattree_design.estimator import single_model_catalog
 from fattree_design.placement import (
     MAX_RACK_POSITIONS,
@@ -467,6 +468,36 @@ def test_expansion_audit_zero_spare_core_ports(ft36_catalog):
     nearly_full = winner_for(648, ft36_catalog)
     audit = expansion_audit(nearly_full, 10)
     assert audit.via_new_edge_switches == 0
+
+
+def test_expansion_audit_tops_up_only_the_last_edge_switch():
+    """Current behaviour, pinned: on an even spread the audit understates growth.
+
+    With 8-port 1U edge switches and one 16-port 2U core at blocking 3/2,
+    24U hold 17 nodes spread (4, 4, 3, 3, 3). The audit tops up only the last
+    edge switch and reaches 19 nodes in 34U, leaving 7U unusable. Under its
+    own wiring rules, topping up all three 3-node switches and then adding a
+    one-node edge switch reaches 21 nodes in 5U.
+    """
+    e8 = make_switch(8, 100_000, source_id="e8")
+    c16 = make_switch(16, 300_000, source_id="c16", rack_units=2)
+    baseline = fit_max_nodes(24, Catalog(edge_set=(e8,), core_set=(c16,)), Fraction(3, 2))
+    built = baseline.design
+    distribution = node_distribution(built)
+    assert (baseline.node_count, distribution, built.core_count) == (17, (4, 4, 3, 3, 3), 1)
+    audit = expansion_audit(built, 10)
+    assert (audit.via_spare_edge_ports, audit.via_new_edge_switches, audit.new_edge_switch_count) == (1, 1, 1)
+    assert (baseline.node_count + audit.max_added_nodes, audit.wasted_units) == (19, 7)
+
+    # the audit's rules, applied to every underfilled switch: each is wired for its own nodes only
+    blocking = built.split.resulting_blocking
+    spare_core = c16.ports - sum(fewest_uplinks(nodes, blocking) for nodes in distribution)
+    topped_up = sum(4 - nodes for nodes in distribution)
+    spare_core -= sum(fewest_uplinks(4, blocking) - fewest_uplinks(nodes, blocking) for nodes in distribution)
+    new_switch_nodes = spare_core * blocking.numerator // blocking.denominator
+    assert (topped_up, new_switch_nodes) == (3, 1)
+    assert topped_up + e8.rack_units + new_switch_nodes == 5  # of the 10U added
+    assert baseline.node_count + topped_up + new_switch_nodes == 21
 
 
 def test_expansion_audit_requires_fat_tree(ft36_catalog):

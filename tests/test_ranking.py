@@ -313,9 +313,9 @@ def test_search_stats_add_up(case):
         # nothing ranked: every pair (if any) was rejected
         expected, expected_rejected = [], [None] * len(pairs)
         with pytest.raises(DesignError):
-            plan.rank(request.node_count)
+            plan.rank()
     else:
-        plan.rank(request.node_count)
+        plan.rank()
     stats = plan.stats
     assert stats.pairs_considered == len(plan.edges) * len(catalog.core_set)
     assert stats.pairs_skipped == stats.pairs_considered - baseline

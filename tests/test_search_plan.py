@@ -62,23 +62,19 @@ def design_key(candidate):
             candidate.edge_config.config_id, core_id)
 
 
-def scan_key(plan, node_count):
-    """The winner-only ranking's winner, as design()'s ranking key."""
-    candidates, _ = plan.rank(node_count, winner_only=True)
-    assert len(candidates) == 1
-    return design_key(candidates[0])
-
-
 def assert_scan_matches_design(request, catalog):
+    """winner(N) against design()'s winner: the same ranking key, then the same whole design."""
     plan = SearchPlan(request, catalog)
     try:
-        expected = design_key(design(request, catalog).winner)
+        expected = design(request, catalog).winner
     except DesignError as error:
         with pytest.raises(type(error)) as raised:
-            scan_key(plan, request.node_count)
+            plan.winner(request.node_count)
         assert str(raised.value) == str(error)
         return
-    assert scan_key(plan, request.node_count) == expected
+    winner = plan.winner(request.node_count)
+    assert design_key(winner) == design_key(expected)
+    assert winner == expected
 
 
 @st.composite
@@ -212,7 +208,7 @@ def test_per_core_floor_keeps_the_design_winner():
                 assert_scan_matches_design(request, catalog)
             plan = SearchPlan(request, catalog)
             try:
-                plan.rank(nodes, winner_only=True)
+                plan.winner(nodes)
             except DesignError:
                 continue
             stats = plan.stats
@@ -272,7 +268,7 @@ def test_scan_breaks_cost_ties_like_design():
 def test_scan_rejects_constrained_requests():
     plan = SearchPlan(DesignRequest(node_count=60, constraints=ConstraintSet(max_network_rack_units=9)), DEMO)
     with pytest.raises(ValueError):
-        plan.rank(60, winner_only=True)
+        plan.winner(60)
 
 
 def reference_fit_max_nodes(capacity_units, catalog, blocking, node_spec=NodeSpec()):
@@ -403,7 +399,7 @@ def test_scan_stats_are_pinned(name, blocking, expandable, blades, last, counter
     plan = SearchPlan(request, catalog)
     for nodes in range(2, last + 1):
         try:
-            plan.rank(nodes, winner_only=True)
+            plan.winner(nodes)
         except DesignError:
             pass
     stats = plan.stats

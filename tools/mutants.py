@@ -33,6 +33,7 @@ RANKING_TESTS = "tests/test_ranking.py"
 WRITER_TEST = "tests/test_ranking.py::test_rejected_pairs_are_written_as_json_dumps_writes_them"
 ORDER_TEST = "tests/test_ranking.py::test_catalog_order_does_not_change_the_answer"
 FIELD_TESTS = "tests/test_field_checks.py"
+ESTIMATE_TEST = "tests/test_estimator.py::test_estimate_bounds_the_design_above_the_star_range"
 
 # (module, exact text, replacement, guarding tests, what the mutant breaks)
 MUTANTS = [
@@ -74,6 +75,10 @@ MUTANTS = [
     ("designer.py", 'if kind == "fat_tree" else None', "if to_core else None",
      "tests/test_goldens.py::test_trivial_topology_output_matches_golden",
      "a direct-connect design reports a resulting blocking"),
+    ("estimator.py", "total_ports = 3 * node_count", "total_ports = 2 * node_count",
+     ESTIMATE_TEST, "the per-port estimate counts two switch ports per node instead of three"),
+    ("estimator.py", "if 1 < factor < half and half % factor == 0:", "if 1 < factor < half:",
+     ESTIMATE_TEST, "a factor that does not divide half the port count marks the estimate exact"),
     ("report.py", "quote = encode_basestring_ascii", """quote = '"{}"'.format""", WRITER_TEST,
      "a config id in a rejected entry is written without JSON escapes"),
     ("report.py", r'"core": {quote(core_id)},\n      "edge": {quote(edge_id)}',
