@@ -16,9 +16,13 @@ candidate design, through one builder, only when it is read.
 fit_max_nodes and sweep_lower_bound ask the plan's winner() for the winner
 alone at each node count. That ranking has its own loop, which finds the
 same winner from per-plan tables built on its first call: the cores in price
-order, a table of core layers per (edge switches, uplinks) in that order, and
-a star table. It skips what its cost floors rule out, and it prices in full
-and builds only the winner.
+order, a table of core layers per (edge switches, uplinks) in that order, a
+star table, and the edge models in order of cost per node port. It visits
+the edge groups in order of their cost floor, but works out a group, through
+the same _edge_group as rank(), only when no lower floor can be left: N
+nodes at a model's cost per node port, plus the cables and core switch every
+group needs, bound the floor of each group not yet worked out. It skips what
+its cost floors rule out, and it prices in full and builds only the winner.
 
 All port arithmetic is exact integer/Fraction math; all money is integer
 minor units.
@@ -195,7 +199,7 @@ class SearchStats:
     candidates_rejected: int = 0
     rejections: Counter = field(default_factory=Counter)  # per constraint name; a candidate may break several
     candidates_ranked: int = 0
-    groups_cut: int = 0  # winner-only: edge groups cut by their cost floor
+    groups_cut: int = 0  # winner-only: edge groups cut by their cost floor, whether worked out or not
     cores_skipped: int = 0  # winner-only: cores skipped by the per-core floor
 
 
@@ -484,10 +488,12 @@ class SearchPlan:
     has its own loop, which counts into the same ``stats``. It works from
     per-plan tables that its first call builds, so a design() plan builds none:
     the cores in price order, each edge group's core layers per (edge switches,
-    uplinks) in that order, and the star table, which holds for each port count
-    the best star among the configurations with at least that many ports. From
-    the cheapest core switch it works out the cost floors that let it skip edge
-    groups and, as a prefix of the price order, single cores.
+    uplinks) in that order, the star table, which holds for each port count
+    the best star among the configurations with at least that many ports, and
+    the edge models in order of cost per node port, which bounds the floors of
+    the groups it has not yet worked out. From the cheapest core switch it
+    works out the cost floors that let it skip edge groups and, as a prefix of
+    the price order, single cores. A scan may share one plan between capacities.
     """
 
     def __init__(self, request: DesignRequest, catalog: Catalog) -> None:
@@ -571,8 +577,8 @@ class SearchPlan:
                 records.append(best[1])
         return records
 
-    def _edge_groups(self, node_count: int):
-        """(config, edge switches, baseline split, cables, even spread or None, its cables) per edge configuration.
+    def _edge_group(self, node_count: int, config: SwitchConfig, ports_to_nodes: int, ports_to_core: int) -> tuple:
+        """(config, edge switches, baseline split, cables, even spread or None, its cables) of one edge configuration.
 
         The baseline split packs each edge switch full, and the even spread
         over as many switches is a variant only when it needs fewer uplinks
@@ -581,12 +587,11 @@ class SearchPlan:
         """
         request = self.request
         blade, blocking = request.blades is not None, request.blocking_factor
-        for config, ports_to_nodes, ports_to_core in self.edges:
-            edges = edge_count(node_count, ports_to_nodes)
-            spread = None if request.prefer_expandability else _even_split(node_count, edges, blocking, ports_to_core)
-            cables = cable_count(node_count, edges, ports_to_core, blade)
-            spread_cables = cable_count(node_count, edges, spread[1], blade) if spread else cables
-            yield config, edges, (ports_to_nodes, ports_to_core, edges), cables, spread, spread_cables
+        edges = edge_count(node_count, ports_to_nodes)
+        spread = None if request.prefer_expandability else _even_split(node_count, edges, blocking, ports_to_core)
+        cables = cable_count(node_count, edges, ports_to_core, blade)
+        spread_cables = cable_count(node_count, edges, spread[1], blade) if spread else cables
+        return config, edges, (ports_to_nodes, ports_to_core, edges), cables, spread, spread_cables
 
     def rank(self) -> tuple[RankedCandidates, tuple]:
         """Every design for the request's node count, ranked, plus the pairs the constraints rejected.
@@ -604,7 +609,8 @@ class SearchPlan:
         candidates = 0
         cores = self.cores
         ports = [core.ports for core in cores]
-        for config, edges, baseline, cables, spread, spread_cables in self._edge_groups(node_count):
+        for edge in self.edges:
+            config, edges, baseline, cables, spread, spread_cables = self._edge_group(node_count, *edge)
             layers = core_layers(edges, baseline[1], ports)
             spread_layers = core_layers(edges, spread[1], ports) if spread else (None,) * len(ports)
             # (core, split, core layer, cables, uniform) per candidate, and what it is priced from
@@ -644,11 +650,13 @@ class SearchPlan:
         return RankedCandidates(node_count, records), tuple(rejected)
 
     def _winner_tables(self) -> tuple:
-        """(cores in price order, their prices, core layers per (edge switches, uplinks), star ports, stars).
+        """(cores in price order, their prices, core layers per (edge switches, uplinks), star ports, stars, rising).
 
         A layer table entry holds core_layers() of every core, in price order.
         The stars are the configurations' best star from each place on in
-        port-count order, next to those port counts.
+        port-count order, next to those port counts. ``rising`` holds each
+        edge model as (cost, ports to nodes, edge index), in order of its cost
+        per node port.
         """
         by_price = sorted(self.cores, key=attrgetter("cost"))
         by_ports = sorted(self.configs, key=attrgetter("ports"))
@@ -658,7 +666,13 @@ class SearchPlan:
             best = config if best is None else min(best, config, key=attrgetter("cost", "ports", "config_id"))
             stars.append(best)
         stars.reverse()
-        return by_price, [core.cost for core in by_price], {}, [config.ports for config in by_ports], stars
+        # a cost per node port, scaled by a common multiple of the port counts, is an exact integer
+        scale = math.lcm(*(to_nodes for _, to_nodes, _ in self.edges))
+        rising = sorted(
+            ((config.cost, to_nodes, index) for index, (config, to_nodes, _) in enumerate(self.edges)),
+            key=lambda model: model[0] * (scale // model[1]),
+        )
+        return by_price, [core.cost for core in by_price], {}, [config.ports for config in by_ports], stars, rising
 
     def winner(self, node_count: int) -> FatTreeDesign:
         """design()'s winner for node_count, for unconstrained requests; raises what design() raises.
@@ -666,22 +680,30 @@ class SearchPlan:
         Blade requests start from the direct-connect and star records,
         other requests from the star table. The edge groups are visited in
         order of their cost floor (edges, fewest cables, one cheapest core
-        switch), and the walk stops at the first group whose floor exceeds
-        the best cost found; inside a group it keeps, before sizing any, the
-        prefix of the cores in price order whose price in place of the
-        cheapest one keeps the floor within that cost. Both comparisons are
-        strict, so a pair that ties the best cost still meets the full key.
+        switch), ties in edge order, and the walk stops at the first group
+        whose floor exceeds the best cost found. A group is worked out only
+        when no group worked out has a floor below the bound of every model
+        not yet worked out: the models are taken in order of cost per node
+        port, so N nodes at the next model's cost per node port, rounded up,
+        plus the cables all N nodes need at the least and one cheapest core
+        switch, is that bound. So groups come in the order a sort of every
+        floor would give, and a model whose bound exceeds the best cost is
+        never worked out. Inside a group the walk keeps, before sizing any,
+        the prefix of the cores in price order whose price in place of the
+        cheapest one keeps the floor within that cost. The comparisons with
+        the best cost are strict, so a pair that ties it still meets the full key.
         A pair's rack units and key are worked out only when its cost can
         still win, and only the winner is priced in full and built.
         """
-        from bisect import bisect_left, bisect_right  # here, so that importing the package never loads it
+        from bisect import bisect_left, bisect_right  # here, so that importing the package never loads them
+        from heapq import heappop, heappush
 
         request = self.request
         if self._tables is None:
             if self.limits:
                 raise ValueError("the winner-only ranking serves unconstrained requests only")
             self._tables = self._winner_tables()
-        by_price, core_costs, layer_table, star_ports, stars = self._tables
+        by_price, core_costs, layer_table, star_ports, stars, rising = self._tables
         blades, cable_cost, cheapest = request.blades, request.avg_cable_cost, self.cheapest_core.cost
         # the best record so far, as (key, payload); a payload whose metrics are None is priced when it wins
         best = _NO_WINNER
@@ -699,19 +721,31 @@ class SearchPlan:
                 layers = layer_table[edges, uplinks] = core_layers(edges, uplinks, [core.ports for core in by_price])
             return layers[:count]
 
-        groups = sorted(
-            (
-                (edges * config.cost + spread_cables * cable_cost + cheapest, config, edges, baseline, cables, spread,
-                 spread_cables)
-                for config, edges, baseline, cables, spread, spread_cables in self._edge_groups(node_count)
-            ),
-            key=itemgetter(0),
-        )
+        # A group's floor is at least its edges' cost, one cheapest core switch and, as each edge switch needs
+        # the fewest uplinks its own nodes need, the node cables plus the fewest uplinks all N nodes need.
+        least_cables = (0 if blades is not None else node_count) + fewest_uplinks(node_count, request.blocking_factor)
+        fixed = least_cables * cable_cost + cheapest
+        # Groups are built into a heap keyed (floor, edge index), and its top is taken only when it lies below
+        # `low`, the bound of every model not yet built: so groups come in the order a stable sort of every
+        # floor gives, and no model is built once `low` exceeds the best cost. A model's edges cost at least
+        # N x its cost per node port, rounded up, which rises along `rising`.
+        built, at, visited = [], 0, 0
         stats = self.stats
-        for index, (floor, config, edges, baseline, cables, spread, spread_cables) in enumerate(groups):
+        while built or at < len(rising):
+            low = -(-node_count * rising[at][0] // rising[at][1]) + fixed if at < len(rising) else math.inf
+            if not (built and built[0][0][0] < low):
+                if low > best[0][0]:
+                    break
+                index = rising[at][2]
+                at += 1
+                group = self._edge_group(node_count, *self.edges[index])
+                config, edges, *_, spread_cables = group
+                heappush(built, ((edges * config.cost + spread_cables * cable_cost + cheapest, index), group))
+                continue
+            (floor, _), (config, edges, baseline, cables, spread, spread_cables) = heappop(built)
             if floor > best[0][0]:
-                stats.groups_cut += len(groups) - index
                 break
+            visited += 1
             # the floor less its core switch: each core adds back its own price
             edge_floor = floor - cheapest
             count = bisect_right(core_costs, best[0][0] - edge_floor)
@@ -736,6 +770,7 @@ class SearchPlan:
             stats.pairs_skipped += skipped
             stats.spread_variants += ranked - count + skipped
             stats.candidates_ranked += ranked
+        stats.groups_cut += len(self.edges) - visited
 
         key, payload = best
         if payload is None:

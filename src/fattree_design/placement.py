@@ -419,20 +419,29 @@ def fit_max_nodes(
     """
     if capacity_units < 0:
         raise ValueError(f"capacity must not be negative, got {capacity_units}U")
-    most = capacity_units // node_spec.rack_units
+    return _fit(_scan_plan(catalog, blocking, node_spec, avg_cable_cost), capacity_units)
+
+
+def _scan_plan(catalog: Catalog, blocking: Fraction, node_spec: NodeSpec, avg_cable_cost: Money) -> SearchPlan:
+    """The search plan of a node-count scan of rack-mounted nodes."""
     template = DesignRequest(
         node_count=2,  # winner() takes each N itself
         blocking_factor=blocking,
         form_factor=node_spec,
         avg_cable_cost=avg_cable_cost,
     )
-    plan = SearchPlan(template, catalog)
-    for nodes in range(min(most, plan.max_reachable), 1, -1):
+    return SearchPlan(template, catalog)
+
+
+def _fit(plan: SearchPlan, capacity_units: int) -> CapacityFit:
+    """fit_max_nodes' walk, on a plan from _scan_plan; several capacities may share one plan."""
+    node_units = plan.request.form_factor.rack_units
+    for nodes in range(min(capacity_units // node_units, plan.max_reachable), 1, -1):
         try:
             winner = plan.winner(nodes)
         except DesignError:
             continue
-        if nodes * node_spec.rack_units + winner.metrics.rack_units <= capacity_units:
+        if nodes * node_units + winner.metrics.rack_units <= capacity_units:
             return CapacityFit(capacity_units=capacity_units, node_count=nodes, design=winner)
     raise PlacementError(f"no node count fits in {capacity_units}U")
 
@@ -455,8 +464,10 @@ def expansion_plan(
         raise ValueError("target capacity must not shrink")
     if current_capacity_units < 0:
         raise ValueError(f"current capacity must not be negative, got {current_capacity_units}U")
-    target = fit_max_nodes(target_capacity_units, catalog, blocking, node_spec, avg_cable_cost)
-    baseline = fit_max_nodes(current_capacity_units, catalog, blocking, node_spec, avg_cable_cost)
+    # one plan serves both fits, so the baseline reuses the target's tables
+    plan = _scan_plan(catalog, blocking, node_spec, avg_cable_cost)
+    target = _fit(plan, target_capacity_units)
+    baseline = _fit(plan, current_capacity_units)
     final = target.design
     if final.kind != "fat_tree":
         raise PlacementError("expansion planning needs a two-layer design at the target size")

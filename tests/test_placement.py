@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fattree_design import placement
 from fattree_design.catalog import Catalog
-from fattree_design.designer import DesignRequest, design, fewest_uplinks, node_distribution
+from fattree_design.designer import DesignRequest, SearchPlan, design, fewest_uplinks, node_distribution
 from fattree_design.estimator import single_model_catalog
 from fattree_design.placement import (
     MAX_RACK_POSITIONS,
@@ -498,6 +502,82 @@ def test_expansion_audit_tops_up_only_the_last_edge_switch():
     assert (topped_up, new_switch_nodes) == (3, 1)
     assert topped_up + e8.rack_units + new_switch_nodes == 5  # of the 10U added
     assert baseline.node_count + topped_up + new_switch_nodes == 21
+
+
+def exhaustive_growth(design_, extra_units, node_spec):
+    """Most nodes an as-built network accepts in extra_units under the audit's wiring rules, trying every way.
+
+    Each edge switch is wired with the fewest uplinks its own nodes need.
+    Any underfilled switch may take more nodes while its ports and the spare
+    core ports last, and then whole edge switches are added, each with any
+    node count its ports allow.
+    """
+    blocking = design_.split.resulting_blocking
+    ports, edge_units, node_units = design_.edge_config.ports, design_.edge_config.rack_units, node_spec.rack_units
+
+    def uplinks(nodes):
+        return -(-nodes * blocking.denominator // blocking.numerator)
+
+    def fits(nodes):
+        return nodes + uplinks(nodes) <= ports
+
+    distribution = node_distribution(design_)
+    spare = design_.core_count * design_.core_config.ports - sum(uplinks(nodes) for nodes in distribution)
+
+    @lru_cache(maxsize=None)
+    def new_switches(units, spare):
+        """Most nodes whole new edge switches take in units with spare core ports."""
+        return max(
+            (nodes + new_switches(units - edge_units - nodes * node_units, spare - uplinks(nodes))
+             for nodes in range(1, ports)
+             if fits(nodes) and uplinks(nodes) <= spare
+             and edge_units + nodes * node_units <= units),
+            default=0,
+        )
+
+    best = 0
+    # every top-up of every switch that its ports allow
+    for added in product(*([more for more in range(ports) if fits(nodes + more)] for nodes in distribution)):
+        units = extra_units - sum(added) * node_units
+        wired = spare - sum(uplinks(nodes + more) - uplinks(nodes) for nodes, more in zip(distribution, added))
+        if units >= 0 and wired >= 0:
+            best = max(best, sum(added) + new_switches(units, wired))
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(4, 20),
+    st.integers(4, 40),
+    st.sampled_from((Fraction(1), Fraction(2), Fraction(3, 2), Fraction(3))),
+    st.sampled_from((1, 2)),
+    st.sampled_from((1, 2)),
+    st.integers(0, 40),
+    st.data(),
+)
+def test_expansion_audit_matches_exhaustive_count_on_baseline_splits(
+    edge_ports, core_ports, blocking, edge_units, node_units, extra, data
+):
+    """On a baseline split only the last edge switch is underfilled, so topping it up alone loses nothing.
+
+    The designs are built with prefer_expandability, which packs every edge
+    switch full but the last, and with more nodes than any one switch has
+    ports, so each is a fat tree.
+    """
+    catalog = Catalog(
+        edge_set=(make_switch(edge_ports, 100_000, source_id="e", rack_units=edge_units),),
+        core_set=(make_switch(core_ports, 300_000, source_id="c", rack_units=2),),
+    )
+    request = DesignRequest(node_count=2, blocking_factor=blocking, prefer_expandability=True)
+    reach = SearchPlan(request, catalog).max_reachable
+    low = max(edge_ports, core_ports) + 1
+    if reach < low:
+        return
+    nodes = data.draw(st.integers(low, min(reach, low + 80)), label="nodes")
+    built = design(DesignRequest(node_count=nodes, blocking_factor=blocking, prefer_expandability=True), catalog).winner
+    assert built.kind == "fat_tree" and not built.uniform_distribution
+    node_spec = NodeSpec(rack_units=node_units)
+    assert expansion_audit(built, extra, node_spec).max_added_nodes == exhaustive_growth(built, extra, node_spec)
 
 
 def test_expansion_audit_requires_fat_tree(ft36_catalog):

@@ -374,6 +374,55 @@ def test_core_layers_pair_with_their_cores_in_price_order():
         assert_scan_matches_design(request, catalog)
 
 
+def test_winner_builds_only_the_groups_its_floor_reaches(monkeypatch):
+    """winner(N) builds an edge model's group only when no cheaper floor is left, not one group per model.
+
+    Twelve edge models whose prices per port lie far apart: over a scan of
+    2..400 nodes, the cheap models' designs set a best cost that every
+    dear model's bound exceeds, so those are never built. Every group the
+    walk visits was built.
+    """
+    edges = tuple(
+        SwitchConfig(f"e{i:02d}", ports, 100000 * ports * (1 + (i * 5) % 12), 0.0, 1, 0.0)
+        for i, ports in enumerate((8, 12, 16, 24, 32, 36, 48, 64, 8, 16, 24, 48))
+    )
+    catalog = Catalog(edge_set=edges, core_set=(SwitchConfig("c64", 64, 1500000, 0.0, 2, 0.0),))
+    built = []
+    edge_group = SearchPlan._edge_group
+
+    def counted(self, node_count, config, ports_to_nodes, ports_to_core):
+        built.append(config.config_id)
+        return edge_group(self, node_count, config, ports_to_nodes, ports_to_core)
+
+    monkeypatch.setattr(SearchPlan, "_edge_group", counted)
+    plan = SearchPlan(DesignRequest(node_count=2), catalog)
+    node_counts = range(2, 401)
+    for nodes in node_counts:
+        plan.winner(nodes)
+    groups = len(edges) * len(node_counts)
+    assert groups - plan.stats.groups_cut <= len(built) < groups // 4
+
+
+def test_groups_are_visited_in_floor_order():
+    """The walk takes the group with the lowest floor first, not the model with the lowest cost per node port.
+
+    At 100 nodes the 32-port model costs less per node port (10 against 10.5)
+    but needs 7 switches (1,120) where the 40-port one needs 5 (1,050). The
+    40-port group goes first and wins at 1,052, below the 32-port group's
+    floor of 1,121, so that group is cut without being visited.
+    """
+    catalog = Catalog(
+        edge_set=(SwitchConfig("e32", 32, 160, 0.0, 1, 0.0), SwitchConfig("e40", 40, 210, 0.0, 1, 0.0)),
+        core_set=(SwitchConfig("c64", 64, 1, 0.0, 1, 0.0),),
+    )
+    request = DesignRequest(node_count=100, avg_cable_cost=0)
+    plan = SearchPlan(request, catalog)
+    winner = plan.winner(100)
+    assert (winner.edge_config.config_id, winner.objective) == ("e40", 1052)
+    assert plan.stats.groups_cut == 1
+    assert_scan_matches_design(request, catalog)
+
+
 # (catalog, blocking, prefer expandability, blade form factor, last node count, SearchStats counters)
 PINNED_SCANS = [
     ("demo", Fraction(1), False, None, 699, (4209, 477, 46, 0, 3778, 35, 432)),

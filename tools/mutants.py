@@ -34,6 +34,7 @@ WRITER_TEST = "tests/test_ranking.py::test_rejected_pairs_are_written_as_json_du
 ORDER_TEST = "tests/test_ranking.py::test_catalog_order_does_not_change_the_answer"
 FIELD_TESTS = "tests/test_field_checks.py"
 ESTIMATE_TEST = "tests/test_estimator.py::test_estimate_bounds_the_design_above_the_star_range"
+AUDIT_TEST = "tests/test_placement.py::test_expansion_audit_matches_exhaustive_count_on_baseline_splits"
 
 # (module, exact text, replacement, guarding tests, what the mutant breaks)
 MUTANTS = [
@@ -44,6 +45,11 @@ MUTANTS = [
      PER_CORE_TEST, "the per-core floor skips no core"),
     ("designer.py", "if floor > best[0][0]:", "if floor >= best[0][0]:",
      PER_CORE_TEST, "the group floor cuts an edge group that ties the best cost"),
+    ("designer.py", "fewest_uplinks(node_count, request.blocking_factor)", "node_count",
+     PER_CORE_TEST, "the group bound counts a cable per node for the uplinks, above some groups' floor"),
+    ("designer.py", "if not (built and built[0][0][0] < low):", "if not built:",
+     "tests/test_search_plan.py::test_groups_are_visited_in_floor_order",
+     "the walk takes a built group before comparing its floor with the unbuilt models' bound"),
     ("designer.py", "by_price[:count], layers, spread_layers", "self.cores[:count], layers, spread_layers",
      "tests/test_search_plan.py::test_core_layers_pair_with_their_cores_in_price_order",
      "the winner-only ranking walks the cores in catalog order against price-ordered core layers"),
@@ -88,6 +94,8 @@ MUTANTS = [
      "rack.used_weight + weight >= room.rack_weight_budget",
      "tests/test_placement.py::test_block_that_fills_the_weight_budget_exactly_fits",
      "a block that fills a rack's weight budget exactly does not fit"),
+    ("placement.py", "min(ports_to_nodes - last, capacity_left", "min(ports_to_nodes - last - 1, capacity_left",
+     AUDIT_TEST, "the audit tops up the last edge switch to one node short of full"),
     ("money.py", "if isinstance(value, bool) or not isinstance(value, int if integral",
      "if not isinstance(value, int if integral", FIELD_TESTS, "a bool passes as a library dataclass number"),
     ("money.py", "if isinstance(value, float) and not math.isfinite(value):", "if False:",
