@@ -8,10 +8,15 @@ can present alternatives instead of just the winner. A SearchPlan holds the
 per-catalog state (edge splits, core list, star switches) once, and its
 rank() is the one full ranking for every kind of network: for each edge
 model it counts the edge switches and the even spread, sizes the core layer
-against every core model in one call and prices the pairs in one more, then
-filters them as plain numbers, next to the star and direct-connect variants,
-and sorts plain records. design() keeps that whole ranking and builds each
-candidate design, through one builder, only when it is read.
+once per distinct core port count, and writes each pair as one flat key,
+(cost, switch count, rack units, edge id, core id, ref), in one list
+comprehension. ``ref`` is an int that names the pair and rises in edge x core
+order, the baseline before its even spread, after the star and
+direct-connect records' negative refs, so a plain sort of the keys ranks
+full ties in that order. Constrained requests price their pairs through
+_network_metrics to filter them. design() keeps that whole ranking; a
+design's payload is rebuilt from its ref, priced and checked against the
+key, and built through one builder, only when it is read.
 
 fit_max_nodes and sweep_lower_bound ask the plan's winner() for the winner
 alone at each node count. That ranking has its own loop, which finds the
@@ -259,12 +264,15 @@ class DesignReport:
 
     ``rejected`` holds each pair the constraints ruled out as a plain
     (edge id, core id, ((constraint, limit, actual), ...)) record, in edge x core order.
+    ``stats`` holds the counts of the search that made the report; it takes no part in
+    equality or repr.
     """
 
     request: DesignRequest
     winner: FatTreeDesign
     candidates: Sequence[FatTreeDesign]
     rejected: tuple
+    stats: SearchStats | None = field(default=None, compare=False, repr=False)
 
 
 def edge_port_split(edge_ports: int, blocking: Fraction) -> tuple[int, int, Fraction] | None:
@@ -278,7 +286,8 @@ def edge_port_split(edge_ports: int, blocking: Fraction) -> tuple[int, int, Frac
         raise ValueError("edge switch needs at least 2 ports")
     if blocking <= 0:
         raise ValueError("blocking factor must be positive")
-    ports_to_nodes = int(edge_ports * blocking / (1 + blocking))
+    # the floor of edge_ports * b / (1 + b), in integers
+    ports_to_nodes = edge_ports * blocking.numerator // (blocking.numerator + blocking.denominator)
     if ports_to_nodes == 0:
         return None
     ports_to_core = edge_ports - ports_to_nodes
@@ -357,6 +366,17 @@ def _even_split(node_count: int, edge_switches: int, blocking: Fraction, ports_t
     return nodes_per_switch, uplinks, edge_switches
 
 
+def _kept_spreads(layers: Sequence, spread_layers: Sequence) -> list:
+    """The even spread's core layer where the spread is kept, else None, over aligned baseline and spread layers.
+
+    The one home of the rule that the even spread is kept only when it frees a core switch.
+    """
+    return [
+        spread_layer if spread_layer is not None and spread_layer[1] < layer[1] else None
+        for layer, spread_layer in zip(layers, spread_layers)
+    ]
+
+
 def _active_limits(constraints: ConstraintSet) -> tuple[tuple[int, str, float], ...]:
     """(place, name, limit) of each limit that is set, in field order, which is _violations' order of numbers."""
     named = ((at, field_.name, getattr(constraints, field_.name)) for at, field_ in enumerate(fields(constraints)))
@@ -377,6 +397,16 @@ def _violations(limits: tuple, rack_units: int, spare: int, power: float, cost: 
 _NO_CORE = SwitchConfig("", 0, 0, 0.0, 0, 0.0)
 
 
+def _edge_units(request: DesignRequest, edge_config: SwitchConfig, edge_switches: int) -> int:
+    """Rack units of the edge switches.
+
+    Blade edge switches live inside the enclosure and occupy no rack space of
+    their own; their cost, power, and weight still count.
+    """
+    embedded = request.blades is not None and request.blades.embeds(edge_config)
+    return 0 if embedded else edge_switches * edge_config.rack_units
+
+
 def _network_metrics(
     request: DesignRequest, edge_config: SwitchConfig, edge_switches: int, mixes: Iterable, extra_cost: Money = 0
 ) -> list[tuple[Money, float, int, float]]:
@@ -384,12 +414,11 @@ def _network_metrics(
 
     The one home of these formulas, in DesignMetrics order: the edge side is
     worked out once, and each mix adds its core switches and cables to it.
+    The rankings' keys carry cost and rack units of their own, and every
+    design built from a key is checked against these.
     """
-    # Blade edge switches live inside the enclosure and occupy no rack space
-    # of their own; their cost, power, and weight still count.
-    embedded = request.blades is not None and request.blades.embeds(edge_config)
     edge_cost, edge_power = edge_switches * edge_config.cost + extra_cost, edge_switches * edge_config.power
-    edge_units = 0 if embedded else edge_switches * edge_config.rack_units
+    edge_units = _edge_units(request, edge_config, edge_switches)
     edge_weight, cable_cost = edge_switches * edge_config.weight, request.avg_cable_cost
     return [
         (edge_cost + cores * core.cost + cables * cable_cost, edge_power + cores * core.power,
@@ -428,41 +457,99 @@ def _build_design(
     )
 
 
-class RankedCandidates(Sequence):
-    """A ranking's designs for one node count, each built from its record's payload when first read and then cached.
+def _build_ranked(request: DesignRequest, node_count: int, key: tuple, payload: tuple) -> FatTreeDesign:
+    """The design of a ranking's key and payload; a payload whose metrics are None is priced here.
 
-    ``len()`` builds nothing, and ``report.winner is report.candidates[0]``.
+    Both rankings key a pair on cost and rack units worked out from plain
+    numbers, and price it in full only when they build it: through
+    _network_metrics, which must give the key's numbers.
+    """
+    kind, config, core, split, layer, cables, metrics, *flags = payload
+    if metrics is None:
+        mix = (core or _NO_CORE, layer[1] if layer else 0, cables)
+        metrics, = _network_metrics(request, config, split[2], (mix,))
+        assert (metrics[0], metrics[2]) == (key[0], key[2]), "a ranking priced a pair otherwise"
+    return _build_design(node_count, kind, config, core, split, layer, cables, metrics, *flags)
+
+
+class RankedCandidates(Sequence):
+    """A full ranking's designs, each built from its key when first read and then cached.
+
+    The ranking is a sorted list of flat keys, (cost, switch count, rack
+    units, edge id, core id, ref). A negative ref names a star or
+    direct-connect payload; any other names an edge x core pair, whose
+    payload is rebuilt from the ref, its edge group and its core, only when
+    that index is read. ``len()`` builds nothing, and
+    ``report.winner is report.candidates[0]``.
     """
 
-    def __init__(self, node_count: int, records: list) -> None:
-        self._node_count = node_count
-        self._records = records  # (key, FatTreeDesign or payload), in rank order
+    def __init__(self, request: DesignRequest, keys: list, trivial: list, groups: list, cores: Sequence) -> None:
+        self._request = request
+        self._keys = keys  # in rank order
+        self._trivial = trivial  # the star and direct-connect payloads, named by refs -len(trivial) to -1
+        self._groups, self._cores = groups, cores  # rank()'s edge groups, in edge order, and the catalog's cores
+        self._designs: list[FatTreeDesign | None] = [None] * len(keys)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._keys)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self._records))))
-        key, item = self._records[index]
-        if not isinstance(item, FatTreeDesign):
-            item = _build_design(self._node_count, *item)
-            self._records[index] = (key, item)
-        return item
+            return tuple(self[i] for i in range(*index.indices(len(self._keys))))
+        built = self._designs[index]
+        if built is None:
+            key, request = self._keys[index], self._request
+            payload = self._trivial[key[5]] if key[5] < 0 else self._pair_payload(key[5])
+            built = self._designs[index] = _build_ranked(request, request.node_count, key, payload)
+        return built
+
+    def _pair_payload(self, ref: int) -> tuple:
+        """The payload of the pair that rank() named ``ref``, with its metrics None."""
+        edge_at, core_at, uniform = _pair_place(ref, len(self._cores))
+        config, edges, baseline, cables, spread, spread_cables = self._groups[edge_at]
+        split, cables = (spread, spread_cables) if uniform else (baseline, cables)
+        core = self._cores[core_at]
+        layer, = core_layers(edges, split[1], (core.ports,))
+        return "fat_tree", config, core, split, layer, cables, None, uniform == 1, False, core.ports * split[0]
 
 
-def _group_pairs(cores: Sequence, layers: Sequence, spread_layers: Sequence, baseline: tuple, cables: int,
+def _pair_place(ref: int, core_count: int) -> tuple[int, int, int]:
+    """(edge place, core place, 1 for the even spread or 0 for the baseline) of the pair that rank() named ``ref``.
+
+    Within an edge group's span of 2 x core_count refs, a core's baseline
+    takes twice the core's place and its even spread one more.
+    """
+    edge_at, at = divmod(ref, 2 * core_count)
+    return edge_at, *divmod(at, 2)
+
+
+def _pair_keys(rows: Sequence, layers: Sequence, edges: int, fixed: Money, edge_units: int, edge_id: str,
+               ref: int) -> list:
+    """The flat key of each pair of one edge group's split whose core layer exists, in core order.
+
+    ``rows`` holds each core's (ref offset, place of its port count, price,
+    rack units, id), ``layers`` the split's core layer per port count, and
+    ``fixed`` the cost of the edge switches and cables.
+    """
+    return [
+        (fixed + layer[1] * cost, edges + layer[1], edge_units + layer[1] * units, edge_id, core_id, ref + offset)
+        for offset, ports_at, cost, units, core_id in rows
+        if (layer := layers[ports_at]) is not None
+    ]
+
+
+def _group_pairs(cores: Sequence, layers: Sequence, spreads: Sequence, baseline: tuple, cables: int,
                  spread: tuple | None, spread_cables: int):
     """(core, split, core layer, cables, uniform) of each pair of one edge group, baseline before even spread.
 
-    ``layers`` and ``spread_layers`` hold the core layer of each of ``cores``, in the same order.
+    ``layers`` holds the core layer of each of ``cores``, in the same order, and ``spreads`` the layer of
+    each kept even spread, from _kept_spreads, or None.
     """
-    for core, layer, spread_layer in zip(cores, layers, spread_layers):
+    for core, layer, spread_layer in zip(cores, layers, spreads):
         if layer is None:
             continue
         yield core, baseline, layer, cables, False
-        if spread_layer is not None and spread_layer[1] < layer[1]:
-            # the even spread is kept only when it frees a core switch
+        if spread_layer is not None:
             yield core, spread, spread_layer, spread_cables, True
 
 
@@ -478,11 +565,14 @@ class SearchPlan:
     each edge configuration's port split as a plain (config, ports to nodes,
     ports to core) tuple, with the blade-bay cap applied, the catalog's core set
     and the config union (the star switches), the limits the request sets,
-    each computed once, plus the largest node count any design reaches. rank()
-    is the full ranking's loop over edge configurations x cores for the
-    request's node count: it sizes and prices each edge group's pairs in one
-    call each, filters and orders them with the star and direct-connect
-    variants, and counts what it did in ``stats``.
+    each computed once, plus the largest node count any design reaches, and
+    the index that maps each core to its place among the distinct core port
+    counts. rank() is the full ranking's loop over edge configurations x
+    cores for the request's node count: it sizes each edge group's core
+    layer once per port count, writes each pair as one flat key of cost,
+    switch count, rack units, ids and ref, without building its payload,
+    filters the keys with the star and direct-connect ones, sorts them, and
+    counts what it did in ``stats``.
 
     The node-count scans ask winner(N) for the winner alone, and that ranking
     has its own loop, which counts into the same ``stats``. It works from
@@ -501,6 +591,14 @@ class SearchPlan:
         self.limits = _active_limits(request.constraints)
         self.configs = catalog.configs()
         self.cores = catalog.core_set
+        # rank() sizes core layers once per distinct core port count. Each core's row holds twice its place in
+        # the catalog (its baseline's ref within an edge group), its port count's place, price, rack units and id.
+        self.core_ports = sorted({core.ports for core in self.cores})
+        place = {ports: at for at, ports in enumerate(self.core_ports)}
+        self._core_rows = tuple(
+            (2 * at, place[core.ports], core.cost, core.rack_units, core.config_id)
+            for at, core in enumerate(self.cores)
+        )
         self.stats = SearchStats()
         reach = max((config.ports for config in self.configs), default=0)
         widest_core = max((config.ports for config in self.cores), default=0)
@@ -596,58 +694,74 @@ class SearchPlan:
     def rank(self) -> tuple[RankedCandidates, tuple]:
         """Every design for the request's node count, ranked, plus the pairs the constraints rejected.
 
-        Records of the direct-connect and star designs, then of each kept
-        pair in edge x core order (baseline before uniform variant), are stably
-        sorted on (cost, switch count, rack units, edge id, core id);
-        designs are built when read. Raises what design() raises.
+        Each star, direct-connect and kept pair is one flat key, (cost, switch
+        count, rack units, edge id, core id, ref), and a plain sort ranks
+        them. ref rises in the order the records are written, the star and
+        direct-connect ones first with negative refs, then edge x core order
+        with the baseline before its even spread, so it decides full ties
+        only, in that order; rejected pairs are listed in the same order.
+        Designs are built when read. Raises what design() raises.
         """
         request, limits = self.request, self.limits
-        node_count = request.node_count
+        node_count, cable_cost = request.node_count, request.avg_cable_cost
         records = self._trivial_records(node_count)
-        stats = self.stats
-        rejected = []
-        candidates = 0
-        cores = self.cores
-        ports = [core.ports for core in cores]
-        for edge in self.edges:
-            config, edges, baseline, cables, spread, spread_cables = self._edge_group(node_count, *edge)
+        keys = [(*key, ref) for ref, (key, _) in enumerate(records, -len(records))]
+        rows, ports, stride = self._core_rows, self.core_ports, 2 * len(self.cores)
+        stats, rejected, candidates, groups = self.stats, [], 0, []
+        for at, edge in enumerate(self.edges):
+            group = self._edge_group(node_count, *edge)
+            groups.append(group)
+            config, edges, baseline, cables, spread, spread_cables = group
+            edge_cost, edge_units, edge_id = edges * config.cost, _edge_units(request, config, edges), config.config_id
             layers = core_layers(edges, baseline[1], ports)
-            spread_layers = core_layers(edges, spread[1], ports) if spread else (None,) * len(ports)
-            # (core, split, core layer, cables, uniform) per candidate, and what it is priced from
-            pairs = list(_group_pairs(cores, layers, spread_layers, baseline, cables, spread, spread_cables))
-            mixes = [(core, layer[1], split_cables) for core, _, layer, split_cables, _ in pairs]
-            skipped = layers.count(None)
-            stats.pairs_considered += len(layers)
-            stats.pairs_skipped += skipped
-            stats.spread_variants += len(pairs) - len(layers) + skipped
+            pairs = _pair_keys(rows, layers, edges, edge_cost + cables * cable_cost, edge_units, edge_id, at * stride)
+            baselines = len(pairs)
+            if spread:
+                spreads = _kept_spreads(layers, core_layers(edges, spread[1], ports))
+                fixed = edge_cost + spread_cables * cable_cost
+                pairs += _pair_keys(rows, spreads, edges, fixed, edge_units, edge_id, at * stride + 1)
+            stats.pairs_considered += len(rows)
+            stats.pairs_skipped += len(rows) - baselines
+            stats.spread_variants += len(pairs) - baselines
             candidates += len(pairs)
-            priced = _network_metrics(request, config, edges, mixes)
-            edge_id = config.config_id
-            for (core, split, layer, split_cables, uniform), metrics in zip(pairs, priced):
-                cost, power, units, _ = metrics
-                core_switches, core_id = layer[1], core.config_id
-                if limits:
-                    spare = core_switches * (core.ports + core.expandable_ports) - edges * split[1]
-                    violations = _violations(limits, units, spare, power, cost)
-                    if violations:
-                        rejected.append((edge_id, core_id, tuple(violations)))
-                        continue
-                key = (cost, edges + core_switches, units, edge_id, core_id)
-                max_nodes = core.ports * split[0]
-                records.append(
-                    (key, ("fat_tree", config, core, split, layer, split_cables, metrics, uniform, False, max_nodes))
-                )
+            keys += self._within_limits(group, pairs, rejected) if limits else pairs
         stats.candidates_rejected += len(rejected)
         stats.candidates_ranked += candidates - len(rejected)
         broken = [name for *_, violations in rejected for name, _, _ in violations]
         stats.rejections.update(broken)
 
-        if not records:
+        if not keys:
             if rejected:
                 raise DesignInfeasibleError(sorted(set(broken)))
             raise InsufficientRadixError(node_count, self.max_reachable)
-        records.sort(key=itemgetter(0))
-        return RankedCandidates(node_count, records), tuple(rejected)
+        keys.sort()
+        trivial = [payload for _, payload in records]
+        return RankedCandidates(request, keys, trivial, groups, self.cores), tuple(rejected)
+
+    def _within_limits(self, group: tuple, pairs: list, rejected: list) -> list:
+        """The keys, of one edge group's pairs, that meet the request's limits.
+
+        The pairs are priced through _network_metrics and checked in edge x
+        core order, the baseline before its even spread; each that breaks a
+        limit goes to ``rejected`` as (edge id, core id, violations).
+        """
+        config, edges, baseline, cables, spread, spread_cables = group
+        pairs.sort(key=itemgetter(5))
+        places = [_pair_place(key[5], len(self.cores)) for key in pairs]
+        wires, uplinks = (cables, spread_cables), (baseline[1], spread[1] if spread else None)
+        mixes = [
+            (self.cores[core_at], key[1] - edges, wires[uniform]) for key, (_, core_at, uniform) in zip(pairs, places)
+        ]
+        priced = _network_metrics(self.request, config, edges, mixes)
+        kept = []
+        for key, (*_, uniform), (core, core_switches, _), (cost, power, units, _) in zip(pairs, places, mixes, priced):
+            spare = core_switches * (core.ports + core.expandable_ports) - edges * uplinks[uniform]
+            violations = _violations(self.limits, units, spare, power, cost)
+            if violations:
+                rejected.append((config.config_id, core.config_id, tuple(violations)))
+            else:
+                kept.append(key)
+        return kept
 
     def _winner_tables(self) -> tuple:
         """(cores in price order, their prices, core layers per (edge switches, uplinks), star ports, stars, rising).
@@ -750,11 +864,11 @@ class SearchPlan:
             edge_floor = floor - cheapest
             count = bisect_right(core_costs, best[0][0] - edge_floor)
             layers = layers_of(edges, baseline[1], count)
-            spread_layers = layers_of(edges, spread[1], count) if spread else (None,) * count
-            edge_units = 0 if blades is not None and blades.embeds(config) else edges * config.rack_units
+            spreads = _kept_spreads(layers, layers_of(edges, spread[1], count)) if spread else (None,) * count
+            edge_units = _edge_units(request, config, edges)
             edge_cost, edge_id, ranked = edges * config.cost, config.config_id, 0
             for core, split, layer, split_cables, uniform in _group_pairs(
-                by_price[:count], layers, spread_layers, baseline, cables, spread, spread_cables
+                by_price[:count], layers, spreads, baseline, cables, spread, spread_cables
             ):
                 ranked += 1
                 cost = edge_cost + layer[1] * core.cost + split_cables * cable_cost
@@ -775,12 +889,7 @@ class SearchPlan:
         key, payload = best
         if payload is None:
             raise InsufficientRadixError(node_count, self.max_reachable)
-        kind, config, core, split, layer, cables, metrics, *flags = payload
-        if metrics is None:
-            mix = (core or _NO_CORE, layer[1] if layer else 0, cables)
-            metrics, = _network_metrics(request, config, split[2], (mix,))
-            assert (metrics[0], metrics[2]) == (key[0], key[2]), "the winner-only ranking priced a pair otherwise"
-        return _build_design(node_count, kind, config, core, split, layer, cables, metrics, *flags)
+        return _build_ranked(request, node_count, key, payload)
 
 
 def design(request: DesignRequest, catalog: Catalog) -> DesignReport:
@@ -791,8 +900,11 @@ def design(request: DesignRequest, catalog: Catalog) -> DesignReport:
     reject them all. Ties are broken deterministically: fewer switches, then
     fewer rack units, then config ids.
     """
-    candidates, rejected = SearchPlan(request, catalog).rank()
-    return DesignReport(request=request, winner=candidates[0], candidates=candidates, rejected=rejected)
+    plan = SearchPlan(request, catalog)
+    candidates, rejected = plan.rank()
+    return DesignReport(
+        request=request, winner=candidates[0], candidates=candidates, rejected=rejected, stats=plan.stats
+    )
 
 
 def cluster_cost(design_: FatTreeDesign, request: DesignRequest, server_unit_cost: Money) -> Money:

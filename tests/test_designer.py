@@ -2,6 +2,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fattree_design import designer
 from fattree_design.catalog import Catalog, bundled_catalog_path, load_catalog_file
@@ -45,6 +47,14 @@ def test_edge_port_split(ports, blocking, expected):
 def test_edge_port_split_infeasible_blocking():
     # even one node port would exceed the allowed ratio
     assert edge_port_split(8, Fraction(1, 8)) is None
+
+
+@given(st.integers(2, 4096), st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=64))
+def test_edge_port_split_matches_the_fraction_formula(ports, blocking):
+    """The integer floor gives the node ports of p * b / (1 + b) in Fraction arithmetic, below a blocking of 1 too."""
+    to_nodes = int(ports * blocking / (1 + blocking))
+    expected = (to_nodes, ports - to_nodes, Fraction(to_nodes, ports - to_nodes)) if to_nodes else None
+    assert edge_port_split(ports, blocking) == expected
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""design()'s shared ranking against an eager reference ranker and a reordered catalog, and the lazy candidates."""
+"""design()'s ranking against an eager reference ranker, a reordered and a scaled catalog, and the lazy candidates."""
 
 import json
 import math
@@ -25,6 +25,7 @@ from fattree_design.designer import (
     InsufficientRadixError,
     NodeSpec,
     SearchPlan,
+    SearchStats,
     cable_count,
     design,
     violation_text,
@@ -329,6 +330,122 @@ def test_search_stats_add_up(case):
         == stats.pairs_skipped + stats.candidates_rejected + stats.candidates_ranked
     )
     assert (stats.groups_cut, stats.cores_skipped) == (0, 0)  # the full ranking cuts nothing
+
+
+def reference_stats(request, catalog):
+    """design()'s SearchStats, derived as test_search_stats_add_up derives them; raises what design() raises."""
+    expected, rejected = eager_design(request, catalog)
+    pairs, _ = reference_pairs(request, catalog)
+    baseline = sum(1 for *_, uniform in pairs if not uniform)
+    considered = len(SearchPlan(request, catalog).edges) * len(catalog.core_set)
+    return SearchStats(
+        pairs_considered=considered,
+        pairs_skipped=considered - baseline,
+        spread_variants=len(pairs) - baseline,
+        candidates_rejected=len(rejected),
+        rejections=Counter(name for *_, broken in rejected for name, _, _ in broken),
+        candidates_ranked=sum(candidate.kind == "fat_tree" for candidate in expected),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases())
+def test_design_report_carries_the_plan_stats(case):
+    """design() puts its plan's counters on the report, outside its equality and repr."""
+    request, catalog = case
+    try:
+        expected = reference_stats(request, catalog)
+    except DesignError:
+        return
+    report = design(request, catalog)
+    assert report.stats == expected
+    assert "stats" not in repr(report)
+    assert report == replace(report, stats=SearchStats())
+
+
+def large_catalog():
+    """A catalog built in code: 24 monolithic models over 8 port counts and 3 modular families, with tied prices.
+
+    Its 41 core configurations have 11 port counts between them, and every fourth monolithic model is
+    core-only, so a core layer serves many cores and many pairs tie on cost.
+    """
+    pool = (8, 12, 16, 24, 32, 36, 48, 64)
+    monolithic = [
+        {
+            "id": f"s{i:02d}", "name": "",
+            "ports": pool[i % 8],
+            "cost": pool[i % 8] * (15000 + 5000 * (i % 3)),
+            "power": 20.0 + 3.5 * pool[i % 8] + i % 4,
+            "rack_units": 1 if pool[i % 8] <= 36 else 2,
+            "weight": 3.0 + 0.5 * (i % 5),
+            "roles": ["core"] if i % 4 == 3 else ["edge", "core"],
+        }
+        for i in range(24)
+    ]
+    family = {"chassis_rack_units": 5, "chassis_power": 300, "chassis_weight": 60.0, "fabric_board_cost": 400000,
+              "fabric_boards_required": 2, "per_line_card_power": 30, "per_line_card_weight": 2.5, "roles": ["core"]}
+    modular = [
+        dict(family, id="x0", chassis_cost=2000000, line_card_cost=900000, ports_per_line_card=8, max_line_cards=8),
+        dict(family, id="x1", chassis_cost=1500000, line_card_cost=1200000, ports_per_line_card=12, max_line_cards=5),
+        dict(family, id="x2", chassis_cost=2000000, line_card_cost=1500000, ports_per_line_card=16, max_line_cards=4),
+    ]
+    return load_catalog({"currency": "USD", "monolithic": monolithic, "modular": modular})
+
+
+LARGE = large_catalog()
+BLADES = BladeFormFactor(enclosure_capacity=16, enclosure_cost=500000, embedded_edge_switch_id="s05",
+                         pass_through_cost=0)
+
+
+@pytest.mark.parametrize("request_", [
+    DesignRequest(node_count=60),
+    DesignRequest(node_count=700, blocking_factor=Fraction(3, 2)),
+    DesignRequest(node_count=2200, blocking_factor=Fraction(3), avg_cable_cost=0),
+    DesignRequest(node_count=300, blocking_factor=Fraction(1, 2)),
+    DesignRequest(node_count=900, blocking_factor=Fraction(2), prefer_expandability=True),
+    DesignRequest(node_count=500, constraints=ConstraintSet(max_network_rack_units=60, max_network_power=9000.0)),
+    DesignRequest(node_count=24, form_factor=BLADES, avg_cable_cost=0),
+    DesignRequest(node_count=400, form_factor=BLADES, blocking_factor=Fraction(2)),
+], ids=["60", "700-3/2", "2200-3", "300-1/2", "900-2-expandable", "500-constrained", "24-blades", "400-blades"])
+def test_large_catalog_ranks_like_the_eager_reference(request_):
+    """The whole ranking, the rejected pairs and the counters, on a catalog where many cores share a port count."""
+    assert len(LARGE.core_set) == 41 and len({core.ports for core in LARGE.core_set}) == 11
+    expected, expected_rejected = eager_design(request_, LARGE)
+    report = design(request_, LARGE)
+    assert list(report.candidates) == expected
+    assert report.rejected == tuple(expected_rejected)
+    assert report.stats == reference_stats(request_, LARGE)
+    if request_.constraints != ConstraintSet():
+        assert report.rejected and report.candidates  # the limits cut some pairs, not all
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases(), st.integers(2, 7))
+def test_scaling_every_price_scales_the_ranking(case, k):
+    """Metamorphic: k times every price and the cable cost gives k times every objective, in the same order."""
+    request, catalog = case
+    scale = lambda configs: tuple(replace(config, cost=k * config.cost) for config in configs)  # noqa: E731
+    scaled_catalog = Catalog(scale(catalog.edge_set), scale(catalog.core_set))
+    form_factor = request.form_factor
+    if request.blades:
+        pass_through = form_factor.pass_through_cost
+        form_factor = replace(form_factor, enclosure_cost=k * form_factor.enclosure_cost,
+                              pass_through_cost=None if pass_through is None else k * pass_through)
+    limit = request.constraints.max_network_cost
+    constraints = replace(request.constraints, max_network_cost=None if limit is None else k * limit)
+    scaled = replace(request, form_factor=form_factor, avg_cable_cost=k * request.avg_cable_cost,
+                     constraints=constraints)
+    try:
+        report = design(request, catalog)
+    except DesignError as error:
+        with pytest.raises(type(error)):
+            design(scaled, scaled_catalog)
+        return
+    other = design(scaled, scaled_catalog)
+    assert [k * candidate.objective for candidate in report.candidates] == [c.objective for c in other.candidates]
+    identity = lambda c: (c.kind, c.edge_config.config_id, c.core_config and c.core_config.config_id,  # noqa: E731
+                          c.uniform_distribution)
+    assert list(map(identity, other.candidates)) == list(map(identity, report.candidates))
 
 
 @pytest.fixture

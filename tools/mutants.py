@@ -32,6 +32,7 @@ PER_CORE_TEST = "tests/test_search_plan.py::test_per_core_floor_keeps_the_design
 RANKING_TESTS = "tests/test_ranking.py"
 WRITER_TEST = "tests/test_ranking.py::test_rejected_pairs_are_written_as_json_dumps_writes_them"
 ORDER_TEST = "tests/test_ranking.py::test_catalog_order_does_not_change_the_answer"
+EAGER_TEST = "tests/test_ranking.py::test_design_ranks_like_the_eager_reference"
 FIELD_TESTS = "tests/test_field_checks.py"
 ESTIMATE_TEST = "tests/test_estimator.py::test_estimate_bounds_the_design_above_the_star_range"
 AUDIT_TEST = "tests/test_placement.py::test_expansion_audit_matches_exhaustive_count_on_baseline_splits"
@@ -50,7 +51,7 @@ MUTANTS = [
     ("designer.py", "if not (built and built[0][0][0] < low):", "if not built:",
      "tests/test_search_plan.py::test_groups_are_visited_in_floor_order",
      "the walk takes a built group before comparing its floor with the unbuilt models' bound"),
-    ("designer.py", "by_price[:count], layers, spread_layers", "self.cores[:count], layers, spread_layers",
+    ("designer.py", "by_price[:count], layers, spreads", "self.cores[:count], layers, spreads",
      "tests/test_search_plan.py::test_core_layers_pair_with_their_cores_in_price_order",
      "the winner-only ranking walks the cores in catalog order against price-ordered core layers"),
     ("designer.py", 'key=attrgetter("cost", "ports", "config_id")', 'key=attrgetter("ports", "cost", "config_id")',
@@ -71,9 +72,15 @@ MUTANTS = [
      RANKING_TESTS, "an edge switch serves more blades than its enclosure has bays"),
     ("designer.py", "None if request.prefer_expandability else ", "",
      RANKING_TESTS, "the even spread is tried although expandability is preferred"),
-    ("designer.py", "key = (cost, edges + core_switches, units, edge_id, core_id)",
-     'key = (cost, edges + core_switches, units, "", "")', ORDER_TEST,
+    ("designer.py", "edge_units + layer[1] * units, edge_id, core_id, ref + offset)",
+     'edge_units + layer[1] * units, "", "", ref + offset)', ORDER_TEST,
      "pairs that tie on cost, switches and rack units are ranked in catalog order"),
+    ("designer.py", "edge_units, edge_id, at * stride + 1)", "edge_units, edge_id, at * stride - 1)", RANKING_TESTS,
+     "the even spread takes a lower ref than its baseline, one that names the previous core's spread"),
+    ("designer.py", "(2 * at, place[core.ports], core.cost", "(2 * at, place[core.ports] - 1, core.cost", RANKING_TESTS,
+     "a core reads the core layer of the neighbouring port count"),
+    ("designer.py", "edge_cost + cables * cable_cost, edge_units", "edge_cost, edge_units", EAGER_TEST,
+     "a baseline pair's key leaves out its cables' cost"),
     ("designer.py", "sorted(filter(blades.embeds, catalog.edge_set), key=config_order)[:1]",
      "list(filter(blades.embeds, catalog.edge_set))[:1]",
      "tests/test_ranking.py::test_embedded_family_names_its_smallest_expansion",
