@@ -215,6 +215,13 @@ class Catalog:
     core_set: tuple[SwitchConfig, ...]
     currency: str = "USD"
 
+    def __post_init__(self) -> None:
+        # configs() and find() pick a configuration by id; one listed in both sets is one configuration
+        seen: dict[str, SwitchConfig] = {}
+        for config in self.edge_set + self.core_set:
+            if seen.setdefault(config.config_id, config) != config:
+                raise CatalogError(f"two different switch configurations share the id {config.config_id!r}")
+
     def configs(self) -> tuple[SwitchConfig, ...]:
         """Union of both sets, deduplicated, in deterministic order."""
         seen: dict[str, SwitchConfig] = {}

@@ -209,6 +209,38 @@ def _larger_than_rack(label: str, units: int, room: RoomSpec) -> PlacementError:
     return PlacementError(f"{label} ({units}U) is larger than a {room.rack_units_per_rack}U rack")
 
 
+def _headroom(rack: Rack, room: RoomSpec) -> tuple[int, float, float]:
+    """The rack's free units, and the weight and power its budgets have left (inf when unlimited)."""
+    weight_left = room.rack_weight_budget - rack.used_weight if room.rack_weight_budget is not None else float("inf")
+    power_left = room.rack_power_budget - rack.used_power if room.rack_power_budget is not None else float("inf")
+    return rack.free_units, weight_left, power_left
+
+
+def _takes(item: PlacedItem, free: int, weight_left: float, power_left: float) -> bool:
+    """Whether item fits in this headroom, as a spread decides it (not as _fits adds it up)."""
+    return free >= item.rack_units and weight_left >= item.weight and power_left >= item.power
+
+
+def _node_room(spec: NodeSpec, free: int, weight_left: float, power_left: float) -> int:
+    """How many nodes fit in this headroom."""
+    chunk = free // spec.rack_units
+    if spec.weight > 0 and weight_left != float("inf"):
+        chunk = min(chunk, int(weight_left / spec.weight))
+    if spec.power > 0 and power_left != float("inf"):
+        chunk = min(chunk, int(power_left / spec.power))
+    return max(0, chunk)
+
+
+def _spread_can_use(rack: Rack, room: RoomSpec, switch: PlacedItem, spec: NodeSpec) -> bool:
+    """Whether _try_spread could put anything into rack: the edge switch or one node.
+
+    Every block has the same edge switch model and node spec, and racks only
+    fill up, so a rack that can take neither now never can again.
+    """
+    headroom = _headroom(rack, room)
+    return _takes(switch, *headroom) or _node_room(spec, *headroom) > 0
+
+
 def _try_spread(
     switch: PlacedItem, node_count: int, spec: NodeSpec, racks: Sequence[Rack], room: RoomSpec
 ) -> list[tuple[Rack, PlacedItem]] | None:
@@ -221,31 +253,15 @@ def _try_spread(
     switch_done = False
     remaining = node_count
     for rack in racks:
-        free = rack.free_units
-        weight_left = (
-            room.rack_weight_budget - rack.used_weight if room.rack_weight_budget is not None else float("inf")
-        )
-        power_left = (
-            room.rack_power_budget - rack.used_power if room.rack_power_budget is not None else float("inf")
-        )
-        if (
-            not switch_done
-            and free >= switch.rack_units
-            and weight_left >= switch.weight
-            and power_left >= switch.power
-        ):
+        free, weight_left, power_left = _headroom(rack, room)
+        if not switch_done and _takes(switch, free, weight_left, power_left):
             placements.append((rack, switch))
             switch_done = True
             free -= switch.rack_units
             weight_left -= switch.weight
             power_left -= switch.power
         if remaining > 0:
-            chunk = free // spec.rack_units
-            if spec.weight > 0 and weight_left != float("inf"):
-                chunk = min(chunk, int(weight_left / spec.weight))
-            if spec.power > 0 and power_left != float("inf"):
-                chunk = min(chunk, int(power_left / spec.power))
-            chunk = min(remaining, max(0, chunk))
+            chunk = min(remaining, _node_room(spec, free, weight_left, power_left))
             if chunk > 0:
                 placements.append((rack, _nodes(switch.block_id, spec, chunk)))
                 remaining -= chunk
@@ -294,7 +310,9 @@ def plan_racks(
     is two items, an edge switch and its nodes, and goes into one rack whole.
     In dense mode a block that no longer fits the current rack is spread
     across the slack of the racks visited so far whenever that slack can
-    absorb it whole.
+    absorb it whole. The spread walks only the current rack and the racks
+    behind it that can still take the edge switch or one node; skipping the
+    others changes nothing it places.
     """
     for units in reserve:
         if units < 1:
@@ -321,6 +339,7 @@ def plan_racks(
     _place_core_switches(design_, room, racks, core_placement)
 
     spread_ids: list[str] = []
+    behind: list[Rack] = []  # dense mode: the racks behind the cursor that a spread can still use, in walk order
     cursor = 0
     for switch, nodes in blocks:
         units = switch.rack_units + nodes.rack_units
@@ -335,13 +354,16 @@ def plan_racks(
                     rack.add(nodes)
                 placed = True
             elif dense:
-                plan = _try_spread(switch, nodes.node_count, node_spec, racks[: cursor + 1], room)
+                plan = _try_spread(switch, nodes.node_count, node_spec, [*behind, rack], room)
                 if plan is not None:
                     for target, item in plan:
                         target.add(item)
                     spread_ids.append(switch.block_id)
                     placed = True
+                    behind = [other for other in behind if _spread_can_use(other, room, switch, node_spec)]
             if not placed:
+                if dense and _spread_can_use(rack, room, switch, node_spec):
+                    behind.append(rack)
                 cursor += 1
                 if cursor >= len(racks):
                     raise PlacementError(f"{switch.block_id} ({units}U) does not fit: room exhausted")

@@ -8,6 +8,7 @@ output.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -385,17 +386,83 @@ def render_expansion_text(plan: ExpansionPlan, audit: ExpansionAudit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_json(value: Any, pad: str, out: list[str]) -> None:
+    """Append value as json.dumps(value, indent=2, sort_keys=True) writes it, pad before each line after the first.
+
+    json.dumps never uses its C encoder with an indent. Strings, ints, floats,
+    bools, None, lists, tuples and dicts with str keys are written here; any
+    other value, a subclass among them, goes to json.dumps whole, so that its
+    text and its errors stay the stdlib's.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is float:
+        if value != value:
+            out.append("NaN")
+        elif value == math.inf:
+            out.append("Infinity")
+        elif value == -math.inf:
+            out.append("-Infinity")
+        else:
+            out.append(float.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is dict and all(type(key) is str for key in value):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        separator = "{\n" + inner
+        for key in sorted(value):
+            out.append(separator)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(value[key], inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        separator = "[\n" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        # a JSON string holds no raw newline, so every newline starts a line to indent
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad))
+
+
+def _dumps(document: Any) -> str:
+    out: list[str] = []
+    _write_json(document, "", out)
+    return "".join(out)
+
+
 def to_json(document: dict[str, Any]) -> str:
-    """The document as indent-2, sorted-key JSON; a design report's rejected pairs are written from a fixed template."""
+    """The document as indent-2, sorted-key JSON, byte for byte as json.dumps writes it.
+
+    A design report's rejected pairs are written from a fixed template.
+    """
     if "rejected_candidates" not in document:
-        return json.dumps(document, indent=2, sort_keys=True) + "\n"
+        return _dumps(document) + "\n"
     quote = encode_basestring_ascii
     entries = ",".join(
         f'\n    {{\n      "core": {quote(core_id)},\n      "edge": {quote(edge_id)},\n      "violations": [\n        '
         + ",\n        ".join([quote(violation_text(*violation)) for violation in violations]) + "\n      ]\n    }"
         for edge_id, core_id, violations in document["rejected_candidates"]
     )
-    text = json.dumps({**document, "rejected_candidates": []}, indent=2, sort_keys=True) + "\n"
+    text = _dumps({**document, "rejected_candidates": []}) + "\n"
     # no string holds the key's text unescaped, and no nested object has the key
     key = '\n  "rejected_candidates": ['
     return text.replace(key + "]", f"{key}{entries}\n  ]", 1) if entries else text

@@ -17,6 +17,7 @@ from jsonschema.exceptions import best_match
 import fattree_design
 from fattree_design.catalog import (
     ROLES,
+    Catalog,
     CatalogError,
     ModularSwitchFamily,
     SwitchConfig,
@@ -262,6 +263,24 @@ def test_duplicate_id_rejected():
     duplicated["modular"][0]["id"] = "ft36"
     with pytest.raises(CatalogError, match="duplicate switch id 'ft36'"):
         load_catalog(duplicated)
+
+
+def test_catalog_built_in_code_rejects_two_configurations_with_one_id():
+    # without the check, configs() and find() kept the first and a star on the 48-port switch was never ranked
+    sw16 = SwitchConfig(source_id="dup", ports=16, cost=100_000, power=0.0, rack_units=1, weight=0.0)
+    sw48 = SwitchConfig(source_id="dup", ports=48, cost=420_000, power=0.0, rack_units=1, weight=0.0)
+    for edge_set, core_set in (((sw16,), (sw48,)), ((sw16, sw48), (sw16,))):
+        with pytest.raises(ValueError, match="^two different switch configurations share the id 'dup'$"):
+            Catalog(edge_set=edge_set, core_set=core_set)
+    # one configuration listed in both sets, or twice, is one configuration
+    assert Catalog(edge_set=(sw16, sw16), core_set=(sw16,)).configs() == (sw16,)
+
+
+def test_monolithic_id_that_names_a_family_expansion_is_rejected():
+    clash = doc()
+    clash["monolithic"][0]["id"] = "mod108:18p"
+    with pytest.raises(CatalogError, match="^two different switch configurations share the id 'mod108:18p'$"):
+        load_catalog(clash)
 
 
 def test_unknown_field_rejected():

@@ -2,14 +2,22 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fattree_design import placement
 from fattree_design.catalog import Catalog
-from fattree_design.designer import DesignRequest, SearchPlan, design, fewest_uplinks, node_distribution
+from fattree_design.designer import (
+    DesignError,
+    DesignRequest,
+    SearchPlan,
+    design,
+    fewest_uplinks,
+    node_distribution,
+)
 from fattree_design.estimator import single_model_catalog
 from fattree_design.placement import (
     MAX_RACK_POSITIONS,
@@ -585,3 +593,200 @@ def test_expansion_audit_requires_fat_tree(ft36_catalog):
     assert star.kind == "star"
     with pytest.raises(PlacementError):
         expansion_audit(star, 42)
+
+
+def reference_try_spread(switch, node_count, spec, racks, room):
+    """The dense spread with every budget term written out, over whatever racks it is given."""
+    placements = []
+    switch_done = False
+    remaining = node_count
+    for rack in racks:
+        free = rack.free_units
+        weight_left = float("inf") if room.rack_weight_budget is None else room.rack_weight_budget - rack.used_weight
+        power_left = float("inf") if room.rack_power_budget is None else room.rack_power_budget - rack.used_power
+        fits = free >= switch.rack_units and weight_left >= switch.weight and power_left >= switch.power
+        if not switch_done and fits:
+            placements.append((rack, switch))
+            switch_done = True
+            free -= switch.rack_units
+            weight_left -= switch.weight
+            power_left -= switch.power
+        if remaining > 0:
+            chunk = free // spec.rack_units
+            if spec.weight > 0 and weight_left != float("inf"):
+                chunk = min(chunk, int(weight_left / spec.weight))
+            if spec.power > 0 and power_left != float("inf"):
+                chunk = min(chunk, int(power_left / spec.power))
+            chunk = min(remaining, max(0, chunk))
+            if chunk > 0:
+                placements.append((rack, placement._nodes(switch.block_id, spec, chunk)))
+                remaining -= chunk
+        if switch_done and remaining == 0:
+            return placements
+    return None
+
+
+def reference_plan_racks(design_, room, node_spec, *, dense, core_placement, reserve):
+    """plan_racks whose dense spread walks every rack visited so far, full ones included."""
+    edge = design_.edge_config
+    blocks = []
+    for i, count in enumerate(node_distribution(design_)):
+        block_id = f"block-{i + 1:02d}"
+        switch = placement._switch("edge_switch", f"{block_id} switch ({edge.config_id})", edge, block_id)
+        blocks.append((switch, placement._nodes(block_id, node_spec, count)))
+    placement._check_room_capacity(design_, room, blocks, reserve)
+    racks = placement._serpentine_racks(room)
+    for i, units in enumerate(reserve):
+        label = f"reserved-{i + 1:02d}"
+        if units > room.rack_units_per_rack:
+            raise placement._larger_than_rack(label, units, room)
+        reserved = placement.PlacedItem(kind="reserved", rack_units=units, label=label)
+        if placement._first_fit(racks, room, reserved) is None:
+            raise PlacementError(f"no rack can hold {label} ({units}U)")
+    placement._place_core_switches(design_, room, racks, core_placement)
+    spread_ids = []
+    cursor = 0
+    for switch, nodes in blocks:
+        units = switch.rack_units + nodes.rack_units
+        if not dense and units > room.rack_units_per_rack:
+            raise placement._larger_than_rack(switch.block_id, units, room)
+        placed = False
+        while not placed:
+            rack = racks[cursor]
+            if placement._fits(rack, room, switch, nodes):
+                rack.add(switch)
+                if nodes.node_count:
+                    rack.add(nodes)
+                placed = True
+            elif dense:
+                plan = reference_try_spread(switch, nodes.node_count, node_spec, racks[: cursor + 1], room)
+                if plan is not None:
+                    for target, item in plan:
+                        target.add(item)
+                    spread_ids.append(switch.block_id)
+                    placed = True
+            if not placed:
+                cursor += 1
+                if cursor >= len(racks):
+                    raise PlacementError(f"{switch.block_id} ({units}U) does not fit: room exhausted")
+    last_used = max((i for i, rack in enumerate(racks) if rack.items), default=-1)
+    kept = racks[: last_used + 1]
+    for rack in kept:
+        rack.items.sort(key=lambda item: item.kind == "node_block")
+    return placement.RackLayout(room=room, racks=tuple(kept), spread_blocks=tuple(spread_ids))
+
+
+def plan_racks_offering_only_usable_racks(target, room, node_spec, **options):
+    """plan_racks, checking that each spread is offered no rack behind the current one that can take nothing."""
+    spread = placement._try_spread
+
+    def checked_spread(switch, node_count, spec, racks, room_):
+        assert all(placement._spread_can_use(rack, room_, switch, spec) for rack in racks[:-1])
+        return spread(switch, node_count, spec, racks, room_)
+
+    with mock.patch.object(placement, "_try_spread", checked_spread):
+        return plan_racks(target, room, node_spec, **options)
+
+
+def assert_plans_like_the_reference(target, room, node_spec, **options):
+    """plan_racks gives the reference's whole layout, or raises its error; a layout places everything once."""
+    try:
+        expected = reference_plan_racks(target, room, node_spec, **options)
+    except PlacementError as error:
+        with pytest.raises(PlacementError) as raised:
+            plan_racks_offering_only_usable_racks(target, room, node_spec, **options)
+        assert str(raised.value) == str(error)
+        return None
+    layout = plan_racks_offering_only_usable_racks(target, room, node_spec, **options)
+    assert layout == expected
+    # every node and switch is placed once, within each rack's units, and the racks come in serpentine order
+    assert block_totals(layout, "node_count") == list(node_distribution(target))
+    switches = [item.label for rack in layout.racks for item in rack.items if item.kind.endswith("_switch")]
+    assert len(switches) == len(set(switches)) == target.switch_count
+    assert all(rack.used_units <= rack.capacity_units for rack in layout.racks)
+    walk = [(row, column) for row in range(room.rows)
+            for column in (range(room.racks_per_row) if row % 2 == 0 else range(room.racks_per_row - 1, -1, -1))]
+    assert [(rack.index, rack.row, rack.position) for rack in layout.racks] == [
+        (index, *walk[index]) for index in range(len(layout.racks))
+    ]
+    return layout
+
+
+@st.composite
+def placement_cases(draw):
+    """(design, room, node spec, options) for a one-edge-model, one-core-model catalog, rooms sized near the load."""
+    pick = lambda *values: draw(st.sampled_from(values))  # noqa: E731
+    edge = make_switch(pick(6, 8, 12, 24, 36), 100_000, source_id="e", rack_units=pick(0, 1, 1, 2),
+                       weight=pick(0.0, 1.5, 21.3), power=pick(0.0, 90.0, 152.5))
+    core = make_switch(pick(12, 36, 48), 300_000, source_id="c", rack_units=pick(0, 1, 3),
+                       weight=pick(0.0, 10.0), power=pick(0.0, 200.0))
+    nodes = draw(st.integers(2, 160))
+    try:
+        target = winner_for(nodes, Catalog(edge_set=(edge,), core_set=(core,)), pick(Fraction(1), Fraction(2)))
+    except DesignError:
+        assume(False)
+    spec = NodeSpec(rack_units=pick(1, 1, 2, 3), weight=pick(0.0, 5.0, 8.2, 32.2), power=pick(0.0, 150.0, 333.3))
+    rack_units = pick(6, 8, 12, 24, 42)
+    reserve = tuple(draw(st.lists(st.integers(1, rack_units), max_size=2)))
+    switches = (target.edge_config, target.edge_count), (target.core_config, target.core_count)
+    need = {
+        attribute: nodes * getattr(spec, attribute)
+        + sum(count * getattr(config, attribute) for config, count in switches if config is not None)
+        for attribute in ("rack_units", "weight", "power")
+    }
+    need["rack_units"] += sum(reserve)
+    racks = -(-need["rack_units"] // rack_units)
+    budgets = {}
+    for name, attribute in (("rack_weight_budget", "weight"), ("rack_power_budget", "power")):
+        per_node = getattr(spec, attribute)
+        if per_node and draw(st.booleans()):
+            # a whole number of nodes, or nodes and a switch, fill the budget to the last kilogram or watt
+            budget = per_node * draw(st.integers(2, 24)) + pick(0.0, getattr(edge, attribute), 0.1)
+            budgets[name] = budget
+            racks = max(racks, int(need[attribute] / budget) + 1)
+    racks += draw(st.integers(0, 4))
+    rows = draw(st.integers(1, 3))
+    room = RoomSpec(rows=rows, racks_per_row=-(-racks // rows), rack_units_per_rack=rack_units, **budgets)
+    options = {"dense": draw(st.booleans()), "core_placement": pick(*placement.CORE_PLACEMENTS), "reserve": reserve}
+    return target, room, spec, options
+
+
+@settings(max_examples=200, deadline=None)
+@given(placement_cases())
+def test_plan_racks_matches_the_walk_over_every_visited_rack(case):
+    """Differential oracle: skipping racks that can take neither the edge switch nor a node changes no layout."""
+    target, room, spec, options = case
+    assert_plans_like_the_reference(target, room, spec, **options)
+
+
+def test_a_full_rack_stays_in_the_walk_for_a_switch_of_no_size():
+    """A 0U, 0 kg, 0 W edge switch still fits a full rack, so the spread must keep offering it the first one."""
+    edge = make_switch(12, 100_000, source_id="e", rack_units=0)
+    core = make_switch(24, 300_000, source_id="c", rack_units=0)
+    target = winner_for(36, Catalog(edge_set=(edge,), core_set=(core,)))
+    assert target.kind == "fat_tree" and node_distribution(target) == (6,) * 6
+    room = RoomSpec(rows=1, racks_per_row=6, rack_units_per_rack=10)
+    layout = assert_plans_like_the_reference(target, room, NodeSpec(), dense=True,
+                                             core_placement="first_racks_contiguous", reserve=())
+    first = layout.racks[0]
+    assert first.free_units == 0
+    assert [item.label for item in first.items if item.kind == "edge_switch"] == [
+        "block-01 switch (e)", "block-03 switch (e)", "block-05 switch (e)"
+    ]
+    assert layout.spread_blocks == ("block-03", "block-05")
+
+
+def test_weight_boundary_spread_keeps_its_layout():
+    """The 225.4 kg repro: the spread's float weight rule, not _fits', decides which racks it still walks."""
+    edge = make_switch(24, 100_000, source_id="e24", weight=21.3)
+    core = make_switch(36, 300_000, source_id="c36")
+    target = winner_for(112, Catalog(edge_set=(edge,), core_set=(core,)))
+    room = RoomSpec(rows=1, racks_per_row=60, rack_weight_budget=225.4)
+    spec = NodeSpec(weight=32.2)
+    layout = assert_plans_like_the_reference(target, room, spec, dense=True,
+                                             core_placement="first_racks_contiguous", reserve=())
+    # int(225.4 / 32.2) is 7, and 7 nodes weigh 225.40000000000003, which _fits refuses an empty rack
+    third = layout.racks[2]
+    assert [item.label for item in third.items] == ["block-02 nodes x7"]
+    assert third.used_weight == 225.40000000000003 > room.rack_weight_budget
+    assert not placement._fits(placement.Rack(0, 0, 0, 42), room, placement._nodes("block-02", spec, 7))

@@ -36,6 +36,8 @@ EAGER_TEST = "tests/test_ranking.py::test_design_ranks_like_the_eager_reference"
 FIELD_TESTS = "tests/test_field_checks.py"
 ESTIMATE_TEST = "tests/test_estimator.py::test_estimate_bounds_the_design_above_the_star_range"
 AUDIT_TEST = "tests/test_placement.py::test_expansion_audit_matches_exhaustive_count_on_baseline_splits"
+SPREAD_TEST = "tests/test_placement.py::test_plan_racks_matches_the_walk_over_every_visited_rack"
+JSON_TEST = "tests/test_report.py::test_to_json_writes_what_json_dumps_writes"
 
 # (module, exact text, replacement, guarding tests, what the mutant breaks)
 MUTANTS = [
@@ -97,10 +99,18 @@ MUTANTS = [
     ("report.py", r'"core": {quote(core_id)},\n      "edge": {quote(edge_id)}',
      r'"edge": {quote(edge_id)},\n      "core": {quote(core_id)}', WRITER_TEST,
      "a rejected entry's keys are written unsorted"),
+    ("report.py", "for key in sorted(value):", "for key in value:", JSON_TEST,
+     "the JSON writer writes a dict's keys in insertion order"),
     ("placement.py", "rack.used_weight + weight > room.rack_weight_budget",
      "rack.used_weight + weight >= room.rack_weight_budget",
      "tests/test_placement.py::test_block_that_fills_the_weight_budget_exactly_fits",
      "a block that fills a rack's weight budget exactly does not fit"),
+    ("placement.py", "_node_room(spec, *headroom) > 0", "_node_room(spec, *headroom) > 1", SPREAD_TEST,
+     "the dense spread stops walking a rack that can still take one node"),
+    ("placement.py", "behind = [other for other in behind if _spread_can_use(other, room, switch, node_spec)]", "pass",
+     SPREAD_TEST, "the dense spread keeps walking racks that a spread filled"),
+    ("placement.py", "weight_left -= switch.weight", "pass", SPREAD_TEST,
+     "the dense spread leaves its edge switch's weight out of what the rack has left for nodes"),
     ("placement.py", "min(ports_to_nodes - last, capacity_left", "min(ports_to_nodes - last - 1, capacity_left",
      AUDIT_TEST, "the audit tops up the last edge switch to one node short of full"),
     ("money.py", "if isinstance(value, bool) or not isinstance(value, int if integral",
