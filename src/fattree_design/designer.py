@@ -427,20 +427,19 @@ def _network_metrics(
     ]
 
 
-def _build_design(
-    node_count: int,
-    kind: str,
-    edge_config: SwitchConfig,
-    core_config: SwitchConfig | None,
-    split: tuple[int, int, int],  # ports to nodes, ports to core, edge switches
-    layer: tuple[int, int] | None,
-    cables: int,
-    metrics: tuple[Money, float, int, float],
-    uniform: bool,
-    pass_through: bool,
-    max_supported_nodes: int,
-) -> FatTreeDesign:
-    """The one builder of a design, for every kind, from its ranking record's payload and the metrics it ranked on."""
+def _build_ranked(request: DesignRequest, node_count: int, key: tuple, payload: tuple) -> FatTreeDesign:
+    """The one builder of a design, for every kind, from a ranking's key and payload.
+
+    Both rankings key a pair on cost and rack units worked out from plain
+    numbers, and price it in full only when they build it: a payload whose
+    metrics are None is priced here, through _network_metrics, which must
+    give the key's numbers.
+    """
+    kind, edge_config, core_config, split, layer, cables, metrics, uniform, pass_through, max_supported_nodes = payload
+    if metrics is None:
+        mix = (core_config or _NO_CORE, layer[1] if layer else 0, cables)
+        metrics, = _network_metrics(request, edge_config, split[2], (mix,))
+        assert (metrics[0], metrics[2]) == (key[0], key[2]), "a ranking priced a pair otherwise"
     to_nodes, to_core, edges = split
     return FatTreeDesign(
         kind=kind,
@@ -455,21 +454,6 @@ def _build_design(
         pass_through=pass_through,
         max_supported_nodes=max_supported_nodes,
     )
-
-
-def _build_ranked(request: DesignRequest, node_count: int, key: tuple, payload: tuple) -> FatTreeDesign:
-    """The design of a ranking's key and payload; a payload whose metrics are None is priced here.
-
-    Both rankings key a pair on cost and rack units worked out from plain
-    numbers, and price it in full only when they build it: through
-    _network_metrics, which must give the key's numbers.
-    """
-    kind, config, core, split, layer, cables, metrics, *flags = payload
-    if metrics is None:
-        mix = (core or _NO_CORE, layer[1] if layer else 0, cables)
-        metrics, = _network_metrics(request, config, split[2], (mix,))
-        assert (metrics[0], metrics[2]) == (key[0], key[2]), "a ranking priced a pair otherwise"
-    return _build_design(node_count, kind, config, core, split, layer, cables, metrics, *flags)
 
 
 class RankedCandidates(Sequence):

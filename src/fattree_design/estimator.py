@@ -17,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalog import PerPortMetrics, SwitchConfig, per_port_metrics
+from .catalog import SwitchConfig, per_port_metrics
 from .designer import (
     DesignRequest,
     InsufficientRadixError,
     SearchPlan,
 )
 from .catalog import Catalog
-from .money import Money, check_money, round_half_up
+from .money import Money, check_money, check_number, round_half_up
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class PerPortEstimate:
     @property
     def est_cost(self) -> Money:
         """Total lower bound in minor units (floored, so it stays a lower bound)."""
-        return int(self.switch_cost) + self.cable_cost
+        return _cost_floor(self.total_ports, self.config, self.cable_cost)
 
 
 def exactness_condition(node_count: int, ports: int) -> int | None:
@@ -85,6 +85,7 @@ def lower_bound_estimate(
     (skipping node cables for blades), which matches the real design's cable
     count at every exact point. An odd or sub-4 port count has no exact point.
     """
+    check_number("node_count", node_count)
     if node_count < 1:
         raise ValueError("node_count must be positive")
     check_money("avg_cable_cost", avg_cable_cost)
@@ -92,42 +93,40 @@ def lower_bound_estimate(
     capacity = config.ports * (config.ports // 2)
     if node_count > capacity:
         raise InsufficientRadixError(node_count, capacity)
-    return _estimate(node_count, config, avg_cable_cost, blade, _per_port_figures(config))
-
-
-def _per_port_figures(config: SwitchConfig) -> tuple[PerPortMetrics, Fraction, Fraction]:
-    """A switch's exact per-port metrics and its quoted per-port cost and power: what no node count changes."""
     metrics = per_port_metrics(config)
-    return (
-        metrics,
-        round_half_up(metrics.cost_per_port, Fraction(100)),
-        round_half_up(metrics.power_per_port, Fraction(1, 100)),
-    )
-
-
-def _estimate(
-    node_count: int, config: SwitchConfig, avg_cable_cost: Money, blade: bool, figures: tuple
-) -> PerPortEstimate:
-    """lower_bound_estimate() of checked inputs, from the switch's _per_port_figures()."""
-    metrics, quoted_cost_per_port, quoted_power_per_port = figures
-    total_ports = 3 * node_count
-    cables = node_count if blade else 2 * node_count
-    factor = exactness_condition(node_count, config.ports) if config.ports >= 4 and config.ports % 2 == 0 else None
+    total_ports, cables, cable_cost = _ports_and_cables(node_count, avg_cable_cost, blade)
+    factor = _bundle_factor(node_count, config.ports)
     return PerPortEstimate(
         node_count=node_count,
         total_ports=total_ports,
         config=config,
         switch_cost=total_ports * metrics.cost_per_port,
         cable_count=cables,
-        cable_cost=cables * avg_cable_cost,
+        cable_cost=cable_cost,
         power_watts=total_ports * metrics.power_per_port,
         rack_units=total_ports * metrics.rack_units_per_port,
         weight_kg=total_ports * metrics.weight_per_port,
         exact=factor is not None,
         bundle_factor=factor,
-        quoted_switch_cost=int(total_ports * quoted_cost_per_port),
-        quoted_power_watts=total_ports * quoted_power_per_port,
+        quoted_switch_cost=int(total_ports * round_half_up(metrics.cost_per_port, Fraction(100))),
+        quoted_power_watts=total_ports * round_half_up(metrics.power_per_port, Fraction(1, 100)),
     )
+
+
+def _ports_and_cables(node_count: int, avg_cable_cost: Money, blade: bool) -> tuple[int, int, Money]:
+    """The estimate's switch ports, cables and cables' cost: three ports and, blades aside, two cables per node."""
+    cables = node_count if blade else 2 * node_count
+    return 3 * node_count, cables, cables * avg_cable_cost
+
+
+def _cost_floor(total_ports: int, config: SwitchConfig, cable_cost: Money) -> Money:
+    """Minor units of total_ports' share of the switch cost, floored so it stays a lower bound, plus cable_cost."""
+    return total_ports * config.cost // config.ports + cable_cost
+
+
+def _bundle_factor(node_count: int, ports: int) -> int | None:
+    """exactness_condition(), or None for an odd or sub-4 port count, which has no exact point."""
+    return exactness_condition(node_count, ports) if ports >= 4 and ports % 2 == 0 else None
 
 
 @dataclass(frozen=True)
@@ -154,27 +153,22 @@ def sweep_lower_bound(config: SwitchConfig, first: int, last: int, avg_cable_cos
     """Estimate vs. designed cost for every node count in [first, last].
 
     The designed cost is design()'s winning cost, from one search plan
-    whose winner() is asked for each node count. The switch's
-    per-port figures are worked out once for every point.
+    whose winner() is asked for each node count. The estimate's cost and
+    exactness come from the integer rules that lower_bound_estimate() uses.
     """
+    check_number("first", first)
+    check_number("last", last)
     if first < 2 or last < first:
         raise ValueError("sweep range must satisfy 2 <= first <= last")
     request = DesignRequest(node_count=first, avg_cable_cost=avg_cable_cost)
     plan = SearchPlan(request, single_model_catalog(config))
-    figures = _per_port_figures(config)
     points = []
     for nodes in range(first, last + 1):
         # past the switch's reach, which is the estimate's capacity, the ranking raises what the estimate would
         actual_cost = plan.winner(nodes).objective
-        estimate = _estimate(nodes, config, avg_cable_cost, False, figures)
-        points.append(
-            SweepPoint(
-                node_count=nodes,
-                estimate_cost=estimate.est_cost,
-                actual_cost=actual_cost,
-                exact=estimate.exact,
-            )
-        )
+        total_ports, _, cable_cost = _ports_and_cables(nodes, avg_cable_cost, False)
+        exact = _bundle_factor(nodes, config.ports) is not None
+        points.append(SweepPoint(nodes, _cost_floor(total_ports, config, cable_cost), actual_cost, exact))
     return points
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,30 @@ def test_sweep_points_and_median(ft36):
         median_gap([])
 
 
+@pytest.mark.parametrize("node_count, message", [
+    (10.5, "node_count must be an integer, got 10.5"),
+    (True, "node_count must be an integer, got True"),
+    (0, "node_count must be positive"),
+    (-3, "node_count must be positive"),
+])
+def test_estimate_takes_only_a_positive_integer_node_count(ft36, node_count, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lower_bound_estimate(node_count, ft36, 8000)
+
+
+@pytest.mark.parametrize("first, last, message", [
+    (2, 5.5, "last must be an integer, got 5.5"),
+    (2.0, 5, "first must be an integer, got 2.0"),
+    (True, 5, "first must be an integer, got True"),
+    (2, False, "last must be an integer, got False"),
+    (1, 5, "sweep range must satisfy 2 <= first <= last"),
+    (5, 4, "sweep range must satisfy 2 <= first <= last"),
+])
+def test_sweep_takes_only_an_integer_range(ft36, first, last, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sweep_lower_bound(ft36, first, last, 8000)
+
+
 def test_full_population_switch_counts(ft36_catalog):
     # at maximum capacity every port is in use: three per node, with as many
     # edge switches as ports and half as many core switches
@@ -173,3 +198,28 @@ def test_estimate_bounds_the_design_above_the_star_range(case, cable_cost):
     if estimate.exact:
         assert estimated == designed
         assert estimate.cable_count == winner.cable_count
+
+
+@st.composite
+def switches_and_ranges(draw):
+    """A random switch, odd port counts included, and a short node-count range within its reach."""
+    ports = draw(st.integers(3, 36))
+    switch = make_switch(ports, draw(st.integers(0, 3_000_000)))
+    reach = ports * (ports // 2)
+    first = draw(st.integers(2, reach))
+    return switch, first, draw(st.integers(first, min(reach, first + 12)))
+
+
+@settings(max_examples=100, deadline=None)
+@example((FT36, 214, 218), 8000)  # 216 is an exact point
+@example((make_switch(25, 500_000), 96, 100), 8000)  # odd ports: never exact
+@given(switches_and_ranges(), st.sampled_from((0, 1, 8000, 40000)))
+def test_sweep_estimate_matches_the_estimate(case, cable_cost):
+    """Each sweep point's estimate is lower_bound_estimate()'s, whose cost is its switch cost floored plus cables."""
+    switch, first, last = case
+    points = sweep_lower_bound(switch, first, last, cable_cost)
+    assert [point.node_count for point in points] == list(range(first, last + 1))
+    for point in points:
+        estimate = lower_bound_estimate(point.node_count, switch, cable_cost)
+        assert (point.estimate_cost, point.exact) == (estimate.est_cost, estimate.exact)
+        assert estimate.est_cost == math.floor(estimate.switch_cost) + estimate.cable_cost

@@ -452,13 +452,13 @@ def test_scaling_every_price_scales_the_ranking(case, k):
 def builds(monkeypatch):
     """Counts the designs built from ranking records."""
     calls = []
-    build_design = designer._build_design
+    build_ranked = designer._build_ranked
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return build_design(*args, **kwargs)
+        return build_ranked(*args, **kwargs)
 
-    monkeypatch.setattr(designer, "_build_design", counting)
+    monkeypatch.setattr(designer, "_build_ranked", counting)
     return calls
 
 

@@ -35,6 +35,7 @@ ORDER_TEST = "tests/test_ranking.py::test_catalog_order_does_not_change_the_answ
 EAGER_TEST = "tests/test_ranking.py::test_design_ranks_like_the_eager_reference"
 FIELD_TESTS = "tests/test_field_checks.py"
 ESTIMATE_TEST = "tests/test_estimator.py::test_estimate_bounds_the_design_above_the_star_range"
+SWEEP_TEST = "tests/test_estimator.py::test_sweep_estimate_matches_the_estimate"
 AUDIT_TEST = "tests/test_placement.py::test_expansion_audit_matches_exhaustive_count_on_baseline_splits"
 SPREAD_TEST = "tests/test_placement.py::test_plan_racks_matches_the_walk_over_every_visited_rack"
 JSON_TEST = "tests/test_report.py::test_to_json_writes_what_json_dumps_writes"
@@ -90,10 +91,12 @@ MUTANTS = [
     ("designer.py", 'if kind == "fat_tree" else None', "if to_core else None",
      "tests/test_goldens.py::test_trivial_topology_output_matches_golden",
      "a direct-connect design reports a resulting blocking"),
-    ("estimator.py", "total_ports = 3 * node_count", "total_ports = 2 * node_count",
+    ("estimator.py", "return 3 * node_count,", "return 2 * node_count,",
      ESTIMATE_TEST, "the per-port estimate counts two switch ports per node instead of three"),
     ("estimator.py", "if 1 < factor < half and half % factor == 0:", "if 1 < factor < half:",
      ESTIMATE_TEST, "a factor that does not divide half the port count marks the estimate exact"),
+    ("estimator.py", "ports >= 4 and ports % 2 == 0", "ports >= 4", SWEEP_TEST,
+     "the exactness guard passes an odd port count to exactness_condition, which raises"),
     ("report.py", "quote = encode_basestring_ascii", """quote = '"{}"'.format""", WRITER_TEST,
      "a config id in a rejected entry is written without JSON escapes"),
     ("report.py", r'"core": {quote(core_id)},\n      "edge": {quote(edge_id)}',
