@@ -13,10 +13,11 @@ once per distinct core port count, and writes each pair as one flat key,
 comprehension. ``ref`` is an int that names the pair and rises in edge x core
 order, the baseline before its even spread, after the star and
 direct-connect records' negative refs, so a plain sort of the keys ranks
-full ties in that order. Constrained requests price their pairs through
-_network_metrics to filter them. design() keeps that whole ranking; a
-design's payload is rebuilt from its ref, priced and checked against the
-key, and built through one builder, only when it is read.
+full ties in that order. Constrained requests check each pair from its key
+and a per-core row of power and port counts, without pricing it in full.
+design() keeps that whole ranking; a design's payload is rebuilt from its
+ref, priced and checked against the key, and built through one builder,
+only when it is read.
 
 fit_max_nodes and sweep_lower_bound ask the plan's winner() for the winner
 alone at each node count. That ranking has its own loop, which finds the
@@ -83,17 +84,22 @@ class ConstraintSet:
     max_network_cost: Money | None = None
 
     def __post_init__(self) -> None:
-        for name, kinds, kind_text in (
-            ("max_network_rack_units", int, "an integer"),
-            ("min_spare_core_ports", int, "an integer"),
-            ("max_network_power", (int, float), "a finite number"),
-            ("max_network_cost", int, "an integer (minor units)"),
+        for name, kinds, kind_text, unit in (
+            ("max_network_rack_units", int, "an integer", ""),
+            ("min_spare_core_ports", int, "an integer", ""),
+            ("max_network_power", (int, float), "a finite number", ""),
+            ("max_network_cost", int, "an integer", " (minor units)"),
         ):
             value = getattr(self, name)
+            if value is None:
+                continue
             # a NaN limit compares false with everything, so it would apply no limit
             non_finite = isinstance(value, float) and not math.isfinite(value)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, kinds) or non_finite):
-                raise ValueError(f"constraint {name} must be {kind_text}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, kinds) or non_finite:
+                raise ValueError(f"constraint {name} must be {kind_text}{unit}, got {value!r}")
+            # no pair meets a negative maximum, and a negative minimum would set no limit
+            if value < 0:
+                raise ValueError(f"constraint {name} must not be negative, got {value!r}{unit}")
 
 
 @dataclass(frozen=True)
@@ -386,11 +392,12 @@ def _active_limits(constraints: ConstraintSet) -> tuple[tuple[int, str, float], 
 def _violations(limits: tuple, rack_units: int, spare: int, power: float, cost: Money) -> list[tuple]:
     """(constraint, limit, actual) of each limit, from _active_limits, that these numbers break, in field order."""
     actuals = (rack_units, spare, power, cost)
-    return [
-        (name, limit, actuals[at])
-        for at, name, limit in limits
-        if (actuals[at] < limit if name == "min_spare_core_ports" else actuals[at] > limit)
-    ]
+    found = []  # a loop, not a comprehension: before Python 3.12 that would add a call per pair checked
+    for at, name, limit in limits:
+        actual = actuals[at]
+        if actual < limit if name == "min_spare_core_ports" else actual > limit:
+            found.append((name, limit, actual))
+    return found
 
 
 # Zero switches of this empty model add nothing: the core layer of a design that has none.
@@ -415,7 +422,10 @@ def _network_metrics(
     The one home of these formulas, in DesignMetrics order: the edge side is
     worked out once, and each mix adds its core switches and cables to it.
     The rankings' keys carry cost and rack units of their own, and every
-    design built from a key is checked against these.
+    design built from a key is checked against these. The limit filter
+    reads cost and rack units from the key and works out power as the same
+    sum, edge switches' power plus core switches' power, so the limits see
+    the numbers a built design reports.
     """
     edge_cost, edge_power = edge_switches * edge_config.cost + extra_cost, edge_switches * edge_config.power
     edge_units = _edge_units(request, edge_config, edge_switches)
@@ -583,6 +593,10 @@ class SearchPlan:
             (2 * at, place[core.ports], core.cost, core.rack_units, core.config_id)
             for at, core in enumerate(self.cores)
         )
+        # the limit filter's row per core, aligned with _core_rows: id, power, and ports with line-card headroom
+        self._limit_rows = tuple(
+            (core.config_id, core.power, core.ports + core.expandable_ports) for core in self.cores
+        ) if self.limits else ()
         self.stats = SearchStats()
         reach = max((config.ports for config in self.configs), default=0)
         widest_core = max((config.ports for config in self.cores), default=0)
@@ -691,7 +705,7 @@ class SearchPlan:
         records = self._trivial_records(node_count)
         keys = [(*key, ref) for ref, (key, _) in enumerate(records, -len(records))]
         rows, ports, stride = self._core_rows, self.core_ports, 2 * len(self.cores)
-        stats, rejected, candidates, groups = self.stats, [], 0, []
+        stats, rejected, candidates, groups, seen = self.stats, [], 0, [], {}
         for at, edge in enumerate(self.edges):
             group = self._edge_group(node_count, *edge)
             groups.append(group)
@@ -708,43 +722,54 @@ class SearchPlan:
             stats.pairs_skipped += len(rows) - baselines
             stats.spread_variants += len(pairs) - baselines
             candidates += len(pairs)
-            keys += self._within_limits(group, pairs, rejected) if limits else pairs
+            keys += self._within_limits(group, pairs, rejected, seen) if limits else pairs
         stats.candidates_rejected += len(rejected)
         stats.candidates_ranked += candidates - len(rejected)
-        broken = [name for *_, violations in rejected for name, _, _ in violations]
-        stats.rejections.update(broken)
 
         if not keys:
             if rejected:
-                raise DesignInfeasibleError(sorted(set(broken)))
+                raise DesignInfeasibleError(sorted({name for *_, violations in rejected for name, _, _ in violations}))
             raise InsufficientRadixError(node_count, self.max_reachable)
         keys.sort()
         trivial = [payload for _, payload in records]
         return RankedCandidates(request, keys, trivial, groups, self.cores), tuple(rejected)
 
-    def _within_limits(self, group: tuple, pairs: list, rejected: list) -> list:
+    def _within_limits(self, group: tuple, pairs: list, rejected: list, seen: dict) -> list:
         """The keys, of one edge group's pairs, that meet the request's limits.
 
-        The pairs are priced through _network_metrics and checked in edge x
-        core order, the baseline before its even spread; each that breaks a
-        limit goes to ``rejected`` as (edge id, core id, violations).
+        Each pair is checked, in edge x core order with the baseline before
+        its even spread, from numbers at hand: cost and rack units from its
+        key, core switches as the key's switches less the edges, the core's
+        place and the even-spread flag from its ref, and the core's limit row.
+        Power is the sum _network_metrics works out. A pair that breaks a
+        limit goes to ``rejected`` as (edge id, core id, violations) and is
+        counted in ``stats.rejections``; equal violations share the one tuple
+        that ``seen`` keeps for the rank() call, so that a report words each
+        once.
         """
-        config, edges, baseline, cables, spread, spread_cables = group
+        config, edges, baseline, _, spread, _ = group
         pairs.sort(key=itemgetter(5))
-        places = [_pair_place(key[5], len(self.cores)) for key in pairs]
-        wires, uplinks = (cables, spread_cables), (baseline[1], spread[1] if spread else None)
-        mixes = [
-            (self.cores[core_at], key[1] - edges, wires[uniform]) for key, (_, core_at, uniform) in zip(pairs, places)
-        ]
-        priced = _network_metrics(self.request, config, edges, mixes)
+        limits, rows, stride, first = self.limits, self._limit_rows, 2 * len(self.cores), len(rejected)
+        edge_id, edge_power = config.config_id, edges * config.power
+        used = (edges * baseline[1], edges * spread[1] if spread else 0)  # core ports taken, by the even-spread flag
         kept = []
-        for key, (*_, uniform), (core, core_switches, _), (cost, power, units, _) in zip(pairs, places, mixes, priced):
-            spare = core_switches * (core.ports + core.expandable_ports) - edges * uplinks[uniform]
-            violations = _violations(self.limits, units, spare, power, cost)
+        for key in pairs:
+            ref = key[5]
+            core_id, core_power, ports = rows[ref % stride >> 1]
+            switches = key[1] - edges
+            violations = _violations(
+                limits, key[2], switches * ports - used[ref & 1], edge_power + switches * core_power, key[0]
+            )
             if violations:
-                rejected.append((config.config_id, core.config_id, tuple(violations)))
+                # 1 == 1.0 but their texts differ, and power alone may be either, so its type is part of the
+                # key; no broken limit reads a zero power, which might be -0.0, as no limit is negative. A loop,
+                # as in _violations, and the list is the fresh one _violations returned.
+                for at, violation in enumerate(violations):
+                    violations[at] = seen.setdefault((violation, type(violation[2])), violation)
+                rejected.append((edge_id, core_id, tuple(violations)))
             else:
                 kept.append(key)
+        self.stats.rejections.update(name for *_, violations in rejected[first:] for name, _, _ in violations)
         return kept
 
     def _winner_tables(self) -> tuple:

@@ -452,17 +452,30 @@ def _dumps(document: Any) -> str:
 def to_json(document: dict[str, Any]) -> str:
     """The document as indent-2, sorted-key JSON, byte for byte as json.dumps writes it.
 
-    A design report's rejected pairs are written from a fixed template.
+    A design report's rejected pairs are written from a fixed template, and
+    each violation is worded once: its text is kept by the identity of its
+    (constraint, limit, actual) tuple, as design() shares one tuple between
+    equal violations; no value could stand in for the tuple, as -0.0 == 0
+    while their texts differ.
     """
     if "rejected_candidates" not in document:
         return _dumps(document) + "\n"
     quote = encode_basestring_ascii
-    entries = ",".join(
-        f'\n    {{\n      "core": {quote(core_id)},\n      "edge": {quote(edge_id)},\n      "violations": [\n        '
-        + ",\n        ".join([quote(violation_text(*violation)) for violation in violations]) + "\n      ]\n    }"
-        for edge_id, core_id, violations in document["rejected_candidates"]
-    )
+    separator, texts, worded, entries = ",\n        ", {}, [], []  # worded keeps the tuples that key texts alive
+    # plain loops: before Python 3.12 a comprehension here would add a call per pair
+    for edge_id, core_id, violations in document["rejected_candidates"]:
+        lines = []
+        for violation in violations:
+            line = texts.get(id(violation))
+            if line is None:
+                worded.append(violation)
+                line = texts[id(violation)] = quote(violation_text(*violation))
+            lines.append(line)
+        entries.append(
+            f'\n    {{\n      "core": {quote(core_id)},\n      "edge": {quote(edge_id)},\n      "violations": [\n        '
+            f"{separator.join(lines)}\n      ]\n    }}"
+        )
     text = _dumps({**document, "rejected_candidates": []}) + "\n"
     # no string holds the key's text unescaped, and no nested object has the key
     key = '\n  "rejected_candidates": ['
-    return text.replace(key + "]", f"{key}{entries}\n  ]", 1) if entries else text
+    return text.replace(key + "]", f"{key}{','.join(entries)}\n  ]", 1) if entries else text

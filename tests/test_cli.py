@@ -377,6 +377,14 @@ OUT_OF_RANGE_FLAGS = [
      "avg_cable_cost must not be negative, got -8000 (minor units)"),
     (["expand", "--current-units", "-5", "--target-units", "10"],
      "current capacity must not be negative, got -5U"),
+    (["design", "--nodes", "60", "--max-ru", "-1"],
+     "constraint max_network_rack_units must not be negative, got -1"),
+    (["design", "--nodes", "60", "--min-spare-ports", "-5"],
+     "constraint min_spare_core_ports must not be negative, got -5"),
+    (["design", "--nodes", "60", "--max-power", "-1"],
+     "constraint max_network_power must not be negative, got -1.0"),
+    (["design", "--nodes", "60", "--max-cost", "-3"],
+     "constraint max_network_cost must not be negative, got -300 (minor units)"),
 ]
 
 

@@ -45,10 +45,10 @@ CLASSES = [
         ("pass_through_cost", "int", False, 0),
     )),
     (ConstraintSet, {}, (
-        ("max_network_rack_units", "int", False, None),
-        ("min_spare_core_ports", "int", False, None),
-        ("max_network_power", "number", False, None),
-        ("max_network_cost", "int", False, None),
+        ("max_network_rack_units", "int", False, 0),
+        ("min_spare_core_ports", "int", False, 0),
+        ("max_network_power", "number", False, 0),
+        ("max_network_cost", "int", False, 0),
     )),
     (DesignRequest, dict(node_count=60), (
         ("node_count", "int", True, 2),

@@ -406,9 +406,26 @@ BLADES = BladeFormFactor(enclosure_capacity=16, enclosure_cost=500000, embedded_
     DesignRequest(node_count=500, constraints=ConstraintSet(max_network_rack_units=60, max_network_power=9000.0)),
     DesignRequest(node_count=24, form_factor=BLADES, avg_cable_cost=0),
     DesignRequest(node_count=400, form_factor=BLADES, blocking_factor=Fraction(2)),
-], ids=["60", "700-3/2", "2200-3", "300-1/2", "900-2-expandable", "500-constrained", "24-blades", "400-blades"])
+    DesignRequest(node_count=500, constraints=ConstraintSet(max_network_rack_units=72)),
+    DesignRequest(node_count=500, constraints=ConstraintSet(min_spare_core_ports=144)),
+    DesignRequest(node_count=700, blocking_factor=Fraction(3, 2), constraints=ConstraintSet(min_spare_core_ports=196)),
+    DesignRequest(node_count=500, constraints=ConstraintSet(max_network_power=7500)),
+    DesignRequest(node_count=500, constraints=ConstraintSet(max_network_cost=49_792_000)),
+    DesignRequest(node_count=500, constraints=ConstraintSet(
+        max_network_rack_units=112, min_spare_core_ports=64, max_network_power=10464.0, max_network_cost=132_352_000)),
+    DesignRequest(node_count=400, form_factor=BLADES, blocking_factor=Fraction(2),
+                  constraints=ConstraintSet(max_network_rack_units=20, max_network_power=6000.5)),
+    DesignRequest(node_count=900, blocking_factor=Fraction(2), prefer_expandability=True,
+                  constraints=ConstraintSet(min_spare_core_ports=231, max_network_cost=136_684_000)),
+], ids=["60", "700-3/2", "2200-3", "300-1/2", "900-2-expandable", "500-constrained", "24-blades", "400-blades",
+        "500-max-ru", "500-min-spare", "700-3/2-min-spare", "500-max-power", "500-max-cost", "500-all-limits",
+        "400-blades-constrained", "900-2-expandable-constrained"])
 def test_large_catalog_ranks_like_the_eager_reference(request_):
-    """The whole ranking, the rejected pairs and the counters, on a catalog where many cores share a port count."""
+    """The whole ranking, the rejected pairs and the counters, on a catalog where many cores share a port count.
+
+    The constrained requests pin the limit filter's numbers: the reference prices each pair through
+    _network_metrics and counts its spare ports from the built design.
+    """
     assert len(LARGE.core_set) == 41 and len({core.ports for core in LARGE.core_set}) == 11
     expected, expected_rejected = eager_design(request_, LARGE)
     report = design(request_, LARGE)
@@ -568,6 +585,27 @@ def test_rejected_pairs_are_written_as_json_dumps_writes_them(case, top):
     except DesignError:
         return
     assert to_json(design_report_document(report, "USD", top)) == reference_json(report, "USD", top)
+
+
+def test_equal_violations_keep_their_own_text():
+    """The writer words a violation tuple once, yet an equal one of another type or sign keeps its own text."""
+    shared = ("max_network_power", 1, 2.5)
+    records = (
+        ("e0", "c0", (("max_network_rack_units", 0, 3), shared)),
+        ("e0", "c1", (("max_network_rack_units", -0.0, 3), shared)),
+        ("e1", "c0", (("max_network_power", 1.0, 2.5), ("min_spare_core_ports", 1, -0.0))),
+        ("e1", "c1", (shared, ("min_spare_core_ports", 1.0, 0), ("max_network_rack_units", 0, 3))),
+    )
+    document = design_report_document(design(DesignRequest(node_count=60), DEMO), "USD", 1)
+    document["rejected_candidates"] = records
+    expected = dict(document, rejected_candidates=[
+        {"edge": edge_id, "core": core_id, "violations": [violation_text(*v) for v in violations]}
+        for edge_id, core_id, violations in records
+    ])
+    text = to_json(document)
+    assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert '"max_network_rack_units: 3 exceeds limit -0"' in text
+    assert '"min_spare_core_ports: -0 below minimum 1"' in text
 
 
 @st.composite

@@ -33,6 +33,7 @@ RANKING_TESTS = "tests/test_ranking.py"
 WRITER_TEST = "tests/test_ranking.py::test_rejected_pairs_are_written_as_json_dumps_writes_them"
 ORDER_TEST = "tests/test_ranking.py::test_catalog_order_does_not_change_the_answer"
 EAGER_TEST = "tests/test_ranking.py::test_design_ranks_like_the_eager_reference"
+LARGE_TEST = "tests/test_ranking.py::test_large_catalog_ranks_like_the_eager_reference"
 FIELD_TESTS = "tests/test_field_checks.py"
 ESTIMATE_TEST = "tests/test_estimator.py::test_estimate_bounds_the_design_above_the_star_range"
 SWEEP_TEST = "tests/test_estimator.py::test_sweep_estimate_matches_the_estimate"
@@ -88,6 +89,16 @@ MUTANTS = [
      "list(filter(blades.embeds, catalog.edge_set))[:1]",
      "tests/test_ranking.py::test_embedded_family_names_its_smallest_expansion",
      "a blade's embedded switch named by its family is the family's first expansion in catalog order"),
+    ("designer.py", "core.power, core.ports + core.expandable_ports)", "core.power, core.ports)", LARGE_TEST,
+     "the limit filter counts a core switch's spare ports without its line-card headroom"),
+    ("designer.py", "used = (edges * baseline[1], edges * spread[1] if spread else 0)",
+     "used = (edges * baseline[1], edges * baseline[1] if spread else 0)", LARGE_TEST,
+     "the limit filter counts an even spread's spare ports with the baseline's uplinks"),
+    ("designer.py", "edge_power = config.config_id, edges * config.power", "edge_power = config.config_id, 0",
+     LARGE_TEST, "the limit filter leaves the edge switches' power out of a pair's power"),
+    ("designer.py", 'actual < limit if name == "min_spare_core_ports"',
+     'actual <= limit if name == "min_spare_core_ports"', LARGE_TEST,
+     "a pair with exactly the required spare core ports is rejected"),
     ("designer.py", 'if kind == "fat_tree" else None', "if to_core else None",
      "tests/test_goldens.py::test_trivial_topology_output_matches_golden",
      "a direct-connect design reports a resulting blocking"),
