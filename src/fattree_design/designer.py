@@ -20,15 +20,14 @@ ref, priced and checked against the key, and built through one builder,
 only when it is read.
 
 fit_max_nodes and sweep_lower_bound ask the plan's winner() for the winner
-alone at each node count. That ranking has its own loop, which finds the
-same winner from per-plan tables built on its first call: the cores in price
-order, a table of core layers per (edge switches, uplinks) in that order, a
-star table, and the edge models in order of cost per node port. It visits
-the edge groups in order of their cost floor, but works out a group, through
-the same _edge_group as rank(), only when no lower floor can be left: N
-nodes at a model's cost per node port, plus the cables and core switch every
-group needs, bound the floor of each group not yet worked out. It skips what
-its cost floors rule out, and it prices in full and builds only the winner.
+alone at each node count. It keys an edge group's pairs through the same
+step as rank(), over a prefix of the cores in price order, and keeps the
+least key. It visits the edge groups in order of their cost floor, but works
+out a group, through the same _edge_group as rank(), only when no lower
+floor can be left: N nodes at a model's cost per node port, plus the cables
+and core switch every group needs, bound the floor of each group not yet
+worked out. It skips what its cost floors rule out, and it prices in full
+and builds only the winner.
 
 All port arithmetic is exact integer/Fraction math; all money is integer
 minor units.
@@ -196,7 +195,7 @@ class CoreStage:
 
 @dataclass
 class SearchStats:
-    """Counts of what SearchPlan.rank() did over the plan's calls; stars and direct connects are not counted.
+    """Counts of what a SearchPlan's rankings did over the plan's calls; stars and direct connects are not counted.
 
     A pair sized is skipped (too few core ports) or a candidate, as is each even spread kept, and a
     candidate is rejected or ranked: pairs_considered + spread_variants == pairs_skipped +
@@ -492,29 +491,25 @@ class RankedCandidates(Sequence):
             return tuple(self[i] for i in range(*index.indices(len(self._keys))))
         built = self._designs[index]
         if built is None:
-            key, request = self._keys[index], self._request
-            payload = self._trivial[key[5]] if key[5] < 0 else self._pair_payload(key[5])
+            key, request, span = self._keys[index], self._request, 2 * len(self._cores)  # an edge group's refs
+            ref = key[5]
+            payload = self._trivial[ref] if ref < 0 else _pair_payload(self._groups[ref // span], self._cores, ref)
             built = self._designs[index] = _build_ranked(request, request.node_count, key, payload)
         return built
 
-    def _pair_payload(self, ref: int) -> tuple:
-        """The payload of the pair that rank() named ``ref``, with its metrics None."""
-        edge_at, core_at, uniform = _pair_place(ref, len(self._cores))
-        config, edges, baseline, cables, spread, spread_cables = self._groups[edge_at]
-        split, cables = (spread, spread_cables) if uniform else (baseline, cables)
-        core = self._cores[core_at]
-        layer, = core_layers(edges, split[1], (core.ports,))
-        return "fat_tree", config, core, split, layer, cables, None, uniform == 1, False, core.ports * split[0]
 
+def _pair_payload(group: tuple, cores: Sequence, ref: int) -> tuple:
+    """The payload, with its metrics None, of the pair of one edge group that a ranking named ``ref``.
 
-def _pair_place(ref: int, core_count: int) -> tuple[int, int, int]:
-    """(edge place, core place, 1 for the even spread or 0 for the baseline) of the pair that rank() named ``ref``.
-
-    Within an edge group's span of 2 x core_count refs, a core's baseline
-    takes twice the core's place and its even spread one more.
+    Within an edge group's span of 2 x len(cores) refs, a core's baseline
+    takes twice the core's place in ``cores`` and its even spread one more.
     """
-    edge_at, at = divmod(ref, 2 * core_count)
-    return edge_at, *divmod(at, 2)
+    config, edges, baseline, cables, spread, spread_cables = group
+    core_at, uniform = divmod(ref % (2 * len(cores)), 2)
+    split, cables = (spread, spread_cables) if uniform else (baseline, cables)
+    core = cores[core_at]
+    layer, = core_layers(edges, split[1], (core.ports,))
+    return "fat_tree", config, core, split, layer, cables, None, uniform == 1, False, core.ports * split[0]
 
 
 def _pair_keys(rows: Sequence, layers: Sequence, edges: int, fixed: Money, edge_units: int, edge_id: str,
@@ -532,21 +527,6 @@ def _pair_keys(rows: Sequence, layers: Sequence, edges: int, fixed: Money, edge_
     ]
 
 
-def _group_pairs(cores: Sequence, layers: Sequence, spreads: Sequence, baseline: tuple, cables: int,
-                 spread: tuple | None, spread_cables: int):
-    """(core, split, core layer, cables, uniform) of each pair of one edge group, baseline before even spread.
-
-    ``layers`` holds the core layer of each of ``cores``, in the same order, and ``spreads`` the layer of
-    each kept even spread, from _kept_spreads, or None.
-    """
-    for core, layer, spread_layer in zip(cores, layers, spreads):
-        if layer is None:
-            continue
-        yield core, baseline, layer, cables, False
-        if spread_layer is not None:
-            yield core, spread, spread_layer, spread_cables, True
-
-
 # The winner-only ranking's best record before it has one: its infinite cost cuts nothing.
 _NO_WINNER = ((math.inf,), None)
 
@@ -559,25 +539,24 @@ class SearchPlan:
     each edge configuration's port split as a plain (config, ports to nodes,
     ports to core) tuple, with the blade-bay cap applied, the catalog's core set
     and the config union (the star switches), the limits the request sets,
-    each computed once, plus the largest node count any design reaches, and
-    the index that maps each core to its place among the distinct core port
-    counts. rank() is the full ranking's loop over edge configurations x
-    cores for the request's node count: it sizes each edge group's core
-    layer once per port count, writes each pair as one flat key of cost,
-    switch count, rack units, ids and ref, without building its payload,
-    filters the keys with the star and direct-connect ones, sorts them, and
-    counts what it did in ``stats``.
+    each computed once, plus the largest node count any design reaches, a
+    row per core that maps it to its place among the distinct core port
+    counts, and a cache of core layers, one per distinct core port count, per
+    (edge switches, uplinks). Both rankings key an edge group's pairs through
+    _group_keys, one flat key of cost, switch count, rack units, ids and ref
+    per pair, without building its payload, and count what it did in
+    ``stats``. rank() keys every edge group with every core in catalog order
+    for the request's node count, filters the keys with the star and
+    direct-connect ones and sorts them.
 
-    The node-count scans ask winner(N) for the winner alone, and that ranking
-    has its own loop, which counts into the same ``stats``. It works from
-    per-plan tables that its first call builds, so a design() plan builds none:
-    the cores in price order, each edge group's core layers per (edge switches,
-    uplinks) in that order, the star table, which holds for each port count
-    the best star among the configurations with at least that many ports, and
-    the edge models in order of cost per node port, which bounds the floors of
-    the groups it has not yet worked out. From the cheapest core switch it
-    works out the cost floors that let it skip edge groups and, as a prefix of
-    the price order, single cores. A scan may share one plan between capacities.
+    The node-count scans ask winner(N) for the winner alone. It keys only the
+    prefix of the cores in price order that its cost floors leave, and keeps
+    the least key. Its first call builds its tables, so a design() plan builds
+    none: the core rows in price order, the star table, which holds for each
+    port count the best star among the configurations with at least that many
+    ports, and the edge models in order of cost per node port, which bounds
+    the floors of the groups it has not yet worked out. A scan may share one
+    plan between capacities.
     """
 
     def __init__(self, request: DesignRequest, catalog: Catalog) -> None:
@@ -585,8 +564,8 @@ class SearchPlan:
         self.limits = _active_limits(request.constraints)
         self.configs = catalog.configs()
         self.cores = catalog.core_set
-        # rank() sizes core layers once per distinct core port count. Each core's row holds twice its place in
-        # the catalog (its baseline's ref within an edge group), its port count's place, price, rack units and id.
+        # Core layers are sized once per distinct core port count. Each core's row holds twice its place in the
+        # catalog (its baseline's ref within an edge group), its port count's place, price, rack units and id.
         self.core_ports = sorted({core.ports for core in self.cores})
         place = {ports: at for at, ports in enumerate(self.core_ports)}
         self._core_rows = tuple(
@@ -629,6 +608,7 @@ class SearchPlan:
         # winner-only ranking skips what lies above the best cost found. With
         # no core there is no pair, and the empty core model stands in.
         self.cheapest_core = min(self.cores, key=lambda core: core.cost, default=_NO_CORE)
+        self._layer_table: dict = {}  # core_layers() per (edge switches, uplinks)
         self._tables = None  # winner()'s, built by its first call
 
     def _trivial_records(self, node_count: int) -> list:
@@ -689,6 +669,36 @@ class SearchPlan:
         spread_cables = cable_count(node_count, edges, spread[1], blade) if spread else cables
         return config, edges, (ports_to_nodes, ports_to_core, edges), cables, spread, spread_cables
 
+    def _layers(self, edges: int, uplinks: int) -> list:
+        """The core layer of each distinct core port count for edge switches with so many uplinks, cached."""
+        at = edges, uplinks
+        layers = self._layer_table.get(at)
+        if layers is None:
+            layers = self._layer_table[at] = core_layers(edges, uplinks, self.core_ports)
+        return layers
+
+    def _group_keys(self, group: tuple, ref: int, rows: Sequence) -> list:
+        """The flat keys of one edge group's pairs with the cores of ``rows``, baselines before even spreads.
+
+        ``rows`` holds _core_rows, or some of them, and ``ref`` is the edge
+        group's first ref. The group's pairs are counted in ``stats``.
+        """
+        request, cable_cost = self.request, self.request.avg_cable_cost
+        config, edges, baseline, cables, spread, spread_cables = group
+        edge_cost, edge_units, edge_id = edges * config.cost, _edge_units(request, config, edges), config.config_id
+        layers = self._layers(edges, baseline[1])
+        pairs = _pair_keys(rows, layers, edges, edge_cost + cables * cable_cost, edge_units, edge_id, ref)
+        baselines = len(pairs)
+        if spread:
+            spreads = _kept_spreads(layers, self._layers(edges, spread[1]))
+            fixed = edge_cost + spread_cables * cable_cost
+            pairs += _pair_keys(rows, spreads, edges, fixed, edge_units, edge_id, ref + 1)
+        stats = self.stats
+        stats.pairs_considered += len(rows)
+        stats.pairs_skipped += len(rows) - baselines
+        stats.spread_variants += len(pairs) - baselines
+        return pairs
+
     def rank(self) -> tuple[RankedCandidates, tuple]:
         """Every design for the request's node count, ranked, plus the pairs the constraints rejected.
 
@@ -701,26 +711,15 @@ class SearchPlan:
         Designs are built when read. Raises what design() raises.
         """
         request, limits = self.request, self.limits
-        node_count, cable_cost = request.node_count, request.avg_cable_cost
+        node_count = request.node_count
         records = self._trivial_records(node_count)
         keys = [(*key, ref) for ref, (key, _) in enumerate(records, -len(records))]
-        rows, ports, stride = self._core_rows, self.core_ports, 2 * len(self.cores)
+        rows, stride = self._core_rows, 2 * len(self.cores)
         stats, rejected, candidates, groups, seen = self.stats, [], 0, [], {}
         for at, edge in enumerate(self.edges):
             group = self._edge_group(node_count, *edge)
             groups.append(group)
-            config, edges, baseline, cables, spread, spread_cables = group
-            edge_cost, edge_units, edge_id = edges * config.cost, _edge_units(request, config, edges), config.config_id
-            layers = core_layers(edges, baseline[1], ports)
-            pairs = _pair_keys(rows, layers, edges, edge_cost + cables * cable_cost, edge_units, edge_id, at * stride)
-            baselines = len(pairs)
-            if spread:
-                spreads = _kept_spreads(layers, core_layers(edges, spread[1], ports))
-                fixed = edge_cost + spread_cables * cable_cost
-                pairs += _pair_keys(rows, spreads, edges, fixed, edge_units, edge_id, at * stride + 1)
-            stats.pairs_considered += len(rows)
-            stats.pairs_skipped += len(rows) - baselines
-            stats.spread_variants += len(pairs) - baselines
+            pairs = self._group_keys(group, at * stride, rows)
             candidates += len(pairs)
             keys += self._within_limits(group, pairs, rejected, seen) if limits else pairs
         stats.candidates_rejected += len(rejected)
@@ -773,15 +772,15 @@ class SearchPlan:
         return kept
 
     def _winner_tables(self) -> tuple:
-        """(cores in price order, their prices, core layers per (edge switches, uplinks), star ports, stars, rising).
+        """(core rows in price order, their prices, star ports, stars, rising).
 
-        A layer table entry holds core_layers() of every core, in price order.
-        The stars are the configurations' best star from each place on in
-        port-count order, next to those port counts. ``rising`` holds each
-        edge model as (cost, ports to nodes, edge index), in order of its cost
-        per node port.
+        A stable sort orders the _core_rows by price, so each row still names
+        its core's place in the catalog. The stars are the configurations'
+        best star from each place on in port-count order, next to those port
+        counts. ``rising`` holds each edge model as (cost, ports to nodes,
+        edge index), in order of its cost per node port.
         """
-        by_price = sorted(self.cores, key=attrgetter("cost"))
+        by_price = sorted(self._core_rows, key=itemgetter(2))
         by_ports = sorted(self.configs, key=attrgetter("ports"))
         # at each place, the best star, on the star's own tie-break, among the configurations from there on
         stars, best = [], None
@@ -795,7 +794,7 @@ class SearchPlan:
             ((config.cost, to_nodes, index) for index, (config, to_nodes, _) in enumerate(self.edges)),
             key=lambda model: model[0] * (scale // model[1]),
         )
-        return by_price, [core.cost for core in by_price], {}, [config.ports for config in by_ports], stars, rising
+        return by_price, [row[2] for row in by_price], [config.ports for config in by_ports], stars, rising
 
     def winner(self, node_count: int) -> FatTreeDesign:
         """design()'s winner for node_count, for unconstrained requests; raises what design() raises.
@@ -813,10 +812,12 @@ class SearchPlan:
         floor would give, and a model whose bound exceeds the best cost is
         never worked out. Inside a group the walk keeps, before sizing any,
         the prefix of the cores in price order whose price in place of the
-        cheapest one keeps the floor within that cost. The comparisons with
-        the best cost are strict, so a pair that ties it still meets the full key.
-        A pair's rack units and key are worked out only when its cost can
-        still win, and only the winner is priced in full and built.
+        cheapest one keeps the floor within that cost, keys those pairs
+        through _group_keys as rank() does, and keeps the least key when it
+        beats the best so far. The comparisons with the best cost are strict,
+        so a pair that ties it still meets the full key, whose ref breaks a
+        full tie as rank()'s sort does. Only the winner is priced in full and
+        built.
         """
         from bisect import bisect_left, bisect_right  # here, so that importing the package never loads them
         from heapq import heappop, heappush
@@ -826,7 +827,7 @@ class SearchPlan:
             if self.limits:
                 raise ValueError("the winner-only ranking serves unconstrained requests only")
             self._tables = self._winner_tables()
-        by_price, core_costs, layer_table, star_ports, stars, rising = self._tables
+        by_price, core_costs, star_ports, stars, rising = self._tables
         blades, cable_cost, cheapest = request.blades, request.avg_cable_cost, self.cheapest_core.cost
         # the best record so far, as (key, payload); a payload whose metrics are None is priced when it wins
         best = _NO_WINNER
@@ -837,13 +838,6 @@ class SearchPlan:
             key = (star.cost + node_count * cable_cost, 1, star.rack_units, star.config_id, "")
             best = key, ("star", star, None, (node_count, 0, 1), None, node_count, None, False, False, star.ports)
 
-        def layers_of(edges: int, uplinks: int, count: int) -> list:
-            """The core layers of the first count cores in price order."""
-            layers = layer_table.get((edges, uplinks))
-            if layers is None:
-                layers = layer_table[edges, uplinks] = core_layers(edges, uplinks, [core.ports for core in by_price])
-            return layers[:count]
-
         # A group's floor is at least its edges' cost, one cheapest core switch and, as each edge switch needs
         # the fewest uplinks its own nodes need, the node cables plus the fewest uplinks all N nodes need.
         least_cables = (0 if blades is not None else node_count) + fewest_uplinks(node_count, request.blocking_factor)
@@ -852,7 +846,7 @@ class SearchPlan:
         # `low`, the bound of every model not yet built: so groups come in the order a stable sort of every
         # floor gives, and no model is built once `low` exceeds the best cost. A model's edges cost at least
         # N x its cost per node port, rounded up, which rises along `rising`.
-        built, at, visited = [], 0, 0
+        built, at, visited, stride = [], 0, 0, 2 * len(self.cores)
         stats = self.stats
         while built or at < len(rising):
             low = -(-node_count * rising[at][0] // rising[at][1]) + fixed if at < len(rising) else math.inf
@@ -865,34 +859,18 @@ class SearchPlan:
                 config, edges, *_, spread_cables = group
                 heappush(built, ((edges * config.cost + spread_cables * cable_cost + cheapest, index), group))
                 continue
-            (floor, _), (config, edges, baseline, cables, spread, spread_cables) = heappop(built)
+            (floor, index), group = heappop(built)
             if floor > best[0][0]:
                 break
             visited += 1
             # the floor less its core switch: each core adds back its own price
             edge_floor = floor - cheapest
             count = bisect_right(core_costs, best[0][0] - edge_floor)
-            layers = layers_of(edges, baseline[1], count)
-            spreads = _kept_spreads(layers, layers_of(edges, spread[1], count)) if spread else (None,) * count
-            edge_units = _edge_units(request, config, edges)
-            edge_cost, edge_id, ranked = edges * config.cost, config.config_id, 0
-            for core, split, layer, split_cables, uniform in _group_pairs(
-                by_price[:count], layers, spreads, baseline, cables, spread, spread_cables
-            ):
-                ranked += 1
-                cost = edge_cost + layer[1] * core.cost + split_cables * cable_cost
-                if cost > best[0][0]:
-                    continue
-                key = (cost, edges + layer[1], edge_units + layer[1] * core.rack_units, edge_id, core.config_id)
-                if key < best[0]:
-                    max_nodes = core.ports * split[0]
-                    best = key, ("fat_tree", config, core, split, layer, split_cables, None, uniform, False, max_nodes)
-            skipped = layers.count(None)
+            pairs = self._group_keys(group, index * stride, by_price[:count])
             stats.cores_skipped += len(by_price) - count
-            stats.pairs_considered += count
-            stats.pairs_skipped += skipped
-            stats.spread_variants += ranked - count + skipped
-            stats.candidates_ranked += ranked
+            stats.candidates_ranked += len(pairs)
+            if pairs and (pair := min(pairs)) < best[0]:
+                best = pair, _pair_payload(group, self.cores, pair[5])
         stats.groups_cut += len(self.edges) - visited
 
         key, payload = best

@@ -439,6 +439,7 @@ def fit_max_nodes(
     larger N has no design. One search plan's winner() gives design()'s
     winner for each N, and the first N whose winner fits returns it.
     """
+    check_number("capacity", capacity_units)
     if capacity_units < 0:
         raise ValueError(f"capacity must not be negative, got {capacity_units}U")
     return _fit(_scan_plan(catalog, blocking, node_spec, avg_cable_cost), capacity_units)
@@ -482,6 +483,8 @@ def expansion_plan(
     or install the full core but only as many edge switches as the initial
     nodes need (deferring the rest to the expansion stage).
     """
+    check_number("current capacity", current_capacity_units)
+    check_number("target capacity", target_capacity_units)
     if target_capacity_units < current_capacity_units:
         raise ValueError("target capacity must not shrink")
     if current_capacity_units < 0:
@@ -549,6 +552,9 @@ def expansion_audit(
     tops up the underfilled edge switch, then adds whole edge switches while
     spare core ports remain.
     """
+    check_number("extra capacity", extra_capacity_units)
+    if extra_capacity_units < 0:
+        raise ValueError(f"extra capacity must not be negative, got {extra_capacity_units}U")
     if design_.kind != "fat_tree":
         raise PlacementError("expansion audit applies to two-layer designs")
     assert design_.core_config is not None and design_.core_stage is not None

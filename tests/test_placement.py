@@ -425,11 +425,30 @@ def test_fit_max_nodes_below_two_nodes(ft36_catalog, capacity, node_units):
 
 
 def test_negative_capacity_is_bad_input(ft36_catalog, monkeypatch):
+    built = fit_max_nodes(84, ft36_catalog, Fraction(1)).design
     monkeypatch.setattr(placement, "SearchPlan", None)  # a search would end in a TypeError
     with pytest.raises(ValueError, match="^capacity must not be negative, got -1U$"):
         fit_max_nodes(-1, ft36_catalog, Fraction(1))
     with pytest.raises(ValueError, match="^current capacity must not be negative, got -5U$"):
         expansion_plan(-5, 10, ft36_catalog, Fraction(1))
+    with pytest.raises(ValueError, match="^extra capacity must not be negative, got -5U$"):
+        expansion_audit(built, -5)
+
+
+@pytest.mark.parametrize("value", [10.5, 84.0, True, "84", None])
+def test_capacities_must_be_integers(ft36_catalog, monkeypatch, value):
+    """A float, bool or other non-integer capacity raises ValueError before any search."""
+    built = fit_max_nodes(84, ft36_catalog, Fraction(1)).design
+    monkeypatch.setattr(placement, "SearchPlan", None)  # a search would end in a TypeError
+    calls = [
+        ("capacity", lambda: fit_max_nodes(value, ft36_catalog, Fraction(1))),
+        ("current capacity", lambda: expansion_plan(value, 126, ft36_catalog, Fraction(1))),
+        ("target capacity", lambda: expansion_plan(84, value, ft36_catalog, Fraction(1))),
+        ("extra capacity", lambda: expansion_audit(built, value)),
+    ]
+    for label, call in calls:
+        with pytest.raises(ValueError, match=f"^{label} must be an integer, got {value!r}$"):
+            call()
 
 
 def test_expansion_plan_two_to_three_racks(ft36_catalog):

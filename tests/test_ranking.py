@@ -436,6 +436,28 @@ def test_large_catalog_ranks_like_the_eager_reference(request_):
         assert report.rejected and report.candidates  # the limits cut some pairs, not all
 
 
+@pytest.mark.parametrize("blocking", [Fraction(1), Fraction(3, 2), Fraction(3)])
+@pytest.mark.parametrize("expandable", [False, True])
+def test_winner_shares_its_layer_table_across_node_counts_on_the_large_catalog(blocking, expandable):
+    """One plan's winner(N), walked down the node counts as the scans walk them, is design()'s winner each time.
+
+    The plan's core layer table is shared by every node count, and the
+    catalog's 41 cores fall on 11 port counts, so each table entry serves
+    several cores of each price rank.
+    """
+    plan = SearchPlan(DesignRequest(node_count=2, blocking_factor=blocking, prefer_expandability=expandable), LARGE)
+    for nodes in range(3000, 1, -29):
+        request = DesignRequest(node_count=nodes, blocking_factor=blocking, prefer_expandability=expandable)
+        try:
+            expected = design(request, LARGE).winner
+        except DesignError as error:
+            with pytest.raises(type(error)) as raised:
+                plan.winner(nodes)
+            assert str(raised.value) == str(error)
+            continue
+        assert plan.winner(nodes) == expected
+
+
 @settings(max_examples=150, deadline=None)
 @given(cases(), st.integers(2, 7))
 def test_scaling_every_price_scales_the_ranking(case, k):

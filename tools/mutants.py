@@ -55,9 +55,10 @@ MUTANTS = [
     ("designer.py", "if not (built and built[0][0][0] < low):", "if not built:",
      "tests/test_search_plan.py::test_groups_are_visited_in_floor_order",
      "the walk takes a built group before comparing its floor with the unbuilt models' bound"),
-    ("designer.py", "by_price[:count], layers, spreads", "self.cores[:count], layers, spreads",
-     "tests/test_search_plan.py::test_core_layers_pair_with_their_cores_in_price_order",
-     "the winner-only ranking walks the cores in catalog order against price-ordered core layers"),
+    ("designer.py", "by_price[:count])", "self._core_rows[:count])",
+     PER_CORE_TEST, "the winner-only ranking cuts a prefix of the cores in catalog order, not in price order"),
+    ("designer.py", "(pair := min(pairs))", "(pair := pairs[0])",
+     PER_CORE_TEST, "the winner-only ranking keeps an edge group's first pair instead of its least"),
     ("designer.py", 'key=attrgetter("cost", "ports", "config_id")', 'key=attrgetter("ports", "cost", "config_id")',
      "tests/test_search_plan.py::test_star_table_keeps_the_cheapest_star",
      "the star table keeps the star with the fewest ports instead of the cheapest"),
@@ -79,8 +80,10 @@ MUTANTS = [
     ("designer.py", "edge_units + layer[1] * units, edge_id, core_id, ref + offset)",
      'edge_units + layer[1] * units, "", "", ref + offset)', ORDER_TEST,
      "pairs that tie on cost, switches and rack units are ranked in catalog order"),
-    ("designer.py", "edge_units, edge_id, at * stride + 1)", "edge_units, edge_id, at * stride - 1)", RANKING_TESTS,
+    ("designer.py", "edge_units, edge_id, ref + 1)", "edge_units, edge_id, ref - 1)", RANKING_TESTS,
      "the even spread takes a lower ref than its baseline, one that names the previous core's spread"),
+    ("designer.py", "at = edges, uplinks", "at = edges", RANKING_TESTS,
+     "the core layer table is keyed by edge switches alone, so an even spread reads its baseline's layers"),
     ("designer.py", "(2 * at, place[core.ports], core.cost", "(2 * at, place[core.ports] - 1, core.cost", RANKING_TESTS,
      "a core reads the core layer of the neighbouring port count"),
     ("designer.py", "edge_cost + cables * cable_cost, edge_units", "edge_cost, edge_units", EAGER_TEST,
