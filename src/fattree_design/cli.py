@@ -233,7 +233,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     )
     extra = args.target_units - args.current_units
     audit = expansion_audit(plan.baseline.design, extra, node_spec)
-    _write(args, lambda: reporting.expansion_document(plan, audit, catalog.currency),
+    _write(args, lambda: reporting.expansion_document(plan, audit),
            lambda: reporting.render_expansion_text(plan, audit))
     return EXIT_OK
 

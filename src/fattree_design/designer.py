@@ -20,14 +20,14 @@ ref, priced and checked against the key, and built through one builder,
 only when it is read.
 
 fit_max_nodes and sweep_lower_bound ask the plan's winner() for the winner
-alone at each node count. It keys an edge group's pairs through the same
-step as rank(), over a prefix of the cores in price order, and keeps the
-least key. It visits the edge groups in order of their cost floor, but works
-out a group, through the same _edge_group as rank(), only when no lower
-floor can be left: N nodes at a model's cost per node port, plus the cables
-and core switch every group needs, bound the floor of each group not yet
-worked out. It skips what its cost floors rule out, and it prices in full
-and builds only the winner.
+alone at each node count. It walks the edge models once, in order of cost
+per node port, and stops at the first whose bound exceeds the best cost
+found: N nodes at that cost per node port, plus the cables and core switch
+every group needs. Before that it works out each model's group through the
+same _edge_group as rank(), keys the group's pairs through the same step,
+over the prefix of the cores in price order whose price keeps the group's
+floor within the best cost, and keeps the least key. It prices in full and
+builds only the winner.
 
 All port arithmetic is exact integer/Fraction math; all money is integer
 minor units.
@@ -414,42 +414,40 @@ def _edge_units(request: DesignRequest, edge_config: SwitchConfig, edge_switches
 
 
 def _network_metrics(
-    request: DesignRequest, edge_config: SwitchConfig, edge_switches: int, mixes: Iterable, extra_cost: Money = 0
-) -> list[tuple[Money, float, int, float]]:
-    """(cost, power, rack units, weight) of the edge switches with each (core config, core switches, cables) mix.
+    request: DesignRequest, edge_config: SwitchConfig, edge_switches: int, core: SwitchConfig, cores: int,
+    cables: int, extra_cost: Money = 0
+) -> tuple[Money, float, int, float]:
+    """(cost, power, rack units, weight) of the edge switches with so many core switches and cables.
 
-    The one home of these formulas, in DesignMetrics order: the edge side is
-    worked out once, and each mix adds its core switches and cables to it.
-    The rankings' keys carry cost and rack units of their own, and every
-    design built from a key is checked against these. The limit filter
-    reads cost and rack units from the key and works out power as the same
-    sum, edge switches' power plus core switches' power, so the limits see
-    the numbers a built design reports.
+    The one home of these formulas, in DesignMetrics order. The rankings'
+    keys carry cost and rack units of their own, and every design built from
+    a key is checked against these. The limit filter reads cost and rack
+    units from the key and works out power as the same sum, edge switches'
+    power plus core switches' power, so the limits see the numbers a built
+    design reports.
     """
-    edge_cost, edge_power = edge_switches * edge_config.cost + extra_cost, edge_switches * edge_config.power
-    edge_units = _edge_units(request, edge_config, edge_switches)
-    edge_weight, cable_cost = edge_switches * edge_config.weight, request.avg_cable_cost
-    return [
-        (edge_cost + cores * core.cost + cables * cable_cost, edge_power + cores * core.power,
-         edge_units + cores * core.rack_units, edge_weight + cores * core.weight)
-        for core, cores, cables in mixes
-    ]
+    return (
+        edge_switches * edge_config.cost + extra_cost + cores * core.cost + cables * request.avg_cable_cost,
+        edge_switches * edge_config.power + cores * core.power,
+        _edge_units(request, edge_config, edge_switches) + cores * core.rack_units,
+        edge_switches * edge_config.weight + cores * core.weight,
+    )
 
 
 def _build_ranked(request: DesignRequest, node_count: int, key: tuple, payload: tuple) -> FatTreeDesign:
     """The one builder of a design, for every kind, from a ranking's key and payload.
 
-    Both rankings key a pair on cost and rack units worked out from plain
-    numbers, and price it in full only when they build it: a payload whose
-    metrics are None is priced here, through _network_metrics, which must
-    give the key's numbers.
+    Both rankings key every record on cost and rack units worked out from
+    plain numbers, and price it in full only when they build it: here,
+    through _network_metrics, which must give the key's numbers.
     """
-    kind, edge_config, core_config, split, layer, cables, metrics, uniform, pass_through, max_supported_nodes = payload
-    if metrics is None:
-        mix = (core_config or _NO_CORE, layer[1] if layer else 0, cables)
-        metrics, = _network_metrics(request, edge_config, split[2], (mix,))
-        assert (metrics[0], metrics[2]) == (key[0], key[2]), "a ranking priced a pair otherwise"
+    kind, edge_config, core_config, split, layer, cables, uniform, pass_through, max_supported_nodes = payload
     to_nodes, to_core, edges = split
+    extra = request.blades.pass_through_cost if pass_through else 0
+    metrics = _network_metrics(
+        request, edge_config, edges, core_config or _NO_CORE, layer[1] if layer else 0, cables, extra
+    )
+    assert (metrics[0], metrics[2]) == (key[0], key[2]), "a ranking priced a design otherwise"
     return FatTreeDesign(
         kind=kind,
         node_count=node_count,
@@ -499,7 +497,7 @@ class RankedCandidates(Sequence):
 
 
 def _pair_payload(group: tuple, cores: Sequence, ref: int) -> tuple:
-    """The payload, with its metrics None, of the pair of one edge group that a ranking named ``ref``.
+    """The payload of the pair of one edge group that a ranking named ``ref``.
 
     Within an edge group's span of 2 x len(cores) refs, a core's baseline
     takes twice the core's place in ``cores`` and its even spread one more.
@@ -509,7 +507,7 @@ def _pair_payload(group: tuple, cores: Sequence, ref: int) -> tuple:
     split, cables = (spread, spread_cables) if uniform else (baseline, cables)
     core = cores[core_at]
     layer, = core_layers(edges, split[1], (core.ports,))
-    return "fat_tree", config, core, split, layer, cables, None, uniform == 1, False, core.ports * split[0]
+    return "fat_tree", config, core, split, layer, cables, uniform == 1, False, core.ports * split[0]
 
 
 def _pair_keys(rows: Sequence, layers: Sequence, edges: int, fixed: Money, edge_units: int, edge_id: str,
@@ -554,9 +552,9 @@ class SearchPlan:
     the least key. Its first call builds its tables, so a design() plan builds
     none: the core rows in price order, the star table, which holds for each
     port count the best star among the configurations with at least that many
-    ports, and the edge models in order of cost per node port, which bounds
-    the floors of the groups it has not yet worked out. A scan may share one
-    plan between capacities.
+    ports, and the edge models in order of cost per node port, along which the
+    bound of a model's cost floor rises. A scan may share one plan between
+    capacities.
     """
 
     def __init__(self, request: DesignRequest, catalog: Catalog) -> None:
@@ -601,13 +599,6 @@ class SearchPlan:
             reach = max(reach, widest_core * ports_to_nodes)
         self.edges = tuple(edges)
         self.max_reachable = reach
-        # Every pairing has at least one core switch and no price is negative,
-        # so an edge group costs at least its edges, its fewest cables and one
-        # cheapest core switch, and a pair with a given core at least that
-        # floor with the core's price in place of the cheapest one; the
-        # winner-only ranking skips what lies above the best cost found. With
-        # no core there is no pair, and the empty core model stands in.
-        self.cheapest_core = min(self.cores, key=lambda core: core.cost, default=_NO_CORE)
         self._layer_table: dict = {}  # core_layers() per (edge switches, uplinks)
         self._tables = None  # winner()'s, built by its first call
 
@@ -642,12 +633,11 @@ class SearchPlan:
             best = None
             for tie, spare, config, split, cables, pass_through, max_nodes in variants:
                 switches, extra = split[2], blades.pass_through_cost if pass_through else 0
-                metrics, = _network_metrics(request, config, switches, ((_NO_CORE, 0, cables),), extra)
-                cost, power, units, _ = metrics
+                cost, power, units, _ = _network_metrics(request, config, switches, _NO_CORE, 0, cables, extra)
                 if limits and _violations(limits, units, spare, power, cost):
                     continue
                 if best is None or (cost, *tie) < best[0]:
-                    payload = (kind, config, None, split, None, cables, metrics, False, pass_through, max_nodes)
+                    payload = (kind, config, None, split, None, cables, False, pass_through, max_nodes)
                     best = ((cost, *tie), ((cost, switches, units, config.config_id, ""), payload))
             if best is not None:
                 records.append(best[1])
@@ -800,27 +790,21 @@ class SearchPlan:
         """design()'s winner for node_count, for unconstrained requests; raises what design() raises.
 
         Blade requests start from the direct-connect and star records,
-        other requests from the star table. The edge groups are visited in
-        order of their cost floor (edges, fewest cables, one cheapest core
-        switch), ties in edge order, and the walk stops at the first group
-        whose floor exceeds the best cost found. A group is worked out only
-        when no group worked out has a floor below the bound of every model
-        not yet worked out: the models are taken in order of cost per node
-        port, so N nodes at the next model's cost per node port, rounded up,
-        plus the cables all N nodes need at the least and one cheapest core
-        switch, is that bound. So groups come in the order a sort of every
-        floor would give, and a model whose bound exceeds the best cost is
-        never worked out. Inside a group the walk keeps, before sizing any,
-        the prefix of the cores in price order whose price in place of the
-        cheapest one keeps the floor within that cost, keys those pairs
-        through _group_keys as rank() does, and keeps the least key when it
-        beats the best so far. The comparisons with the best cost are strict,
-        so a pair that ties it still meets the full key, whose ref breaks a
-        full tie as rank()'s sort does. Only the winner is priced in full and
-        built.
+        other requests from the star table. The walk takes the edge models
+        once, in order of cost per node port, ties in edge order, and stops
+        at the first model whose bound exceeds the best cost found: N nodes
+        at its cost per node port, rounded up, plus the cables all N nodes
+        need at the least and one cheapest core switch. Before that it works
+        out each model's group and keeps, before sizing any, the prefix of
+        the cores in price order whose own price keeps the group's floor
+        (edges, fewest cables, core switch) within the best cost; a group
+        with none is cut. It keys those pairs through _group_keys as rank()
+        does, and keeps the least key when it beats the best so far. The
+        comparisons with the best cost are strict, so a pair that ties it
+        still meets the full key, whose ref breaks a full tie as rank()'s
+        sort does. Only the winner is priced in full and built.
         """
         from bisect import bisect_left, bisect_right  # here, so that importing the package never loads them
-        from heapq import heappop, heappush
 
         request = self.request
         if self._tables is None:
@@ -828,44 +812,35 @@ class SearchPlan:
                 raise ValueError("the winner-only ranking serves unconstrained requests only")
             self._tables = self._winner_tables()
         by_price, core_costs, star_ports, stars, rising = self._tables
-        blades, cable_cost, cheapest = request.blades, request.avg_cable_cost, self.cheapest_core.cost
-        # the best record so far, as (key, payload); a payload whose metrics are None is priced when it wins
-        best = _NO_WINNER
+        blades, cable_cost = request.blades, request.avg_cable_cost
+        best = _NO_WINNER  # the best record so far, as (key, payload)
         if blades is not None:
             best = min(self._trivial_records(node_count), key=itemgetter(0), default=best)
         elif (at := bisect_left(star_ports, node_count)) < len(stars):
             star = stars[at]
             key = (star.cost + node_count * cable_cost, 1, star.rack_units, star.config_id, "")
-            best = key, ("star", star, None, (node_count, 0, 1), None, node_count, None, False, False, star.ports)
+            best = key, ("star", star, None, (node_count, 0, 1), None, node_count, False, False, star.ports)
 
-        # A group's floor is at least its edges' cost, one cheapest core switch and, as each edge switch needs
-        # the fewest uplinks its own nodes need, the node cables plus the fewest uplinks all N nodes need.
+        # Every pairing has at least one core switch and no price is negative, so a pair costs at least its
+        # edges, its fewest cables and its core switch. As each edge switch needs the fewest uplinks its own
+        # nodes need, a group's cables are at least the node cables plus the fewest uplinks all N nodes need,
+        # and its edges cost at least N x its model's cost per node port, rounded up, which rises along
+        # `rising`: with one cheapest core switch that bounds the pairs of this model and of every later one.
+        # With no core there is no pair, and the bound adds nothing for it.
         least_cables = (0 if blades is not None else node_count) + fewest_uplinks(node_count, request.blocking_factor)
-        fixed = least_cables * cable_cost + cheapest
-        # Groups are built into a heap keyed (floor, edge index), and its top is taken only when it lies below
-        # `low`, the bound of every model not yet built: so groups come in the order a stable sort of every
-        # floor gives, and no model is built once `low` exceeds the best cost. A model's edges cost at least
-        # N x its cost per node port, rounded up, which rises along `rising`.
-        built, at, visited, stride = [], 0, 0, 2 * len(self.cores)
-        stats = self.stats
-        while built or at < len(rising):
-            low = -(-node_count * rising[at][0] // rising[at][1]) + fixed if at < len(rising) else math.inf
-            if not (built and built[0][0][0] < low):
-                if low > best[0][0]:
-                    break
-                index = rising[at][2]
-                at += 1
-                group = self._edge_group(node_count, *self.edges[index])
-                config, edges, *_, spread_cables = group
-                heappush(built, ((edges * config.cost + spread_cables * cable_cost + cheapest, index), group))
-                continue
-            (floor, index), group = heappop(built)
-            if floor > best[0][0]:
+        fixed = least_cables * cable_cost + (core_costs[0] if core_costs else 0)
+        visited, stride, stats = 0, 2 * len(self.cores), self.stats
+        for cost, to_nodes, index in rising:
+            if -(-node_count * cost // to_nodes) + fixed > best[0][0]:
                 break
-            visited += 1
-            # the floor less its core switch: each core adds back its own price
-            edge_floor = floor - cheapest
+            group = self._edge_group(node_count, *self.edges[index])
+            config, edges, *_, spread_cables = group
+            # the group's floor less its core switch: the cores whose own price keeps it within the best cost
+            edge_floor = edges * config.cost + spread_cables * cable_cost
             count = bisect_right(core_costs, best[0][0] - edge_floor)
+            if not count:
+                continue  # the group's floor, with the cheapest core, exceeds the best cost
+            visited += 1
             pairs = self._group_keys(group, index * stride, by_price[:count])
             stats.cores_skipped += len(by_price) - count
             stats.candidates_ranked += len(pairs)

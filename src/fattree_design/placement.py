@@ -314,7 +314,9 @@ def plan_racks(
     behind it that can still take the edge switch or one node; skipping the
     others changes nothing it places.
     """
+    _check_node_spec(node_spec)
     for units in reserve:
+        check_number("reserved space", units)
         if units < 1:
             raise ValueError(f"reserved space must be at least 1U, got {units}")
     if core_placement not in CORE_PLACEMENTS:
@@ -445,8 +447,15 @@ def fit_max_nodes(
     return _fit(_scan_plan(catalog, blocking, node_spec, avg_cable_cost), capacity_units)
 
 
+def _check_node_spec(node_spec: object) -> None:
+    """Raise ValueError unless node_spec is a NodeSpec: rack-mounted nodes, the only kind placement handles."""
+    if not isinstance(node_spec, NodeSpec):
+        raise ValueError(f"node_spec must be a NodeSpec, got {node_spec!r}")
+
+
 def _scan_plan(catalog: Catalog, blocking: Fraction, node_spec: NodeSpec, avg_cable_cost: Money) -> SearchPlan:
     """The search plan of a node-count scan of rack-mounted nodes."""
+    _check_node_spec(node_spec)
     template = DesignRequest(
         node_count=2,  # winner() takes each N itself
         blocking_factor=blocking,
@@ -553,6 +562,7 @@ def expansion_audit(
     spare core ports remain.
     """
     check_number("extra capacity", extra_capacity_units)
+    _check_node_spec(node_spec)
     if extra_capacity_units < 0:
         raise ValueError(f"extra capacity must not be negative, got {extra_capacity_units}U")
     if design_.kind != "fat_tree":

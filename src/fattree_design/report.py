@@ -317,7 +317,7 @@ def render_room_top_view(layout: RackLayout) -> str:
     return "\n".join(lines) + "\n"
 
 
-def expansion_document(plan: ExpansionPlan, audit: ExpansionAudit, currency: str) -> dict[str, Any]:
+def expansion_document(plan: ExpansionPlan, audit: ExpansionAudit) -> dict[str, Any]:
     baseline = plan.baseline
     return {
         "baseline": {

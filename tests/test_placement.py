@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fattree_design import placement
 from fattree_design.catalog import Catalog
 from fattree_design.designer import (
+    BladeFormFactor,
     DesignError,
     DesignRequest,
     SearchPlan,
@@ -358,15 +359,29 @@ def test_oversized_indivisible_item_rejected(ft36_catalog):
         plan_racks(target, room, NodeSpec(), reserve=(45,))
 
 
-@pytest.mark.parametrize("reserve", [(-3,), (0,), (4, -1)])
+@pytest.mark.parametrize("reserve", [(-3,), (0,), (4, -1), (1.5,), (True,), ("2",)])
 def test_reserves_below_one_unit_rejected(ft36_catalog, reserve):
     target = winner_for(60, ft36_catalog)
-    with pytest.raises(ValueError, match="at least 1U"):
+    with pytest.raises(ValueError, match="reserved space must be (at least 1U|an integer)"):
         plan_racks(target, RoomSpec(rows=1, racks_per_row=4), NodeSpec(), reserve=reserve)
 
 
+@pytest.mark.parametrize("node_spec", [BladeFormFactor(16, 0, "ft36"), None, 1])
+def test_placement_entry_points_take_only_a_node_spec(ft36_catalog, node_spec):
+    """A blade form factor, which a DesignRequest takes, or no node at all is one ValueError at every entry point."""
+    target = winner_for(60, ft36_catalog)
+    calls = (
+        lambda: plan_racks(target, RoomSpec(rows=1, racks_per_row=4), node_spec),
+        lambda: fit_max_nodes(84, ft36_catalog, Fraction(1), node_spec),
+        lambda: expansion_plan(84, 168, ft36_catalog, Fraction(1), node_spec),
+        lambda: expansion_audit(target, 20, node_spec),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="node_spec must be a NodeSpec"):
+            call()
+
+
 def test_direct_connect_designs_are_not_placeable(ft36_catalog):
-    from fattree_design.designer import BladeFormFactor
     from fattree_design.catalog import Catalog
 
     encl = make_switch(32, 1_100_000, source_id="encl32")

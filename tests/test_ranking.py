@@ -48,8 +48,10 @@ def sort_key(candidate):
 def build(request, kind, edge_config, split, cables, core_config=None, stage=None,
           extra_cost=0, max_supported_nodes=0, **flags):
     core_count = stage.core_count if stage else 0
-    mix = (core_config or designer._NO_CORE, core_count, cables)
-    metrics = DesignMetrics(*designer._network_metrics(request, edge_config, split.edge_count, (mix,), extra_cost)[0])
+    core = core_config or designer._NO_CORE
+    metrics = DesignMetrics(
+        *designer._network_metrics(request, edge_config, split.edge_count, core, core_count, cables, extra_cost)
+    )
     return FatTreeDesign(
         kind=kind,
         node_count=request.node_count,

@@ -403,23 +403,33 @@ def test_winner_builds_only_the_groups_its_floor_reaches(monkeypatch):
     assert groups - plan.stats.groups_cut <= len(built) < groups // 4
 
 
-def test_groups_are_visited_in_floor_order():
-    """The walk takes the group with the lowest floor first, not the model with the lowest cost per node port.
+def test_built_group_whose_floor_exceeds_the_best_cost_is_cut(monkeypatch):
+    """A group the model bound lets through is worked out, and its empty price prefix cuts it unkeyed.
 
-    At 100 nodes the 32-port model costs less per node port (10 against 10.5)
-    but needs 7 switches (1,120) where the 40-port one needs 5 (1,050). The
-    40-port group goes first and wins at 1,052, below the 32-port group's
-    floor of 1,121, so that group is cut without being visited.
+    Both edge models cost 10 per node port, so the walk takes them in edge
+    order. At 100 nodes the 40-port model's 5 switches and 2 cores win at
+    1,002. The 32-port model's bound, 1,000 plus the 1 of the cheapest core,
+    lies below that, so its group is built; but its 7 switches cost 1,120,
+    and with no core whose price keeps the floor within 1,002 it is cut.
     """
     catalog = Catalog(
-        edge_set=(SwitchConfig("e32", 32, 160, 0.0, 1, 0.0), SwitchConfig("e40", 40, 210, 0.0, 1, 0.0)),
+        edge_set=(SwitchConfig("e40", 40, 200, 0.0, 1, 0.0), SwitchConfig("e32", 32, 160, 0.0, 1, 0.0)),
         core_set=(SwitchConfig("c64", 64, 1, 0.0, 1, 0.0),),
     )
+    built = []
+    edge_group = SearchPlan._edge_group
+
+    def counted(self, node_count, config, ports_to_nodes, ports_to_core):
+        built.append(config.config_id)
+        return edge_group(self, node_count, config, ports_to_nodes, ports_to_core)
+
+    monkeypatch.setattr(SearchPlan, "_edge_group", counted)
     request = DesignRequest(node_count=100, avg_cable_cost=0)
     plan = SearchPlan(request, catalog)
     winner = plan.winner(100)
-    assert (winner.edge_config.config_id, winner.objective) == ("e40", 1052)
-    assert plan.stats.groups_cut == 1
+    assert (winner.edge_config.config_id, winner.objective) == ("e40", 1002)
+    assert built == ["e40", "e32"]
+    assert (plan.stats.groups_cut, plan.stats.candidates_ranked) == (1, 1)
     assert_scan_matches_design(request, catalog)
 
 

@@ -48,13 +48,13 @@ MUTANTS = [
      PER_CORE_TEST, "the per-core floor drops a core whose pair ties the best cost"),
     ("designer.py", "count = bisect_right(core_costs, best[0][0] - edge_floor)", "count = len(by_price)",
      PER_CORE_TEST, "the per-core floor skips no core"),
-    ("designer.py", "if floor > best[0][0]:", "if floor >= best[0][0]:",
-     PER_CORE_TEST, "the group floor cuts an edge group that ties the best cost"),
+    ("designer.py", "+ fixed > best[0][0]:", "+ fixed >= best[0][0]:",
+     PER_CORE_TEST, "the walk stops at an edge model whose bound ties the best cost"),
+    ("designer.py", "if not count:", "if count < 0:",
+     "tests/test_search_plan.py::test_built_group_whose_floor_exceeds_the_best_cost_is_cut",
+     "an edge group whose floor exceeds the best cost is visited with no core, not cut"),
     ("designer.py", "fewest_uplinks(node_count, request.blocking_factor)", "node_count",
      PER_CORE_TEST, "the group bound counts a cable per node for the uplinks, above some groups' floor"),
-    ("designer.py", "if not (built and built[0][0][0] < low):", "if not built:",
-     "tests/test_search_plan.py::test_groups_are_visited_in_floor_order",
-     "the walk takes a built group before comparing its floor with the unbuilt models' bound"),
     ("designer.py", "by_price[:count])", "self._core_rows[:count])",
      PER_CORE_TEST, "the winner-only ranking cuts a prefix of the cores in catalog order, not in price order"),
     ("designer.py", "(pair := min(pairs))", "(pair := pairs[0])",
