@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _design_request(args: argparse.Namespace) -> DesignRequest:
     """The ``--request`` document, or one built from the flags, read by ``request_from_document``."""
-    if args.request:
+    if args.request is not None:
         document = json.loads(Path(args.request).read_text(encoding="utf-8"))
         return request_from_document(document)
     if args.nodes is None:
@@ -131,12 +131,12 @@ def _design_request(args: argparse.Namespace) -> DesignRequest:
             "max_network_rack_units": args.max_ru,
             "min_spare_core_ports": args.min_spare_ports,
             "max_network_power": args.max_power,
-            "max_network_cost": parse_money(args.max_cost) if args.max_cost else None,
+            "max_network_cost": parse_money(args.max_cost) if args.max_cost is not None else None,
         },
         "prefer_expandability": args.prefer_expandability,
     }
     if args.blade is not None:
-        if not args.embedded_switch:
+        if args.embedded_switch is None:
             raise ValueError("--blade requires --embedded-switch")
         document["form_factor"] = {
             "kind": "blade",
@@ -144,7 +144,7 @@ def _design_request(args: argparse.Namespace) -> DesignRequest:
             "enclosure_cost": parse_money(args.enclosure_cost),
             "embedded_edge_switch_id": args.embedded_switch,
         }
-        if args.pass_through_cost:
+        if args.pass_through_cost is not None:
             document["form_factor"]["pass_through_cost"] = parse_money(args.pass_through_cost)
     return request_from_document(document)
 
@@ -159,9 +159,9 @@ def _cmd_design(args: argparse.Namespace) -> int:
     catalog = load_catalog_file(args.catalog)
     request = _design_request(args)
     result = design(request, catalog)
-    wiring = reporting.emit_wiring(result.winner) if args.dot else ""
+    wiring = reporting.emit_wiring(result.winner) if args.dot is not None else ""
     # open the diagram file before stdout is written, so that an unwritable path leaves stdout empty
-    with open(args.dot, "w", encoding="utf-8") if args.dot else contextlib.nullcontext() as dot:
+    with open(args.dot, "w", encoding="utf-8") if args.dot is not None else contextlib.nullcontext() as dot:
         _write(args, lambda: reporting.design_report_document(result, catalog.currency, top=args.top),
                lambda: reporting.render_design_text(result, catalog.currency, top=args.top))
         if dot:

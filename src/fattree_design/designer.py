@@ -19,15 +19,18 @@ design() keeps that whole ranking; a design's payload is rebuilt from its
 ref, priced and checked against the key, and built through one builder,
 only when it is read.
 
-fit_max_nodes and sweep_lower_bound ask the plan's winner() for the winner
-alone at each node count. It walks the edge models once, in order of cost
-per node port, and stops at the first whose bound exceeds the best cost
-found: N nodes at that cost per node port, plus the cables and core switch
-every group needs. Before that it works out each model's group through the
-same _edge_group as rank(), keys the group's pairs through the same step,
-over the prefix of the cores in price order whose price keeps the group's
-floor within the best cost, and keeps the least key. It prices in full and
-builds only the winner.
+The node-count scans, fit_max_nodes, expansion_plan and sweep_lower_bound,
+build their plan in one place, scan_plan(): an unconstrained request of
+rack-mounted nodes. Every N from 2 to the plan's max_reachable has a
+design, and they ask the plan's winner() for the winner alone at each N.
+It starts from a table of the best star per port count and walks the edge
+models once, in order of cost per node port, and stops at the first whose
+bound exceeds the best cost found: N nodes at that cost per node port, plus
+the cables and core switch every group needs. Before that it works out each
+model's group through the same _edge_group as rank(), keys the group's
+pairs through the same step, over the prefix of the cores in price order
+whose price keeps the group's floor within the best cost, and keeps the
+least key. It prices in full and builds only the winner.
 
 All port arithmetic is exact integer/Fraction math; all money is integer
 minor units.
@@ -532,10 +535,11 @@ _NO_WINNER = ((math.inf,), None)
 class SearchPlan:
     """Search state shared by every node count of one request shape.
 
-    Built once per call of design(), fit_max_nodes() or sweep_lower_bound() from
-    a request whose node count only rank() reads; nothing outlives that call. It holds
-    each edge configuration's port split as a plain (config, ports to nodes,
-    ports to core) tuple, with the blade-bay cap applied, the catalog's core set
+    Built once per call of design(), or by scan_plan() once per node-count
+    scan; only rank() reads the request's node count, and nothing outlives
+    the call that built the plan. It holds each edge configuration's port
+    split as a plain (config, ports to nodes, ports to core) tuple, with the
+    blade-bay cap applied, the catalog's core set
     and the config union (the star switches), the limits the request sets,
     each computed once, plus the largest node count any design reaches, a
     row per core that maps it to its place among the distinct core port
@@ -547,14 +551,14 @@ class SearchPlan:
     for the request's node count, filters the keys with the star and
     direct-connect ones and sorts them.
 
-    The node-count scans ask winner(N) for the winner alone. It keys only the
-    prefix of the cores in price order that its cost floors leave, and keeps
-    the least key. Its first call builds its tables, so a design() plan builds
-    none: the core rows in price order, the star table, which holds for each
-    port count the best star among the configurations with at least that many
-    ports, and the edge models in order of cost per node port, along which the
-    bound of a model's cost floor rises. A scan may share one plan between
-    capacities.
+    The node-count scans ask a scan_plan()'s winner(N) for the winner alone.
+    It keys only the prefix of the cores in price order that its cost floors
+    leave, and keeps the least key. Its first call builds its tables, so a
+    design() plan builds none: the core rows in price order, the star table,
+    which holds for each port count the best star among the configurations
+    with at least that many ports, and the edge models in order of cost per
+    node port, along which the bound of a model's cost floor rises. A scan
+    may share one plan between capacities.
     """
 
     def __init__(self, request: DesignRequest, catalog: Catalog) -> None:
@@ -787,16 +791,15 @@ class SearchPlan:
         return by_price, [row[2] for row in by_price], [config.ports for config in by_ports], stars, rising
 
     def winner(self, node_count: int) -> FatTreeDesign:
-        """design()'s winner for node_count, for unconstrained requests; raises what design() raises.
+        """design()'s winner for node_count, for unconstrained rack-mounted requests; raises what design() raises.
 
-        Blade requests start from the direct-connect and star records,
-        other requests from the star table. The walk takes the edge models
-        once, in order of cost per node port, ties in edge order, and stops
-        at the first model whose bound exceeds the best cost found: N nodes
-        at its cost per node port, rounded up, plus the cables all N nodes
-        need at the least and one cheapest core switch. Before that it works
-        out each model's group and keeps, before sizing any, the prefix of
-        the cores in price order whose own price keeps the group's floor
+        It starts from the star table's best star. The walk takes the edge
+        models once, in order of cost per node port, ties in edge order, and
+        stops at the first model whose bound exceeds the best cost found: N
+        nodes at its cost per node port, rounded up, plus the cables all N
+        nodes need at the least and one cheapest core switch. Before that it
+        works out each model's group and keeps, before sizing any, the prefix
+        of the cores in price order whose own price keeps the group's floor
         (edges, fewest cables, core switch) within the best cost; a group
         with none is cut. It keys those pairs through _group_keys as rank()
         does, and keeps the least key when it beats the best so far. The
@@ -808,15 +811,13 @@ class SearchPlan:
 
         request = self.request
         if self._tables is None:
-            if self.limits:
-                raise ValueError("the winner-only ranking serves unconstrained requests only")
+            if self.limits or request.blades is not None:
+                raise ValueError("the winner-only ranking serves unconstrained rack-mounted requests only")
             self._tables = self._winner_tables()
         by_price, core_costs, star_ports, stars, rising = self._tables
-        blades, cable_cost = request.blades, request.avg_cable_cost
+        cable_cost = request.avg_cable_cost
         best = _NO_WINNER  # the best record so far, as (key, payload)
-        if blades is not None:
-            best = min(self._trivial_records(node_count), key=itemgetter(0), default=best)
-        elif (at := bisect_left(star_ports, node_count)) < len(stars):
+        if (at := bisect_left(star_ports, node_count)) < len(stars):
             star = stars[at]
             key = (star.cost + node_count * cable_cost, 1, star.rack_units, star.config_id, "")
             best = key, ("star", star, None, (node_count, 0, 1), None, node_count, False, False, star.ports)
@@ -827,7 +828,7 @@ class SearchPlan:
         # and its edges cost at least N x its model's cost per node port, rounded up, which rises along
         # `rising`: with one cheapest core switch that bounds the pairs of this model and of every later one.
         # With no core there is no pair, and the bound adds nothing for it.
-        least_cables = (0 if blades is not None else node_count) + fewest_uplinks(node_count, request.blocking_factor)
+        least_cables = node_count + fewest_uplinks(node_count, request.blocking_factor)
         fixed = least_cables * cable_cost + (core_costs[0] if core_costs else 0)
         visited, stride, stats = 0, 2 * len(self.cores), self.stats
         for cost, to_nodes, index in rising:
@@ -867,6 +868,17 @@ def design(request: DesignRequest, catalog: Catalog) -> DesignReport:
     return DesignReport(
         request=request, winner=candidates[0], candidates=candidates, rejected=rejected, stats=plan.stats
     )
+
+
+def scan_plan(catalog: Catalog, blocking: Fraction, node_spec: NodeSpec, avg_cable_cost: Money) -> SearchPlan:
+    """The one search plan shape of the node-count scans, whose winner() takes each node count.
+
+    The request's node count, 2, is a placeholder: only rank() reads it.
+    """
+    request = DesignRequest(
+        node_count=2, blocking_factor=blocking, form_factor=node_spec, avg_cable_cost=avg_cable_cost
+    )
+    return SearchPlan(request, catalog)
 
 
 def cluster_cost(design_: FatTreeDesign, request: DesignRequest, server_unit_cost: Money) -> Money:

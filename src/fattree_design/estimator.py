@@ -17,13 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalog import SwitchConfig, per_port_metrics
-from .designer import (
-    DesignRequest,
-    InsufficientRadixError,
-    SearchPlan,
-)
-from .catalog import Catalog
+from .catalog import Catalog, SwitchConfig, per_port_metrics
+from .designer import InsufficientRadixError, NodeSpec, scan_plan
 from .money import Money, check_money, check_number, round_half_up
 
 
@@ -160,8 +155,7 @@ def sweep_lower_bound(config: SwitchConfig, first: int, last: int, avg_cable_cos
     check_number("last", last)
     if first < 2 or last < first:
         raise ValueError("sweep range must satisfy 2 <= first <= last")
-    request = DesignRequest(node_count=first, avg_cable_cost=avg_cable_cost)
-    plan = SearchPlan(request, single_model_catalog(config))
+    plan = scan_plan(single_model_catalog(config), Fraction(1), NodeSpec(), avg_cable_cost)
     points = []
     for nodes in range(first, last + 1):
         # past the switch's reach, which is the estimate's capacity, the ranking raises what the estimate would

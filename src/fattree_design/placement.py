@@ -24,8 +24,6 @@ from typing import Sequence
 from .catalog import Catalog, SwitchConfig
 from .designer import (
     DEFAULT_CABLE_COST,
-    DesignError,
-    DesignRequest,
     FatTreeDesign,
     NodeSpec,
     SearchPlan,
@@ -33,6 +31,7 @@ from .designer import (
     edge_count,
     fewest_uplinks,
     node_distribution,
+    scan_plan,
 )
 from .money import Money, check_finite, check_number
 
@@ -444,7 +443,8 @@ def fit_max_nodes(
     check_number("capacity", capacity_units)
     if capacity_units < 0:
         raise ValueError(f"capacity must not be negative, got {capacity_units}U")
-    return _fit(_scan_plan(catalog, blocking, node_spec, avg_cable_cost), capacity_units)
+    _check_node_spec(node_spec)
+    return _fit(scan_plan(catalog, blocking, node_spec, avg_cable_cost), capacity_units)
 
 
 def _check_node_spec(node_spec: object) -> None:
@@ -453,26 +453,12 @@ def _check_node_spec(node_spec: object) -> None:
         raise ValueError(f"node_spec must be a NodeSpec, got {node_spec!r}")
 
 
-def _scan_plan(catalog: Catalog, blocking: Fraction, node_spec: NodeSpec, avg_cable_cost: Money) -> SearchPlan:
-    """The search plan of a node-count scan of rack-mounted nodes."""
-    _check_node_spec(node_spec)
-    template = DesignRequest(
-        node_count=2,  # winner() takes each N itself
-        blocking_factor=blocking,
-        form_factor=node_spec,
-        avg_cable_cost=avg_cable_cost,
-    )
-    return SearchPlan(template, catalog)
-
-
 def _fit(plan: SearchPlan, capacity_units: int) -> CapacityFit:
-    """fit_max_nodes' walk, on a plan from _scan_plan; several capacities may share one plan."""
+    """fit_max_nodes' walk, on a plan from scan_plan(); several capacities may share one plan."""
     node_units = plan.request.form_factor.rack_units
     for nodes in range(min(capacity_units // node_units, plan.max_reachable), 1, -1):
-        try:
-            winner = plan.winner(nodes)
-        except DesignError:
-            continue
+        # every N up to max_reachable has a design: a star, or the widest core over the edge model that reaches N
+        winner = plan.winner(nodes)
         if nodes * node_units + winner.metrics.rack_units <= capacity_units:
             return CapacityFit(capacity_units=capacity_units, node_count=nodes, design=winner)
     raise PlacementError(f"no node count fits in {capacity_units}U")
@@ -499,7 +485,8 @@ def expansion_plan(
     if current_capacity_units < 0:
         raise ValueError(f"current capacity must not be negative, got {current_capacity_units}U")
     # one plan serves both fits, so the baseline reuses the target's tables
-    plan = _scan_plan(catalog, blocking, node_spec, avg_cable_cost)
+    _check_node_spec(node_spec)
+    plan = scan_plan(catalog, blocking, node_spec, avg_cable_cost)
     target = _fit(plan, target_capacity_units)
     baseline = _fit(plan, current_capacity_units)
     final = target.design

@@ -397,6 +397,23 @@ def test_out_of_range_flags_exit_1(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--max-cost", ""], "error: invalid money amount: ''"),
+        (["--blade", "16", "--embedded-switch", "ft36", "--pass-through-cost", ""], "error: invalid money amount: ''"),
+        (["--blade", "16", "--embedded-switch", ""], "error: embedded edge switch '' not found in the edge set"),
+        (["--request", ""], "error: [Errno 21] "),
+        (["--dot", ""], "error: [Errno 2] "),
+    ],
+    ids=["max-cost", "pass-through-cost", "embedded-switch", "request", "dot"],
+)
+def test_empty_design_flags_are_not_taken_as_absent(capsys, argv, error):
+    code, out, err = run_capture(capsys, ["design", "--nodes", "60", "--catalog", DEMO] + argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(error) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv,text",
     [
         (["design", "--nodes", "60", "--cable-cost"], "inf"),

@@ -22,9 +22,11 @@ from fattree_design.designer import (
     ConstraintSet,
     DesignError,
     DesignRequest,
+    InsufficientRadixError,
     NodeSpec,
     SearchPlan,
     design,
+    scan_plan,
 )
 from fattree_design.estimator import single_model_catalog, sweep_lower_bound
 from fattree_design.placement import CapacityFit, PlacementError, fit_max_nodes
@@ -80,19 +82,10 @@ def assert_scan_matches_design(request, catalog):
 @st.composite
 def requests(draw):
     name = draw(st.sampled_from(sorted(CATALOGS)))
-    catalog, embedded_ids = CATALOGS[name]
-    form_factor = NodeSpec()
-    if draw(st.booleans()):
-        form_factor = BladeFormFactor(
-            enclosure_capacity=draw(st.integers(2, 20)),
-            enclosure_cost=0,
-            embedded_edge_switch_id=draw(st.sampled_from(embedded_ids)),
-            pass_through_cost=draw(st.sampled_from((None, 0, 250000))),
-        )
+    catalog, _ = CATALOGS[name]
     request = DesignRequest(
         node_count=draw(st.integers(2, 3000 if name == "demo" else 160)),
         blocking_factor=draw(st.sampled_from(BLOCKINGS)),
-        form_factor=form_factor,
         avg_cable_cost=draw(st.sampled_from((0, DEFAULT_CABLE_COST, 40000))),
         prefer_expandability=draw(st.booleans()),
     )
@@ -266,9 +259,14 @@ def test_scan_breaks_cost_ties_like_design():
 
 
 def test_scan_rejects_constrained_requests():
-    plan = SearchPlan(DesignRequest(node_count=60, constraints=ConstraintSet(max_network_rack_units=9)), DEMO)
-    with pytest.raises(ValueError):
-        plan.winner(60)
+    for request in (
+        DesignRequest(node_count=60, constraints=ConstraintSet(max_network_rack_units=9)),
+        DesignRequest(node_count=60, form_factor=BladeFormFactor(16, 0, "ft36")),
+    ):
+        plan = SearchPlan(request, DEMO)
+        message = "^the winner-only ranking serves unconstrained rack-mounted requests only$"
+        with pytest.raises(ValueError, match=message):
+            plan.winner(60)
 
 
 def reference_fit_max_nodes(capacity_units, catalog, blocking, node_spec=NodeSpec()):
@@ -291,6 +289,19 @@ def test_fit_max_nodes_walk_starts_at_the_catalog_reach():
     fitted = fit_max_nodes(2344, DEMO, Fraction(1))
     assert (huge.node_count, huge.design) == (fitted.node_count, fitted.design)
     assert (huge.node_count, huge.design.metrics.rack_units) == (1944, 234)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(tied_catalogs(), many_core_catalogs()), st.sampled_from(BLOCKINGS), st.data())
+def test_scan_has_a_design_for_every_node_count_it_reaches(catalog, blocking, data):
+    """What fit_max_nodes' walk relies on: winner(N) has a design for 2 <= N <= max_reachable, and none past it."""
+    plan = scan_plan(catalog, blocking, NodeSpec(), DEFAULT_CABLE_COST)
+    reach = plan.max_reachable
+    if reach >= 2:
+        for nodes in (2, data.draw(st.integers(2, reach)), reach):
+            assert plan.winner(nodes).node_count == nodes
+    with pytest.raises(InsufficientRadixError):
+        plan.winner(reach + 1)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOGS))
@@ -439,7 +450,6 @@ PINNED_SCANS = [
     ("demo", Fraction(3), True, None, 699, (4308, 213, 0, 0, 4095, 35, 333)),
     ("small", Fraction(1), False, None, 169, (2888, 2696, 4, 0, 196, 244, 92)),
     ("small", Fraction(3, 2), True, None, 169, (2636, 2417, 0, 0, 219, 296, 84)),
-    ("small", Fraction(1), False, BladeFormFactor(8, 0, "e12", 0), 169, (765, 617, 5, 0, 153, 15, 0)),
 ]
 
 

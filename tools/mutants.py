@@ -55,6 +55,10 @@ MUTANTS = [
      "an edge group whose floor exceeds the best cost is visited with no core, not cut"),
     ("designer.py", "fewest_uplinks(node_count, request.blocking_factor)", "node_count",
      PER_CORE_TEST, "the group bound counts a cable per node for the uplinks, above some groups' floor"),
+    ("designer.py", "reach = max(reach, widest_core * ports_to_nodes)",
+     "reach = max(reach, (widest_core + 1) * ports_to_nodes)",
+     "tests/test_search_plan.py::test_scan_has_a_design_for_every_node_count_it_reaches",
+     "a scan's reach counts one core switch more than the widest core serves, so its top node counts have no design"),
     ("designer.py", "by_price[:count])", "self._core_rows[:count])",
      PER_CORE_TEST, "the winner-only ranking cuts a prefix of the cores in catalog order, not in price order"),
     ("designer.py", "(pair := min(pairs))", "(pair := pairs[0])",
